@@ -6,7 +6,8 @@ Canonical catalog format (UTF-8 text, LF newlines):
   - blank lines separate records;
   - a record is a header line ``loop <name>``, a line ``order <n>``, and
     then exactly n lines of n whitespace-separated integers in 1..n
-    (row i, column j holds the product of elements i and j, 1-indexed).
+    (row i, column j holds the product of elements i and j, 1-indexed);
+    numbers are plain ASCII digits, with no sign.
 
 Reports are deterministic byte-for-byte: fixed key order in JSON, fixed
 column order in CSV, and no timestamps.
@@ -15,13 +16,14 @@ column order in CSV, and no timestamps.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .core import LoopError, LoopTable, validate_table
-from .identities import IdentityId, check_identity, is_extra, is_moufang
-from .conditions import PROFILE_KEYS, is_ra2, is_srar, triple_coverage, triple_profile
+from .identities import is_extra
+from .conditions import PROFILE_KEYS, LoopFacts, triple_profile
 
 
 class CatalogError(Exception):
@@ -100,11 +102,18 @@ def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
     return source
 
 
+# an order or table token; int() alone would also take a sign, "_" and
+# non-ASCII digits
+_NUMBER = re.compile(r"[0-9]+")
+
+
 def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[list[int]]]]:
     """Yield (name, header line number, 1-indexed grid) per record."""
     it = iter(enumerate(lines, start=1))
+    lineno = 0  # the last line read, by either loop
 
     def next_content(expect: str) -> tuple[int, str]:
+        nonlocal lineno
         for lineno, line in it:
             s = line.strip()
             if s.startswith("#"):
@@ -112,7 +121,7 @@ def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[lis
             if not s:
                 raise ParseError(lineno, f"unexpected blank line inside record, expected {expect}")
             return lineno, s
-        raise ParseError(0, f"unexpected end of file, expected {expect}")
+        raise ParseError(lineno, f"unexpected end of file, expected {expect}")
 
     for lineno, line in it:
         s = line.strip()
@@ -129,10 +138,9 @@ def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[lis
         parts = oline.split()
         if len(parts) != 2 or parts[0] != "order":
             raise ParseError(oline_no, f"expected 'order <n>', got {oline!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise ParseError(oline_no, f"order is not an integer: {parts[1]!r}") from None
+        if not _NUMBER.fullmatch(parts[1]):
+            raise ParseError(oline_no, f"order is not an integer: {parts[1]!r}")
+        n = int(parts[1])
         if n < 1:
             raise ParseError(oline_no, f"order must be positive, got {n}")
 
@@ -142,10 +150,9 @@ def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[lis
             cells = rline.split()
             if len(cells) != n:
                 raise ParseError(rline_no, f"expected {n} entries, got {len(cells)}")
-            try:
-                grid.append([int(c) for c in cells])
-            except ValueError:
-                raise ParseError(rline_no, f"non-integer table entry in {rline!r}") from None
+            if not all(_NUMBER.fullmatch(c) for c in cells):
+                raise ParseError(rline_no, f"non-integer table entry in {rline!r}")
+            grid.append([int(c) for c in cells])
         yield name, header_line, grid
 
 
@@ -179,16 +186,17 @@ def emit_catalog(records: Sequence[CatalogRecord]) -> str:
 
 
 def classify_loop(name: str, loop: LoopTable) -> ClassificationRow:
-    cov = triple_coverage(loop)
+    facts = LoopFacts(loop)
+    cov = facts.coverage
     return ClassificationRow(
         name=name,
         order=loop.order,
-        right_bol=check_identity(loop, IdentityId.RIGHT_BOL) is None,
-        moufang=is_moufang(loop),
-        srar=is_srar(loop)[0],
-        ra2=is_ra2(loop)[0],
+        right_bol=facts.right_bol,
+        moufang=facts.moufang,
+        srar=facts.srar,
+        ra2=facts.ra2,
         extra=is_extra(loop),
-        group=check_identity(loop, IdentityId.ASSOCIATIVE) is None,
+        group=facts.associative,
         def_everywhere=cov.def_everywhere,
         de=cov.de_everywhere,
         df=cov.df_everywhere,
@@ -197,12 +205,17 @@ def classify_loop(name: str, loop: LoopTable) -> ClassificationRow:
     )
 
 
+def _classify_record(record: CatalogRecord) -> ClassificationRow:
+    """Classify one record (picklable helper for process pools)."""
+    return classify_loop(record.name, record.loop)
+
+
 def classify_records(records: Sequence[CatalogRecord], jobs: int = 1) -> list[ClassificationRow]:
-    """Classify records, optionally concurrently; output is in input order."""
+    """Classify records, optionally in worker processes; output is in input order."""
     if jobs <= 1 or len(records) <= 1:
-        return [classify_loop(r.name, r.loop) for r in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda r: classify_loop(r.name, r.loop), records))
+        return [_classify_record(r) for r in records]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_classify_record, records, chunksize=-(-len(records) // jobs)))
 
 
 def survey(records: Sequence[CatalogRecord], filter_id: str = "all", jobs: int = 1) -> SurveyReport:

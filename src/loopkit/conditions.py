@@ -22,13 +22,22 @@ when it is right Bol and D/E/F covers every quadruple; it is RA2 when it
 is Moufang and both the A/B/C and starred sets cover every triple.
 
 Condition sets are frozensets over the letters "D","E","F" (triples use
-the same letters for the primed conditions) or "A","B","C".  All scans
-run in lexicographic element order and report the first gap.
+the same letters for the primed conditions) or "A","B","C".
+
+The per-tuple functions (quad_values, quad_conditions, triple_conditions,
+abc_conditions) are the definitional reference.  The whole-loop scans
+(gaps, coverage, profiles, the all-three-or-one lemma) evaluate the same
+bracketings with one numpy kernel over product arrays built from the
+Cayley table: n^3 arrays for triples, and one n^3 slab per first element
+x for quadruples, so memory stays O(n^3) and a gap search stops at the
+first x that has one.  Every scan reports the lexicographically first
+flagged tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +46,6 @@ from .identities import IdentityId, check_identity, is_extra, is_moufang
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
-
-# above this order the full n^4 coverage scans switch to the vectorized path
-_PURE_SCAN_MAX_ORDER = 8
-
 
 class NotSrar(LoopError):
     """Operation requires an SRAR loop."""
@@ -195,105 +200,130 @@ def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:
     raise AssertionError("no differing pair in a non-covered quadruple")
 
 
-def _first_quad_gap_pure(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in range(n):
-                s_row = t[txy[z]]
-                tyz = t[ty[z]]
-                for w in range(n):
-                    s = s_row[w]
-                    t_ = tx[tyz[w]]
-                    u = t[t[tx[w]][z]][y]
-                    v = tx[t[t[w][z]][y]]
-                    if (s == t_ and u == v) or (s == v and t_ == u) or (s == u and t_ == v):
-                        continue
-                    lhs, rhs = _first_diff((s, t_, u, v))
-                    return Witness("def_coverage", (x, y, z, w), lhs, rhs)
-    return None
+# The evaluation kernel.  Every condition family compares four bracketings
+# a, b, c, d elementwise, and each bracketing is a transpose of (xy)z or of
+# x(yz), so one code function serves them all: bit 1 = D (a=b and c=d),
+# bit 2 = E (a=d and b=c), bit 4 = F (a=c and b=d).  Arrays are indexed by
+# the scanned elements in scan order, so the first flagged code in C order
+# is the lexicographically first tuple.
+
+_D, _E, _F = 1, 2, 4
+_PAIRS = (_D | _E, _D | _F, _E | _F)
+
+# codes flagged by each quadruple scan: the empty set, and sets of size 0 or 2
+_EMPTY = np.array([code == 0 for code in range(8)])
+_SIZE_0_OR_2 = np.array([code in (0, *_PAIRS) for code in range(8)])
 
 
-def _quad_planes(T: np.ndarray, x: int, y: int):
-    """S, T, U, V over the (z, w) plane for fixed x, y."""
-    n = T.shape[0]
-    s_plane = T[T[T[x, y]]]          # [z, w] = ((xy)z)w
-    t_plane = T[x][T[T[y]]]          # [z, w] = x((yz)w)
-    coly = T[:, y]
-    u_plane = coly[T[T[x]].T]        # [z, w] = ((xw)z)y
-    v_plane = T[x][coly[T.T]]        # [z, w] = x((wz)y)
-    return s_plane, t_plane, u_plane, v_plane
+def _code(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The 3-bit D/E/F code of four product arrays."""
+    has_d = ((a == b) & (c == d)).view(np.uint8)
+    has_e = ((a == d) & (b == c)).view(np.uint8)
+    has_f = ((a == c) & (b == d)).view(np.uint8)
+    return has_d | has_e << 1 | has_f << 2
 
 
-def _first_quad_gap_vectorized(L: LoopTable) -> Witness | None:
-    T = np.array(L.table, dtype=np.intp)
-    n = L.order
-    for x in range(n):
-        for y in range(n):
-            s, t_, u, v = _quad_planes(T, x, y)
-            covered = ((s == t_) & (u == v)) | ((s == v) & (t_ == u)) | ((s == u) & (t_ == v))
-            if covered.all():
-                continue
-            flat = int((~covered).argmax())
-            z, w = divmod(flat, n)
-            q = quad_values(L, x, y, z, w)
-            lhs, rhs = _first_diff((q.s, q.t, q.u, q.v))
-            return Witness("def_coverage", (x, y, z, w), lhs, rhs)
+def _first_flagged(
+    identity_id: str, flagged: np.ndarray, values: tuple[np.ndarray, ...], prefix: tuple = ()
+) -> Witness | None:
+    """Witness at the first True of `flagged` in C order, or None.
+
+    lhs and rhs are the first unequal pair of `values` there, in the
+    order the caller lists them.
+    """
+    k = int(flagged.argmax())
+    if not flagged.flat[k]:
+        return None
+    at = np.unravel_index(k, flagged.shape)
+    lhs, rhs = _first_diff(tuple(int(v[at]) for v in values))
+    return Witness(identity_id, prefix + tuple(int(i) for i in at), lhs, rhs)
+
+
+def _tables(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
+    """The Cayley table T in the smallest fitting dtype, and TT[a,b,c] = (ab)c."""
+    T = np.array(L.table, dtype=np.min_scalar_type(L.order - 1))
+    return T, T[T]
+
+
+def _triple_values(L: LoopTable) -> tuple[np.ndarray, ...]:
+    """(xy)z, x(yz), (xz)y, x(zy), each indexed [x, y, z]."""
+    T, TT = _tables(L)
+    a, b = TT, T[:, T]
+    return a, b, a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+
+
+def _quad_slabs(L: LoopTable):
+    """Yield x and the products S, T, U, V for that x, each indexed [y, z, w]."""
+    T, TT = _tables(L)
+    for x in range(L.order):
+        s, t = TT[T[x]], T[x][TT]
+        yield x, (s, t, s.transpose(2, 1, 0), t.transpose(2, 1, 0))
+
+
+def _first_quad(L: LoopTable, identity_id: str, flag: np.ndarray) -> Witness | None:
+    """First quadruple whose D/E/F code is flagged, in x-slabs of n^3."""
+    for x, values in _quad_slabs(L):
+        w = _first_flagged(identity_id, flag[_code(*values)], values, (x,))
+        if w is not None:
+            return w
     return None
 
 
 def first_quad_gap(L: LoopTable) -> Witness | None:
     """First quadruple whose D/E/F set is empty, scan order (x, y, z, w)."""
-    if L.order <= _PURE_SCAN_MAX_ORDER:
-        return _first_quad_gap_pure(L)
-    return _first_quad_gap_vectorized(L)
+    return _first_quad(L, "def_coverage", _EMPTY)
 
 
 def first_triple_gap(L: LoopTable) -> Witness | None:
     """First triple whose D'/E'/F' set is empty, scan order (x, y, z)."""
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in range(n):
-                a = txy[z]
-                b = tx[ty[z]]
-                c = t[tx[z]][y]
-                d = tx[t[z][y]]
-                if (a == b and c == d) or (a == d and c == b) or (a == c and b == d):
-                    continue
-                lhs, rhs = _first_diff((a, b, c, d))
-                return Witness("def_prime_coverage", (x, y, z), lhs, rhs)
-    return None
+    values = _triple_values(L)
+    return _first_flagged("def_prime_coverage", _code(*values) == 0, values)
 
 
 def first_abc_gap(L: LoopTable) -> Witness | None:
     """First triple whose {A,B,C} set is empty."""
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            tyx = t[ty[x]]
-            for z in range(n):
-                p1 = txy[z]
-                p2 = tyx[z]
-                p3 = tx[ty[z]]
-                p4 = ty[tx[z]]
-                if (p1 == p3 and p2 == p4) or (p1 == p4 and p3 == p2) or (p1 == p2 and p3 == p4):
-                    continue
-                lhs, rhs = _first_diff((p1, p2, p3, p4))
-                return Witness("abc_coverage", (x, y, z), lhs, rhs)
-    return None
+    p1, p3 = _triple_values(L)[:2]
+    p2, p4 = p1.transpose(1, 0, 2), p3.transpose(1, 0, 2)
+    return _first_flagged("abc_coverage", _code(p1, p3, p2, p4) == 0, (p1, p2, p3, p4))
+
+
+class LoopFacts:
+    """Lazily computed classification facts of one loop, each scanned once."""
+
+    def __init__(self, loop: LoopTable):
+        self.loop = loop
+
+    @cached_property
+    def right_bol(self) -> bool:
+        return check_identity(self.loop, IdentityId.RIGHT_BOL) is None
+
+    @cached_property
+    def moufang(self) -> bool:
+        return is_moufang(self.loop)
+
+    @cached_property
+    def srar(self) -> bool:
+        return self.right_bol and first_quad_gap(self.loop) is None
+
+    @cached_property
+    def ra2(self) -> bool:
+        return (
+            self.moufang
+            and first_abc_gap(self.loop) is None
+            and first_triple_gap(self.loop) is None
+        )
+
+    @cached_property
+    def coverage(self) -> TripleCoverage:
+        return triple_coverage(self.loop)
+
+    @cached_property
+    def associative(self) -> bool:
+        return check_identity(self.loop, IdentityId.ASSOCIATIVE) is None
+
+    @property
+    def odd_order(self) -> bool:
+        return self.loop.order % 2 == 1
 
 
 def is_srar(L: LoopTable) -> tuple[bool, Witness | None]:
@@ -326,103 +356,22 @@ def is_ra2(L: LoopTable) -> tuple[bool, Witness | None]:
 
 
 def triple_coverage(L: LoopTable) -> TripleCoverage:
-    """Full triple scan for the four coverage flags."""
-    t = L.table
-    n = L.order
-    deff = de = df = ef = True
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in range(n):
-                a = txy[z]
-                b = tx[ty[z]]
-                c = t[tx[z]][y]
-                d = tx[t[z][y]]
-                has_d = a == b and c == d
-                has_e = a == d and c == b
-                has_f = a == c and b == d
-                if not (has_d or has_e or has_f):
-                    deff = False
-                if not (has_d or has_e):
-                    de = False
-                if not (has_d or has_f):
-                    df = False
-                if not (has_e or has_f):
-                    ef = False
-            if not (deff or de or df or ef):
-                return TripleCoverage(False, False, False, False)
-    return TripleCoverage(deff, de, df, ef)
+    """The four coverage flags: every triple's code meets D|E|F, D|E, D|F, E|F."""
+    code = _code(*_triple_values(L))
+    masks = (_D | _E | _F, *_PAIRS)
+    return TripleCoverage(*(bool(np.all(code & mask)) for mask in masks))
 
 
 def triple_profile(L: LoopTable) -> TripleProfile:
     """Count the triples realizing each subset of {D',E',F'}."""
-    t = L.table
-    n = L.order
-    counts = [0] * 8
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in range(n):
-                a = txy[z]
-                b = tx[ty[z]]
-                c = t[tx[z]][y]
-                d = tx[t[z][y]]
-                code = 0
-                if a == b and c == d:
-                    code |= 1
-                if a == d and c == b:
-                    code |= 2
-                if a == c and b == d:
-                    code |= 4
-                counts[code] += 1
-    return TripleProfile(_profile_dict(counts), n**3)
+    counts = np.bincount(_code(*_triple_values(L)).ravel(), minlength=8)
+    return TripleProfile(_profile_dict(counts.tolist()), L.order**3)
 
 
 def quad_profile(L: LoopTable) -> QuadProfile:
     """Count the quadruples realizing each subset of {D,E,F}."""
-    n = L.order
-    counts = [0] * 8
-    if n <= _PURE_SCAN_MAX_ORDER:
-        t = L.table
-        for x in range(n):
-            tx = t[x]
-            for y in range(n):
-                ty = t[y]
-                txy = t[tx[y]]
-                for z in range(n):
-                    s_row = t[txy[z]]
-                    tyz = t[ty[z]]
-                    for w in range(n):
-                        s = s_row[w]
-                        t_ = tx[tyz[w]]
-                        u = t[t[tx[w]][z]][y]
-                        v = tx[t[t[w][z]][y]]
-                        code = 0
-                        if s == t_ and u == v:
-                            code |= 1
-                        if s == v and t_ == u:
-                            code |= 2
-                        if s == u and t_ == v:
-                            code |= 4
-                        counts[code] += 1
-    else:
-        T = np.array(L.table, dtype=np.intp)
-        acc = np.zeros(8, dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                s, t_, u, v = _quad_planes(T, x, y)
-                code = (
-                    ((s == t_) & (u == v)) * 1
-                    + ((s == v) & (t_ == u)) * 2
-                    + ((s == u) & (t_ == v)) * 4
-                )
-                acc += np.bincount(code.ravel(), minlength=8)
-        counts = [int(c) for c in acc]
-    return QuadProfile(_profile_dict(counts), n**4)
+    counts = sum(np.bincount(_code(*values).ravel(), minlength=8) for _, values in _quad_slabs(L))
+    return QuadProfile(_profile_dict(counts.tolist()), L.order**4)
 
 
 def _profile_dict(counts: list[int]) -> dict[str, int]:
@@ -450,17 +399,7 @@ def lemma_allthree(L: LoopTable) -> Witness | None:
     ok, w = is_srar(L)
     if not ok:
         raise NotSrar(w.describe() if w is not None else "not an SRAR loop")
-    n = L.order
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                for w_ in range(n):
-                    conds = quad_conditions(L, x, y, z, w_)
-                    if len(conds) in (0, 2):
-                        q = quad_values(L, x, y, z, w_)
-                        lhs, rhs = _first_diff((q.s, q.t, q.u, q.v))
-                        return Witness("quad_all_three_or_one", (x, y, z, w_), lhs, rhs)
-    return None
+    return _first_quad(L, "quad_all_three_or_one", _SIZE_0_OR_2)
 
 
 def lemma_lip_equiv(L: LoopTable) -> Witness | None:

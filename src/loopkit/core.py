@@ -112,7 +112,7 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
         if len(row) != n:
             raise Malformed(f"row {i + 1} has {len(row)} entries, expected {n}")
         for v in row:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
                 raise Malformed(f"row {i + 1} contains {v!r}, expected an integer in 1..{n}")
     for i, row in enumerate(raw):
         seen: set[int] = set()

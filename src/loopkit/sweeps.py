@@ -16,29 +16,18 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from .core import ENUMERATION_CAP, LoopTable, TheoremViolation, enumerate_loops
 from .catalog import UnsupportedFormat, render_json_envelope
-from .identities import (
-    IdentityId,
-    check_identity,
-    is_extra,
-    is_moufang,
-    squares_in_nucleus,
-)
+from .identities import IdentityId, check_identity, is_extra, squares_in_nucleus
 from .conditions import (
+    LoopFacts,
     cor_odd_verify,
-    first_abc_gap,
-    first_quad_gap,
-    first_triple_gap,
     lemma_allthree,
     lemma_key_mfg,
     lemma_lip_equiv,
     thm_main_verify,
-    triple_conditions,
-    triple_coverage,
 )
 from .gf2ring import (
     THREE_VAR_CAP,
@@ -48,41 +37,6 @@ from .gf2ring import (
     oracle_equiv_srar,
     ring_identity_check,
 )
-
-
-class LoopFacts:
-    """Lazily computed classification facts shared by all checks on one loop."""
-
-    def __init__(self, loop: LoopTable):
-        self.loop = loop
-
-    @cached_property
-    def right_bol(self) -> bool:
-        return check_identity(self.loop, IdentityId.RIGHT_BOL) is None
-
-    @cached_property
-    def moufang(self) -> bool:
-        return is_moufang(self.loop)
-
-    @cached_property
-    def srar(self) -> bool:
-        return self.right_bol and first_quad_gap(self.loop) is None
-
-    @cached_property
-    def ra2(self) -> bool:
-        # RA2 needs Moufang plus both triple coverages; reuse the cached
-        # Moufang bit instead of calling is_ra2 (which would rescan it).
-        if not self.moufang:
-            return False
-        return first_abc_gap(self.loop) is None and first_triple_gap(self.loop) is None
-
-    @cached_property
-    def coverage(self):
-        return triple_coverage(self.loop)
-
-    @cached_property
-    def associative(self) -> bool:
-        return check_identity(self.loop, IdentityId.ASSOCIATIVE) is None
 
 
 CheckFn = Callable[[LoopFacts], str | None]
@@ -106,38 +60,28 @@ def _check_alt_ring_equiv(f: LoopFacts) -> str | None:
 
 def _check_alt_ring_equiv_moufang(f: LoopFacts) -> str | None:
     """Moufang-scoped alternative equivalence: both halves, and both together."""
-    if not f.moufang:
-        return None
     if not oracle_equiv_ra2(f.loop):
         return "Moufang loop: ring alternative laws disagree with pointwise coverage"
     ring_alt = (
         ring_identity_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
         and ring_identity_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
     )
-    cov_both = first_abc_gap(f.loop) is None and first_triple_gap(f.loop) is None
-    if ring_alt != cov_both:
-        return f"Moufang loop: alternative ring={ring_alt} but full coverage={cov_both}"
+    # on a Moufang loop, RA2 is exactly both triple coverages
+    if ring_alt != f.ra2:
+        return f"Moufang loop: alternative ring={ring_alt} but full coverage={f.ra2}"
     return None
 
 
 def _check_quad_all_three_or_one(f: LoopFacts) -> str | None:
-    if not f.srar:
-        return None
+    # The triple (x, y, z) has the condition set of the quadruple
+    # (x, y, z, e), so this also covers the triple form of the lemma.
     w = lemma_allthree(f.loop)
     if w is not None:
         return f"quadruple condition set of size 0 or 2: {w.describe()}"
-    n = f.loop.order
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if len(triple_conditions(f.loop, x, y, z)) in (0, 2):
-                    return f"triple condition set of size 0 or 2 at ({x + 1},{y + 1},{z + 1})"
     return None
 
 
 def _check_lip_equiv(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     w = lemma_lip_equiv(f.loop)
     if w is not None:
         return w.describe()
@@ -145,8 +89,6 @@ def _check_lip_equiv(f: LoopFacts) -> str | None:
 
 
 def _check_commute_or_lip_moufang(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     try:
         lemma_key_mfg(f.loop)
     except TheoremViolation as exc:
@@ -155,8 +97,6 @@ def _check_commute_or_lip_moufang(f: LoopFacts) -> str | None:
 
 
 def _check_pair_coverage_implications(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     report = thm_main_verify(f.loop)
     if not report.all_ok():
         return f"pair-coverage implication failed: {report}"
@@ -164,8 +104,6 @@ def _check_pair_coverage_implications(f: LoopFacts) -> str | None:
 
 
 def _check_pair_coverage_ra2(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     cov = f.coverage
     if (cov.de_everywhere or cov.df_everywhere or cov.ef_everywhere) and not f.ra2:
         return "pair coverage holds on a Bol loop that is not RA2"
@@ -173,8 +111,6 @@ def _check_pair_coverage_ra2(f: LoopFacts) -> str | None:
 
 
 def _check_odd_order_associative(f: LoopFacts) -> str | None:
-    if f.loop.order % 2 == 0:
-        return None
     if not cor_odd_verify(f.loop).implication_ok:
         return "odd-order SRAR loop is not associative"
     return None
@@ -193,8 +129,6 @@ def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
 
 
 def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     w = check_identity(f.loop, IdentityId.RIGHT_ALTERNATIVE)
     if w is not None:
         return f"right Bol loop fails right alternative: {w.describe()}"
@@ -205,8 +139,6 @@ def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
 
 
 def _check_bol_lip_implies_moufang(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return None
     if check_identity(f.loop, IdentityId.LIP) is None and not f.moufang:
         return "right Bol loop with LIP is not Moufang"
     return None
@@ -227,22 +159,41 @@ def _check_extra_iff_moufang_squares_nucleus(f: LoopFacts) -> str | None:
 class SweepCheck:
     fn: CheckFn
     max_order: int
+    # a LoopFacts flag ("right_bol", "moufang", "srar", "odd_order") that
+    # must hold for fn to run; the check holds vacuously elsewhere
+    requires: str | None = None
 
 
 CHECKS: dict[str, SweepCheck] = {
     "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, THREE_VAR_CAP),
     "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, 5),
-    "alt_ring_equiv_moufang": SweepCheck(_check_alt_ring_equiv_moufang, ENUMERATION_CAP),
-    "quad_all_three_or_one": SweepCheck(_check_quad_all_three_or_one, ENUMERATION_CAP),
-    "lip_equiv": SweepCheck(_check_lip_equiv, ENUMERATION_CAP),
-    "commute_or_lip_moufang": SweepCheck(_check_commute_or_lip_moufang, ENUMERATION_CAP),
-    "pair_coverage_implications": SweepCheck(_check_pair_coverage_implications, ENUMERATION_CAP),
-    "pair_coverage_ra2": SweepCheck(_check_pair_coverage_ra2, ENUMERATION_CAP),
-    "odd_order_associative": SweepCheck(_check_odd_order_associative, ENUMERATION_CAP),
+    "alt_ring_equiv_moufang": SweepCheck(
+        _check_alt_ring_equiv_moufang, ENUMERATION_CAP, requires="moufang"
+    ),
+    "quad_all_three_or_one": SweepCheck(
+        _check_quad_all_three_or_one, ENUMERATION_CAP, requires="srar"
+    ),
+    "lip_equiv": SweepCheck(_check_lip_equiv, ENUMERATION_CAP, requires="right_bol"),
+    "commute_or_lip_moufang": SweepCheck(
+        _check_commute_or_lip_moufang, ENUMERATION_CAP, requires="right_bol"
+    ),
+    "pair_coverage_implications": SweepCheck(
+        _check_pair_coverage_implications, ENUMERATION_CAP, requires="right_bol"
+    ),
+    "pair_coverage_ra2": SweepCheck(
+        _check_pair_coverage_ra2, ENUMERATION_CAP, requires="right_bol"
+    ),
+    "odd_order_associative": SweepCheck(
+        _check_odd_order_associative, ENUMERATION_CAP, requires="odd_order"
+    ),
     "ra2_implies_srar": SweepCheck(_check_ra2_implies_srar, ENUMERATION_CAP),
     "moufang_implies_bol": SweepCheck(_check_moufang_implies_bol, ENUMERATION_CAP),
-    "bol_implies_ralt_rip": SweepCheck(_check_bol_implies_ralt_rip, ENUMERATION_CAP),
-    "bol_lip_implies_moufang": SweepCheck(_check_bol_lip_implies_moufang, ENUMERATION_CAP),
+    "bol_implies_ralt_rip": SweepCheck(
+        _check_bol_implies_ralt_rip, ENUMERATION_CAP, requires="right_bol"
+    ),
+    "bol_lip_implies_moufang": SweepCheck(
+        _check_bol_lip_implies_moufang, ENUMERATION_CAP, requires="right_bol"
+    ),
     "extra_iff_moufang_squares_nucleus": SweepCheck(
         _check_extra_iff_moufang_squares_nucleus, ENUMERATION_CAP
     ),
@@ -292,13 +243,15 @@ def _sweep_part(args: tuple[int, tuple[str, ...], int, int]):
     """One enumeration part: returns (scanned, {check: [viol, first, time]})."""
     order, checks, part_index, part_count = args
     stats: dict[str, list] = {c: [0, None, 0.0] for c in checks}
-    fns = {c: CHECKS[c].fn for c in checks}
+    specs = {c: CHECKS[c] for c in checks}
 
     def visit(loop: LoopTable) -> None:
         facts = LoopFacts(loop)
         for name in checks:
+            check = specs[name]
             t0 = time.perf_counter()
-            detail = fns[name](facts)
+            applies = check.requires is None or getattr(facts, check.requires)
+            detail = check.fn(facts) if applies else None
             st = stats[name]
             st[2] += time.perf_counter() - t0
             if detail is not None:

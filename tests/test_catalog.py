@@ -1,6 +1,7 @@
 """catalog-io: parsing, round-trips, classification surveys, reports."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -87,6 +88,24 @@ def test_parse_error_cases():
         parse_catalog("loop x\norder 2\n1 2\n\n2 1\n")
     with pytest.raises(ParseError, match="non-integer"):
         parse_catalog("loop x\norder 2\n1 a\n2 1\n")
+
+
+@pytest.mark.parametrize("token", ["+2", "\u0662", "2_0"])
+def test_number_tokens_must_be_ascii_digits(token):
+    # int() alone accepts a sign, non-ASCII digits and digit separators
+    with pytest.raises(ParseError, match="line 2: order is not an integer"):
+        parse_catalog(f"loop x\norder {token}\n1 2\n2 1\n")
+    with pytest.raises(ParseError, match="line 3: non-integer table entry"):
+        parse_catalog(f"loop x\norder 2\n1 {token}\n2 1\n")
+
+
+def test_end_of_file_error_names_last_line_read():
+    with pytest.raises(ParseError, match="line 4: unexpected end of file") as exc:
+        parse_catalog("loop x\norder 3\n1 2 3\n2 3 1\n")
+    assert exc.value.line == 4
+    # trailing comments are read too
+    with pytest.raises(ParseError, match="line 3: unexpected end of file"):
+        parse_catalog("loop x\n# no order follows\n# still none\n")
 
 
 def test_duplicate_name():
@@ -209,6 +228,26 @@ def test_unsupported_format():
     report = survey([], filter_id="all")
     with pytest.raises(UnsupportedFormat):
         write_report(report, "yaml")
+
+
+def test_classify_loop_scans_each_identity_once(monkeypatch, t2):
+    import loopkit.identities as identities
+
+    calls = Counter()
+
+    def counted(name, scan):
+        def wrapper(L):
+            calls[name] += 1
+            return scan(L)
+        return wrapper
+
+    bol = counted("right_bol", identities._right_bol)
+    moufang = counted("right_moufang", identities._right_moufang)
+    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_BOL, bol)
+    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_MOUFANG, moufang)
+    monkeypatch.setattr(identities, "_right_moufang", moufang)
+    classify_loop("x", t2)
+    assert calls == {"right_bol": 1, "right_moufang": 1}
 
 
 def test_classify_records_jobs_order_preserved():

@@ -1,11 +1,16 @@
 """srar-ra2: pointwise conditions, deciders, and the verified statements."""
 
+import random
+from collections import Counter
+from itertools import combinations, permutations, product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import loopkit.conditions as conditions
 from loopkit import (
+    LoopTable,
     NotBol,
     NotSrar,
     abc_conditions,
@@ -22,15 +27,17 @@ from loopkit import (
     triple_conditions,
     triple_coverage,
     triple_profile,
+    validate_table,
 )
 from loopkit.conditions import (
     PROFILE_KEYS,
-    _first_quad_gap_pure,
-    _first_quad_gap_vectorized,
+    first_abc_gap,
     first_quad_gap,
+    first_triple_gap,
     subset_key,
 )
-from loopkit.fixtures import cyclic_group
+from loopkit.core import Witness
+from loopkit.fixtures import bol16, cyclic_group, moufang12
 
 from conftest import CORPUS5
 
@@ -208,16 +215,131 @@ def test_quad_profile_consistency(t2, z4):
     assert prof2.counts["DE"] == prof2.counts["DF"] == prof2.counts["EF"] == 0
 
 
-def test_quad_gap_pure_and_vectorized_agree(t1, t2, non_bol5):
-    for L in (t1, t2, non_bol5):
-        assert _first_quad_gap_pure(L) == _first_quad_gap_vectorized(L)
+def _relabelled(L: LoopTable, seed: int) -> LoopTable:
+    """L conjugated by a seeded permutation of all labels, identity included."""
+    sigma = list(range(L.order))
+    random.Random(seed).shuffle(sigma)
+    raw = [[0] * L.order for _ in range(L.order)]
+    for i, j in product(range(L.order), repeat=2):
+        raw[sigma[i]][sigma[j]] = sigma[L.table[i][j]] + 1
+    return validate_table(raw)
 
 
-def test_quad_profile_pure_and_vectorized_agree(t2, monkeypatch):
-    vec = quad_profile(t2)
-    monkeypatch.setattr(conditions, "_PURE_SCAN_MAX_ORDER", 16)
-    pure = quad_profile(t2)
-    assert vec == pure
+def _symmetric3() -> LoopTable:
+    """S3, composition of the permutations of (0, 1, 2)."""
+    perms = sorted(permutations(range(3)))
+    return validate_table(
+        [[perms.index(tuple(p[q[i]] for i in range(3))) + 1 for q in perms] for p in perms]
+    )
+
+
+def _octonion_units() -> LoopTable:
+    """The 16 units +-e_i of the octonions, by Cayley-Dickson doubling."""
+
+    def unit(i, j, m):
+        # e_i e_j among m units as (sign, index); (a,b)(c,d) = (ac - d*b, da + bc*)
+        if m == 1:
+            return 1, 0
+        h = m // 2
+        (bi, i0), (bj, j0) = divmod(i, h), divmod(j, h)
+        bar = -1 if j0 else 1  # conjugation negates every unit except e_0
+        if not bi and not bj:  # (a,0)(c,0) = (ac, 0)
+            return unit(i0, j0, h)
+        if not bi:  # (a,0)(0,d) = (0, da)
+            s, r = unit(j0, i0, h)
+            return s, r + h
+        if not bj:  # (0,b)(c,0) = (0, bc*)
+            s, r = unit(i0, j0, h)
+            return bar * s, r + h
+        s, r = unit(j0, i0, h)  # (0,b)(0,d) = (-d*b, 0)
+        return -bar * s, r
+
+    raw = []
+    for x in range(16):
+        row = []
+        for y in range(16):
+            s, r = unit(x % 8, y % 8, 8)
+            negative = (s < 0) ^ (x >= 8) ^ (y >= 8)
+            row.append(r + 8 * negative + 1)
+        raw.append(row)
+    return validate_table(raw)
+
+
+# every loop of orders 2..5, both fixtures and seeded relabellings of them,
+# S3 (the smallest nonabelian group: D'/F' coverage without E'/F') and the
+# octonion units (extra, nonassociative: D'/E' coverage without D'/F')
+_FIXTURES = {"bol16": bol16(), "moufang12": moufang12()}
+KERNEL_CORPUS = {
+    **{f"order{L.order}-{i}": L for i, L in enumerate(CORPUS5)},
+    **_FIXTURES,
+    **{
+        f"{name}-relabelled{seed}": _relabelled(L, seed)
+        for name, L in _FIXTURES.items() for seed in (1, 2)
+    },
+    "s3": _symmetric3(),
+    "octonions": _octonion_units(),
+}
+
+
+def _ref_witness(identity_id, elements, values):
+    """Witness at `elements`: lhs, rhs are the first unequal pair of `values`."""
+    lhs, rhs = next((a, b) for a, b in combinations(values, 2) if a != b)
+    return Witness(identity_id, elements, lhs, rhs)
+
+
+def _reference_scans(L: LoopTable) -> dict:
+    """Every kernel consumer's result, from the per-tuple functions alone."""
+    n, e, m = L.order, L.identity, L.mul
+    quad_gap = allthree_gap = triple_gap = abc_gap = None
+    quad_counts, triple_counts = Counter(), Counter()
+    for q in product(range(n), repeat=4):
+        conds = quad_conditions(L, *q)
+        quad_counts[subset_key(conds)] += 1
+        v = quad_values(L, *q)
+        if not conds and quad_gap is None:
+            quad_gap = _ref_witness("def_coverage", q, (v.s, v.t, v.u, v.v))
+        if len(conds) in (0, 2) and allthree_gap is None:
+            allthree_gap = _ref_witness("quad_all_three_or_one", q, (v.s, v.t, v.u, v.v))
+    triple_sets = {}
+    for x, y, z in product(range(n), repeat=3):
+        conds = triple_sets[x, y, z] = triple_conditions(L, x, y, z)
+        triple_counts[subset_key(conds)] += 1
+        if not conds and triple_gap is None:
+            v = quad_values(L, x, y, z, e)  # w = e gives (xy)z, x(yz), (xz)y, x(zy)
+            triple_gap = _ref_witness("def_prime_coverage", (x, y, z), (v.s, v.t, v.u, v.v))
+        if not abc_conditions(L, x, y, z)[0] and abc_gap is None:
+            p = (m(m(x, y), z), m(m(y, x), z), m(x, m(y, z)), m(y, m(x, z)))
+            abc_gap = _ref_witness("abc_coverage", (x, y, z), p)
+    sets = triple_sets.values()
+    return {
+        "first_quad_gap": quad_gap,
+        "first_triple_gap": triple_gap,
+        "first_abc_gap": abc_gap,
+        "lemma_allthree": allthree_gap,
+        "triple_coverage": conditions.TripleCoverage(
+            all(sets), all(c & {"D", "E"} for c in sets),
+            all(c & {"D", "F"} for c in sets), all(c & {"E", "F"} for c in sets),
+        ),
+        "triple_profile": {k: triple_counts[k] for k in PROFILE_KEYS},
+        "quad_profile": {k: quad_counts[k] for k in PROFILE_KEYS},
+    }
+
+
+@pytest.mark.parametrize("name", KERNEL_CORPUS)
+def test_kernel_matches_per_tuple_reference(name):
+    L = KERNEL_CORPUS[name]
+    ref = _reference_scans(L)
+    assert first_quad_gap(L) == ref["first_quad_gap"]
+    assert first_triple_gap(L) == ref["first_triple_gap"]
+    assert first_abc_gap(L) == ref["first_abc_gap"]
+    assert triple_coverage(L) == ref["triple_coverage"]
+    assert triple_profile(L).counts == ref["triple_profile"]
+    assert quad_profile(L).counts == ref["quad_profile"]
+    if is_srar(L)[0]:
+        assert lemma_allthree(L) == ref["lemma_allthree"]
+    else:
+        with pytest.raises(NotSrar):
+            lemma_allthree(L)
 
 
 def test_subset_key_canonical():

@@ -71,6 +71,12 @@ def test_malformed_inputs():
         validate_table([[1, "2"], [2, 1]])
 
 
+def test_booleans_are_not_table_entries():
+    # bool is an int subclass, so True would otherwise pass as 1
+    with pytest.raises(Malformed, match="True"):
+        validate_table([[True, 2], [2, True]])
+
+
 def test_not_latin_row_and_column():
     with pytest.raises(NotLatin, match="row 2 repeats entry 2"):
         validate_table([[1, 2], [2, 2]])

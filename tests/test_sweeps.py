@@ -84,6 +84,15 @@ def test_violation_capture_first_loop(monkeypatch):
     assert cells_key(res3) == cells_key(res)
 
 
+def test_requires_gates_the_check(monkeypatch):
+    # a failing check scoped to odd orders holds vacuously at order 4
+    monkeypatch.setitem(
+        CHECKS, "odd_fails", SweepCheck(lambda facts: "synthetic", 7, requires="odd_order")
+    )
+    res = run_sweep(SweepSpec((4, 5), ("odd_fails",)))
+    assert [(c.order, c.violations) for c in res.cells] == [(4, 0), (5, 56)]
+
+
 def test_render_sweep_formats():
     res = run_sweep(SweepSpec((4,), ("lip_equiv", "moufang_implies_bol")))
     as_json = render_sweep(res, "json")
