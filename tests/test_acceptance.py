@@ -136,8 +136,7 @@ def test_criterion_3_ring_bol_equivalence_orders_2_to_5():
     assert elapsed < 60.0, f"criterion 3 took {elapsed:.1f}s"
 
 
-@long_tier
-def test_criterion_3_ring_bol_equivalence_order_6_long():
+def test_criterion_3_ring_bol_equivalence_order_6():
     result = run_sweep(SweepSpec((6,), ("srar_ring_equiv",)), jobs=4)
     _assert_no_violations(result)
     assert result.cells[0].loops_scanned == 9408
@@ -209,11 +208,10 @@ def test_criterion_8_enumeration_counts():
 
 @long_tier
 def test_criterion_8_enumeration_count_order_7_long():
-    from concurrent.futures import ProcessPoolExecutor
+    from loopkit.core import parallel_map
     from loopkit.sweeps import _count_part
 
-    with ProcessPoolExecutor(max_workers=4) as pool:
-        total = sum(pool.map(_count_part, [(7, k, 4) for k in range(4)]))
+    total = sum(parallel_map(_count_part, [(7, k, 4) for k in range(4)], 4))
     assert total == 16942080
 
 

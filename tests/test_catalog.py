@@ -4,8 +4,11 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopkit import (
+    CatalogError,
     CatalogRecord,
     DuplicateName,
     IdentityId,
@@ -27,6 +30,8 @@ from loopkit import (
 )
 from loopkit.catalog import CSV_COLUMNS, classify_records, rows_csv
 from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, fixture_records
+
+from conftest import CORPUS5
 
 FIXTURE_PATH = "fixtures/tables.loops"
 
@@ -90,13 +95,50 @@ def test_parse_error_cases():
         parse_catalog("loop x\norder 2\n1 a\n2 1\n")
 
 
-@pytest.mark.parametrize("token", ["+2", "\u0662", "2_0"])
+@pytest.mark.parametrize(
+    "token", ["+2", "\u0662", "2_0", pytest.param("1" * 5000, id="5000-digits")]
+)
 def test_number_tokens_must_be_ascii_digits(token):
-    # int() alone accepts a sign, non-ASCII digits and digit separators
+    # int() alone accepts a sign, non-ASCII digits and digit separators,
+    # and raises ValueError past 4300 digits
     with pytest.raises(ParseError, match="line 2: order is not an integer"):
         parse_catalog(f"loop x\norder {token}\n1 2\n2 1\n")
     with pytest.raises(ParseError, match="line 3: non-integer table entry"):
         parse_catalog(f"loop x\norder 2\n1 {token}\n2 1\n")
+
+
+# arbitrary lines mixed with catalog-shaped ones, so the fuzz reaches
+# the order, row, validation and duplicate-name paths as well
+_CATALOG_LINES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([
+        "", "# note", "loop a", "loop b", "loop", "order 1", "order 2", "order 3",
+        "1", "2", "0", "1 2", "2 1", "1 1", "1 2 3", "2 3 1", "3 1 2",
+    ]),
+)
+
+
+@given(st.lists(_CATALOG_LINES, max_size=12).map("\n".join))
+def test_fuzz_parse_yields_records_or_catalog_error(text):
+    try:
+        records = parse_catalog(text)
+    except CatalogError:
+        return
+    assert all(isinstance(r, CatalogRecord) for r in records)
+
+
+# names without whitespace or line breaks survive the header line as is
+_NAMES = st.text(st.characters(categories=("L", "N", "P", "S")), min_size=1, max_size=8)
+_LOOPS = CORPUS5 + tuple(r.loop for r in fixture_records())
+
+
+@given(st.lists(st.tuples(_NAMES, st.sampled_from(_LOOPS)), max_size=5, unique_by=lambda p: p[0]))
+def test_fuzz_emit_parse_round_trip(pairs):
+    # CatalogRecord equality includes source_line, so compare (name, loop)
+    text = emit_catalog([CatalogRecord(name, loop, 0) for name, loop in pairs])
+    back = parse_catalog(text)
+    assert [(r.name, r.loop) for r in back] == pairs
+    assert emit_catalog(back) == text
 
 
 def test_end_of_file_error_names_last_line_read():

@@ -1,5 +1,7 @@
 """gf2-loop-ring: mask algebra, product table, and ring-identity scans."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,11 +19,12 @@ from loopkit import (
     ring_identity_check,
     ring_one,
     rmul,
+    validate_table,
     zero,
 )
 from loopkit.fixtures import cyclic_group
 
-from conftest import CORPUS5
+from conftest import CORPUS5, NON_BOL_5_RAW
 
 masks6 = st.integers(0, 63)
 
@@ -146,6 +149,8 @@ def test_ring_witness_recompute_all_identities(non_bol5):
         return rmul(L, a, b)
 
     for ident, expr in [
+        (RingIdentityId.RIGHT_BOL,
+         lambda x, y, z: (mul2(mul2(mul2(x, y), z), y), mul2(x, mul2(mul2(y, z), y)))),
         (RingIdentityId.RIGHT_ALTERNATIVE,
          lambda x, y: (mul2(mul2(x, y), y), mul2(x, mul2(y, y)))),
         (RingIdentityId.LEFT_ALTERNATIVE,
@@ -158,6 +163,43 @@ def test_ring_witness_recompute_all_identities(non_bol5):
             continue
         lhs, rhs = expr(*w.elements)
         assert lhs == w.lhs and rhs == w.rhs and lhs != rhs
+
+
+def _ring_definitions(L):
+    """Each ring identity's (lhs, rhs), written with the definitional rmul."""
+    def m(a, b):
+        return rmul(L, a, b)
+
+    return {
+        RingIdentityId.RIGHT_ALTERNATIVE: lambda x, y: (m(m(x, y), y), m(x, m(y, y))),
+        RingIdentityId.LEFT_ALTERNATIVE: lambda x, y: (m(m(x, x), y), m(x, m(x, y))),
+        RingIdentityId.RIGHT_BOL:
+            lambda x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
+        RingIdentityId.RIGHT_MOUFANG:
+            lambda x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
+    }
+
+
+def _first_ring_failure(L, sides):
+    elems = [Gf2Elem(L.order, bits) for bits in range(1 << L.order)]
+    for tup in itertools.product(elems, repeat=sides.__code__.co_argcount):
+        lhs, rhs = sides(*tup)
+        if lhs != rhs:
+            return tup, lhs, rhs
+    return None
+
+
+RING_REFERENCE_CORPUS = tuple(L for L in CORPUS5 if L.order <= 4) + (
+    validate_table(NON_BOL_5_RAW),
+)
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_ring_witnesses_match_definitional_scan(ident):
+    for L in RING_REFERENCE_CORPUS:
+        w = ring_identity_check(L, ident)
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_ring_failure(L, _ring_definitions(L)[ident]), L.raw_rows()
 
 
 def test_caps_enforced_and_overridable(t2):

@@ -15,7 +15,7 @@ from loopkit import (
     squares_in_nucleus,
     validate_table,
 )
-from loopkit.fixtures import cyclic_group
+from loopkit.fixtures import bol16, cyclic_group, moufang12
 
 from conftest import CORPUS5
 
@@ -158,3 +158,43 @@ def test_flexible_witness_variable_order(t1):
     for yy in range(y + 1):
         for zz in range(t1.order if yy < y else z):
             assert m(m(yy, zz), yy) == m(yy, m(zz, yy))
+
+
+def _definitions(L):
+    """Each identity's (lhs, rhs), written from its defining equation with L.mul."""
+    m = L.mul
+    n = L.order
+    rip = all(m(m(x, y), L.rinv[y]) == x for x, y in itertools.product(range(n), repeat=2))
+    inv = L.rinv if rip else L.linv  # x' in LIP: two-sided when RIP holds
+    return {
+        IdentityId.RIGHT_BOL: lambda x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
+        IdentityId.RIGHT_MOUFANG: lambda x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
+        IdentityId.FLEXIBLE: lambda y, z: (m(m(y, z), y), m(y, m(z, y))),
+        IdentityId.RIGHT_ALTERNATIVE: lambda x, y: (m(m(x, y), y), m(x, m(y, y))),
+        IdentityId.LEFT_ALTERNATIVE: lambda x, y: (m(m(x, x), y), m(x, m(x, y))),
+        IdentityId.RIP: lambda x, y: (m(m(x, y), L.rinv[y]), x),
+        IdentityId.LIP: lambda x, y: (m(inv[x], m(x, y)), y),
+        IdentityId.EXTRA: lambda x, y, z: (m(m(m(x, y), z), x), m(x, m(y, m(z, x)))),
+        IdentityId.COMMUTATIVE: lambda x, y: (m(x, y), m(y, x)),
+        IdentityId.ASSOCIATIVE: lambda x, y, z: (m(m(x, y), z), m(x, m(y, z))),
+    }
+
+
+def _first_failure(L, sides):
+    arity = sides.__code__.co_argcount
+    for tup in itertools.product(range(L.order), repeat=arity):
+        lhs, rhs = sides(*tup)
+        if lhs != rhs:
+            return tup, lhs, rhs
+    return None
+
+
+REFERENCE_CORPUS = CORPUS5 + (bol16(), moufang12(), s3_table())
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_witnesses_match_definitional_scan(ident):
+    for L in REFERENCE_CORPUS:
+        w = check_identity(L, ident)
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()

@@ -1,6 +1,7 @@
 """enumerator-sweeps: orchestration, determinism, violation capture."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from loopkit import (
     CHECKS,
     OrderExceedsCap,
     SweepSpec,
+    IdentityId,
     enumerate_loops,
     render_sweep,
     run_sweep,
@@ -28,6 +30,22 @@ def test_order5_odd_order_check():
     assert cell.loops_scanned == 56
     assert cell.violations == 0
     assert cell.first_violation is None
+
+
+def test_odd_order_check_reuses_the_cached_bol_scan(monkeypatch):
+    import loopkit.identities as identities
+
+    calls = Counter()
+    scan = identities._right_bol
+
+    def counted(L):
+        calls["right_bol"] += 1
+        return scan(L)
+
+    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_BOL, counted)
+    run_sweep(SweepSpec((5,), ("pair_coverage_ra2", "odd_order_associative")))
+    # one right Bol scan per order-5 loop, shared by both checks
+    assert calls == {"right_bol": 56}
 
 
 def test_order2_all_checks():
