@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 from .core import LoopError, LoopTable, parallel_map, validate_table
-from .identities import is_extra
 from .conditions import PROFILE_KEYS, LoopFacts, triple_profile
 
 
@@ -80,9 +79,6 @@ class ClassificationRow:
     df: bool
     ef: bool
     triple_profile: dict[str, int]
-
-    def flag(self, column: str):
-        return getattr(self, column)
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,13 @@ def classify_loop(name: str, loop: LoopTable) -> ClassificationRow:
         moufang=facts.moufang,
         srar=facts.srar,
         ra2=facts.ra2,
-        extra=is_extra(loop),
+        extra=facts.extra,
         group=facts.associative,
         def_everywhere=cov.def_everywhere,
         de=cov.de_everywhere,
         df=cov.df_everywhere,
         ef=cov.ef_everywhere,
-        triple_profile=triple_profile(loop).counts,
+        triple_profile=triple_profile(facts).counts,
     )
 
 

@@ -28,9 +28,9 @@ from .catalog import (
     survey,
     write_report,
 )
-from .conditions import is_srar, quad_values
+from .conditions import LoopFacts, quad_values
 from .gf2ring import OrderExceedsCap, RingIdentityId, ring_identity_check
-from .identities import IdentityId, check_identity
+from .identities import IdentityId
 from .sweeps import CHECKS, SweepResult, SweepSpec, render_sweep, run_sweep
 
 RING_IDENTITY_FLAGS = {
@@ -151,12 +151,10 @@ def _cmd_validate(args) -> int:
 def _witness_lines(records: Sequence[CatalogRecord]) -> list[str]:
     lines = []
     for rec in records:
-        w = check_identity(rec.loop, IdentityId.RIGHT_MOUFANG)
-        if w is not None:
-            lines.append(f"{rec.name}: {describe_loop_witness(rec.loop, w)}")
-        ok, w = is_srar(rec.loop)
-        if not ok and w is not None:
-            lines.append(f"{rec.name}: {describe_loop_witness(rec.loop, w)}")
+        facts = LoopFacts(rec.loop)
+        for w in (facts.witness(IdentityId.RIGHT_MOUFANG), facts.srar_witness):
+            if w is not None:
+                lines.append(f"{rec.name}: {describe_loop_witness(rec.loop, w)}")
     return lines
 
 

@@ -26,12 +26,21 @@ the same letters for the primed conditions) or "A","B","C".
 
 The per-tuple functions (quad_values, quad_conditions, triple_conditions,
 abc_conditions) are the definitional reference.  The whole-loop scans
-(gaps, coverage, profiles, the all-three-or-one lemma) evaluate the same
-bracketings with one numpy kernel over product arrays built from the
-Cayley table: n^3 arrays for triples, and one n^3 slab per first element
-x for quadruples, so memory stays O(n^3) and a gap search stops at the
-first x that has one.  Every scan reports the lexicographically first
-flagged tuple.
+evaluate the same bracketings with one numpy kernel over product arrays
+built from the Cayley table: n^3 arrays for triples, and one n^3 slab per
+first element x for quadruples, so memory stays O(n^3) and a gap search
+stops at the first x that has one.  Every scan reports the
+lexicographically first flagged tuple.
+
+LoopFacts caches a loop's identity witnesses, SRAR and RA2 witnesses,
+extra flag, and triple products with their D'/E'/F' code, which
+coverage, the triple profile and both triple gaps reduce.  is_srar,
+is_ra2, those triple functions, the lemma_* verifiers, thm_main_verify
+and gf2ring's oracle_equiv_* take a LoopFacts or a LoopTable, so a sweep
+or a classification passes its one LoopFacts through.  The kernel scans
+(check_identity, first_quad_gap, quad_profile) take the bare table: the
+cache calls them, and the benchmark's tracer counts their work from it.
+So does cor_odd_verify, which the order-7 tier calls once per loop.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import LoopTable, LoopError, TheoremViolation, Witness
-from .identities import IdentityId, check_identity, is_extra, is_moufang
+from .identities import IdentityId, check_identity, is_extra
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
@@ -274,98 +283,97 @@ def first_quad_gap(L: LoopTable) -> Witness | None:
     return _first_quad(L, "def_coverage", _EMPTY)
 
 
-def first_triple_gap(L: LoopTable) -> Witness | None:
+def first_triple_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose D'/E'/F' set is empty, scan order (x, y, z)."""
-    values = _triple_values(L)
-    return _first_flagged("def_prime_coverage", _code(*values) == 0, values)
+    values, code = LoopFacts.of(L).triples
+    return _first_flagged("def_prime_coverage", code == 0, values)
 
 
-def first_abc_gap(L: LoopTable) -> Witness | None:
+def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose {A,B,C} set is empty."""
-    p1, p3 = _triple_values(L)[:2]
+    p1, p3 = LoopFacts.of(L).triples[0][:2]
     p2, p4 = p1.transpose(1, 0, 2), p3.transpose(1, 0, 2)
     return _first_flagged("abc_coverage", _code(p1, p3, p2, p4) == 0, (p1, p2, p3, p4))
 
 
 class LoopFacts:
-    """Lazily computed classification facts of one loop, each scanned once."""
+    """The whole-loop facts of one loop, each computed at most once."""
 
     def __init__(self, loop: LoopTable):
         self.loop = loop
+        self._witnesses: dict[IdentityId, Witness | None] = {}
+
+    @classmethod
+    def of(cls, L: LoopFacts | LoopTable) -> LoopFacts:
+        """L itself if it is a LoopFacts, else fresh facts of the table L."""
+        return L if isinstance(L, LoopFacts) else cls(L)
+
+    def witness(self, ident: IdentityId) -> Witness | None:
+        """check_identity on this loop, scanned once per identity."""
+        if ident not in self._witnesses:
+            self._witnesses[ident] = check_identity(self.loop, ident)
+        return self._witnesses[ident]
 
     @cached_property
-    def right_bol(self) -> bool:
-        return check_identity(self.loop, IdentityId.RIGHT_BOL) is None
+    def triples(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The four triple products (see _triple_values) and their D'/E'/F' code."""
+        values = _triple_values(self.loop)
+        return values, _code(*values)
 
     @cached_property
-    def moufang(self) -> bool:
-        return is_moufang(self.loop)
+    def srar_witness(self) -> Witness | None:
+        """The first right Bol counterexample, else the first quadruple with no D/E/F."""
+        return self.witness(IdentityId.RIGHT_BOL) or first_quad_gap(self.loop)
 
     @cached_property
-    def srar(self) -> bool:
-        return self.right_bol and first_quad_gap(self.loop) is None
+    def ra2_witness(self) -> Witness | None:
+        """The first failure of right Moufang, then A/B/C, then D'/E'/F' coverage."""
+        w = self.witness(IdentityId.RIGHT_MOUFANG)
+        return w or first_abc_gap(self) or first_triple_gap(self)
 
-    @cached_property
-    def ra2(self) -> bool:
-        return (
-            self.moufang
-            and first_abc_gap(self.loop) is None
-            and first_triple_gap(self.loop) is None
-        )
-
-    @cached_property
-    def coverage(self) -> TripleCoverage:
-        return triple_coverage(self.loop)
-
-    @cached_property
-    def associative(self) -> bool:
-        return check_identity(self.loop, IdentityId.ASSOCIATIVE) is None
+    # The flags stay cached_property: the sweep reads them on every loop,
+    # and plain property reads of the memos measured slower there.
+    right_bol = cached_property(lambda self: self.witness(IdentityId.RIGHT_BOL) is None)
+    moufang = cached_property(lambda self: self.witness(IdentityId.RIGHT_MOUFANG) is None)
+    associative = cached_property(lambda self: self.witness(IdentityId.ASSOCIATIVE) is None)
+    srar = cached_property(lambda self: self.srar_witness is None)
+    ra2 = cached_property(lambda self: self.ra2_witness is None)
+    extra = cached_property(lambda self: is_extra(self.loop))
+    coverage = cached_property(lambda self: triple_coverage(self))
 
     @property
     def odd_order(self) -> bool:
         return self.loop.order % 2 == 1
 
 
-def is_srar(L: LoopTable) -> tuple[bool, Witness | None]:
+def is_srar(L: LoopFacts | LoopTable) -> tuple[bool, Witness | None]:
     """Right Bol plus D/E/F coverage of every quadruple.
 
     The Bol scan runs first (it is the cheaper one); the witness is the
     first Bol counterexample or, failing that, the first empty quadruple.
     """
-    w = check_identity(L, IdentityId.RIGHT_BOL)
-    if w is not None:
-        return False, w
-    gap = first_quad_gap(L)
-    if gap is not None:
-        return False, gap
-    return True, None
+    w = LoopFacts.of(L).srar_witness
+    return w is None, w
 
 
-def is_ra2(L: LoopTable) -> tuple[bool, Witness | None]:
+def is_ra2(L: LoopFacts | LoopTable) -> tuple[bool, Witness | None]:
     """Moufang plus nonempty {A,B,C} and starred sets at every triple."""
-    w = check_identity(L, IdentityId.RIGHT_MOUFANG)
-    if w is not None:
-        return False, w
-    gap = first_abc_gap(L)
-    if gap is not None:
-        return False, gap
-    gap = first_triple_gap(L)
-    if gap is not None:
-        return False, gap
-    return True, None
+    w = LoopFacts.of(L).ra2_witness
+    return w is None, w
 
 
-def triple_coverage(L: LoopTable) -> TripleCoverage:
+def triple_coverage(L: LoopFacts | LoopTable) -> TripleCoverage:
     """The four coverage flags: every triple's code meets D|E|F, D|E, D|F, E|F."""
-    code = _code(*_triple_values(L))
+    code = LoopFacts.of(L).triples[1]
     masks = (_D | _E | _F, *_PAIRS)
     return TripleCoverage(*(bool(np.all(code & mask)) for mask in masks))
 
 
-def triple_profile(L: LoopTable) -> TripleProfile:
+def triple_profile(L: LoopFacts | LoopTable) -> TripleProfile:
     """Count the triples realizing each subset of {D',E',F'}."""
-    counts = np.bincount(_code(*_triple_values(L)).ravel(), minlength=8)
-    return TripleProfile(_profile_dict(counts.tolist()), L.order**3)
+    f = LoopFacts.of(L)
+    counts = np.bincount(f.triples[1].ravel(), minlength=8)
+    return TripleProfile(_profile_dict(counts.tolist()), f.loop.order**3)
 
 
 def quad_profile(L: LoopTable) -> QuadProfile:
@@ -383,31 +391,33 @@ def _profile_dict(counts: list[int]) -> dict[str, int]:
     return {k: by_code[k] for k in PROFILE_KEYS}
 
 
-def _require_bol(L: LoopTable) -> None:
-    w = check_identity(L, IdentityId.RIGHT_BOL)
+def _bol_facts(L: LoopFacts | LoopTable) -> LoopFacts:
+    """The facts of L, which must be right Bol (raises NotBol otherwise)."""
+    f = LoopFacts.of(L)
+    w = f.witness(IdentityId.RIGHT_BOL)
     if w is not None:
         raise NotBol(w.describe())
+    return f
 
 
-def lemma_allthree(L: LoopTable) -> Witness | None:
+def lemma_allthree(L: LoopFacts | LoopTable) -> Witness | None:
     """Check the all-three-or-exactly-one pattern on every quadruple.
 
-    Requires an SRAR loop (raises NotSrar otherwise).  Returns None when
-    every quadruple's condition set has size 3 or 1, else the first
-    quadruple of size 0 or 2.
+    Requires an SRAR loop (raises NotSrar otherwise).  Returns the first
+    quadruple whose condition set has size 0 or 2, but there is none:
+    any two of D, E, F force S=T=U=V, the third, and SRAR rules out size
+    0.  The scan stays for the sweep cell.
     """
-    ok, w = is_srar(L)
-    if not ok:
-        raise NotSrar(w.describe() if w is not None else "not an SRAR loop")
-    return _first_quad(L, "quad_all_three_or_one", _SIZE_0_OR_2)
+    f = LoopFacts.of(L)
+    if f.srar_witness is not None:
+        raise NotSrar(f.srar_witness.describe())
+    return _first_quad(f.loop, "quad_all_three_or_one", _SIZE_0_OR_2)
 
 
-def lemma_lip_equiv(L: LoopTable) -> Witness | None:
+def lemma_lip_equiv(L: LoopFacts | LoopTable) -> Witness | None:
     """Pairwise equivalence of x'(xy) = y and x(x'y) = y on a Bol loop."""
-    _require_bol(L)
-    t = L.table
-    inv = L.rinv
-    n = L.order
+    loop = _bol_facts(L).loop
+    t, inv, n = loop.table, loop.rinv, loop.order
     for x in range(n):
         tx = t[x]
         tinv = t[inv[x]]
@@ -419,53 +429,50 @@ def lemma_lip_equiv(L: LoopTable) -> Witness | None:
     return None
 
 
-def lemma_key_mfg(L: LoopTable) -> bool:
+def lemma_key_mfg(L: LoopFacts | LoopTable) -> bool:
     """Does every pair commute or satisfy x'(xy) = y?
 
     On a Bol loop a true hypothesis forces Moufang; that consequence is
     asserted and a failure raises TheoremViolation (an implementation
     bug, not a data error).
     """
-    _require_bol(L)
-    t = L.table
-    inv = L.rinv
-    n = L.order
-    hypothesis = True
-    for x in range(n):
-        tx = t[x]
-        tinv = t[inv[x]]
-        for y in range(n):
-            if tx[y] != t[y][x] and tinv[tx[y]] != y:
-                hypothesis = False
-                break
-        if not hypothesis:
-            break
-    if hypothesis and not is_moufang(L):
+    f = _bol_facts(L)
+    t, inv, n = f.loop.table, f.loop.rinv, f.loop.order
+    hypothesis = all(
+        t[x][y] == t[y][x] or t[inv[x]][t[x][y]] == y for x in range(n) for y in range(n)
+    )
+    if hypothesis and not f.moufang:
         raise TheoremViolation("commute-or-lip hypothesis holds but the loop is not Moufang")
     return hypothesis
 
 
-def thm_main_verify(L: LoopTable) -> MainTheoremReport:
+def thm_main_verify(L: LoopFacts | LoopTable) -> MainTheoremReport:
     """The three pair-coverage implications on a Bol loop.
 
     (1) D'/E' coverage implies RA2 and extra; (2) D'/F' coverage implies
     a group; (3) E'/F' coverage implies an abelian group.  Conclusions
     are evaluated unconditionally so the report is complete.
     """
-    _require_bol(L)
-    cov = triple_coverage(L)
-    associative = check_identity(L, IdentityId.ASSOCIATIVE) is None
-    commutative = check_identity(L, IdentityId.COMMUTATIVE) is None
-    ra2_extra = is_ra2(L)[0] and is_extra(L)
+    f = _bol_facts(L)
+    cov = f.coverage
+    commutative = f.witness(IdentityId.COMMUTATIVE) is None
     return MainTheoremReport(
-        de_implies_ra2_extra=_implication(cov.de_everywhere, ra2_extra),
-        df_implies_group=_implication(cov.df_everywhere, associative),
-        ef_implies_abelian=_implication(cov.ef_everywhere, associative and commutative),
+        de_implies_ra2_extra=_implication(cov.de_everywhere, f.ra2 and f.extra),
+        df_implies_group=_implication(cov.df_everywhere, f.associative),
+        ef_implies_abelian=_implication(cov.ef_everywhere, f.associative and commutative),
     )
 
 
 def cor_odd_verify(L: LoopTable) -> ImplicationCheck:
-    """Odd order and SRAR must imply associativity."""
-    hypothesis = L.order % 2 == 1 and is_srar(L)[0]
+    """Odd order and SRAR must imply associativity.
+
+    No LoopFacts: the order-7 tier calls this once per loop, and building
+    one made each call about a third slower.
+    """
+    hypothesis = (
+        L.order % 2 == 1
+        and check_identity(L, IdentityId.RIGHT_BOL) is None
+        and first_quad_gap(L) is None
+    )
     conclusion = check_identity(L, IdentityId.ASSOCIATIVE) is None
     return _implication(hypothesis, conclusion)

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .core import LoopError, LoopTable
-from .conditions import first_abc_gap, first_triple_gap, is_srar
+from .conditions import LoopFacts, first_abc_gap, first_triple_gap
 
 TWO_VAR_CAP = 8
 THREE_VAR_CAP = 6
@@ -208,40 +208,34 @@ def ring_identity_check(
     return None
 
 
-def oracle_equiv_srar(L: LoopTable) -> bool:
+def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
     """Ring right Bol (brute force) agrees with the pointwise SRAR criterion.
 
     Both sides are computed independently; a False return means a proved
     equivalence failed and should be treated as an implementation bug.
+    The ring scan runs first, so an order over its cap raises
+    OrderExceedsCap before any pointwise work.
     """
-    if L.order > THREE_VAR_CAP:
-        raise OrderExceedsCap(
-            f"order {L.order} exceeds cap {THREE_VAR_CAP} for the SRAR equivalence check"
-        )
-    ring_side = ring_identity_check(L, RingIdentityId.RIGHT_BOL) is None
-    pointwise = is_srar(L)[0]
-    return ring_side == pointwise
+    f = LoopFacts.of(L)
+    ring_side = ring_identity_check(f.loop, RingIdentityId.RIGHT_BOL) is None
+    return ring_side == f.srar
 
 
-def oracle_equiv_ra2(L: LoopTable) -> bool:
+def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     """Do both halves of the alternative-ring equivalence agree?
 
     Pointwise {A,B,C} coverage of every triple against the ring left
     alternative law, and pointwise starred coverage against the ring
-    right alternative law; each side comes from its own scan.  Agreement
+    right alternative law; each side comes from its own scan, ring side
+    first, so an order over the cap raises OrderExceedsCap.  Agreement
     is a theorem for Moufang loops and holds empirically for every loop
     of order <= 5; some non-Moufang loops of order 6 have full coverage
     yet fail a pointwise alternative law, hence the ring law, so a False
     return on such input is data, not a bug.
     """
-    if L.order > TWO_VAR_CAP:
-        raise OrderExceedsCap(
-            f"order {L.order} exceeds cap {TWO_VAR_CAP} for the alternative equivalence check"
-        )
-    left_point = first_abc_gap(L) is None
-    left_ring = ring_identity_check(L, RingIdentityId.LEFT_ALTERNATIVE) is None
-    if left_point != left_ring:
+    f = LoopFacts.of(L)
+    left_ring = ring_identity_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
+    if left_ring != (first_abc_gap(f) is None):
         return False
-    right_point = first_triple_gap(L) is None
-    right_ring = ring_identity_check(L, RingIdentityId.RIGHT_ALTERNATIVE) is None
-    return right_point == right_ring
+    right_ring = ring_identity_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
+    return right_ring == (first_triple_gap(f) is None)

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .core import ENUMERATION_CAP, LoopTable, TheoremViolation, enumerate_loops, parallel_map
 from .catalog import UnsupportedFormat, render_json_envelope
-from .identities import IdentityId, check_identity, is_extra, squares_in_nucleus
+from .identities import IdentityId, squares_in_nucleus
 from .conditions import (
     LoopFacts,
     lemma_allthree,
@@ -34,7 +34,7 @@ CheckFn = Callable[[LoopFacts], str | None]
 
 
 def _check_srar_ring_equiv(f: LoopFacts) -> str | None:
-    if not oracle_equiv_srar(f.loop):
+    if not oracle_equiv_srar(f):
         return "ring right Bol brute force disagrees with the pointwise SRAR criterion"
     return None
 
@@ -46,22 +46,20 @@ def _check_alt_ring_equiv(f: LoopFacts) -> str | None:
     # the ring law on a basis element.  On Moufang loops it is a theorem,
     # and agreement of both halves is "alternative ring iff RA2" (RA2 is
     # Moufang plus both coverages), so alt_ring_equiv_moufang reuses it.
-    if not oracle_equiv_ra2(f.loop):
+    if not oracle_equiv_ra2(f):
         return "ring alternative laws disagree with the pointwise coverage conditions"
     return None
 
 
 def _check_quad_all_three_or_one(f: LoopFacts) -> str | None:
-    # The triple (x, y, z) has the condition set of the quadruple
-    # (x, y, z, e), so this also covers the triple form of the lemma.
-    w = lemma_allthree(f.loop)
+    w = lemma_allthree(f)
     if w is not None:
         return f"quadruple condition set of size 0 or 2: {w.describe()}"
     return None
 
 
 def _check_lip_equiv(f: LoopFacts) -> str | None:
-    w = lemma_lip_equiv(f.loop)
+    w = lemma_lip_equiv(f)
     if w is not None:
         return w.describe()
     return None
@@ -69,14 +67,14 @@ def _check_lip_equiv(f: LoopFacts) -> str | None:
 
 def _check_commute_or_lip_moufang(f: LoopFacts) -> str | None:
     try:
-        lemma_key_mfg(f.loop)
+        lemma_key_mfg(f)
     except TheoremViolation as exc:
         return str(exc)
     return None
 
 
 def _check_pair_coverage_implications(f: LoopFacts) -> str | None:
-    report = thm_main_verify(f.loop)
+    report = thm_main_verify(f)
     if not report.all_ok():
         return f"pair-coverage implication failed: {report}"
     return None
@@ -109,24 +107,24 @@ def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
 
 
 def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
-    w = check_identity(f.loop, IdentityId.RIGHT_ALTERNATIVE)
+    w = f.witness(IdentityId.RIGHT_ALTERNATIVE)
     if w is not None:
         return f"right Bol loop fails right alternative: {w.describe()}"
-    w = check_identity(f.loop, IdentityId.RIP)
+    w = f.witness(IdentityId.RIP)
     if w is not None:
         return f"right Bol loop fails RIP: {w.describe()}"
     return None
 
 
 def _check_bol_lip_implies_moufang(f: LoopFacts) -> str | None:
-    if check_identity(f.loop, IdentityId.LIP) is None and not f.moufang:
+    if f.witness(IdentityId.LIP) is None and not f.moufang:
         return "right Bol loop with LIP is not Moufang"
     return None
 
 
 def _check_extra_iff_moufang_squares_nucleus(f: LoopFacts) -> str | None:
     try:
-        ext = is_extra(f.loop)
+        ext = f.extra
     except TheoremViolation as exc:
         return str(exc)
     rhs = f.moufang and squares_in_nucleus(f.loop)
@@ -150,6 +148,9 @@ CHECKS: dict[str, SweepCheck] = {
     "alt_ring_equiv_moufang": SweepCheck(
         _check_alt_ring_equiv, ENUMERATION_CAP, requires="moufang"
     ),
+    # cannot fail: any two of D/E/F force the third and SRAR rules out
+    # the empty set (see lemma_allthree).  The triple (x, y, z) is the
+    # quadruple (x, y, z, e), so this also covers the triple form.
     "quad_all_three_or_one": SweepCheck(
         _check_quad_all_three_or_one, ENUMERATION_CAP, requires="srar"
     ),
@@ -191,6 +192,9 @@ class SweepSpec:
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown checks: {unknown}")
+        for field, values in (("orders", self.orders), ("checks", self.checks)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {field}: {values}")
 
 
 @dataclass(frozen=True)

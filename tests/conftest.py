@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hypothesis
@@ -65,3 +66,34 @@ def z5():
 @pytest.fixture(scope="session")
 def z6():
     return cyclic_group(6)
+
+
+@pytest.fixture
+def scan_counts(monkeypatch):
+    """A Counter of every identity scan, triple-product build and quadruple scan.
+
+    Identity scans are counted per IdentityId value whether they are
+    reached through identities._CHECKS or, inside identities.py, by their
+    module-level name; triple-product builds as "triple_products"
+    (conditions._triple_values) and quadruple scans as "quad_scans"
+    (conditions._first_quad).
+    """
+    import loopkit.conditions as conditions
+    import loopkit.identities as identities
+    from loopkit import IdentityId
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for ident in IdentityId:
+        scan = counted(ident.value, identities._CHECKS[ident])
+        monkeypatch.setitem(identities._CHECKS, ident, scan)
+        monkeypatch.setattr(identities, f"_{ident.value}", scan)
+    for attr, name in (("_triple_values", "triple_products"), ("_first_quad", "quad_scans")):
+        monkeypatch.setattr(conditions, attr, counted(name, getattr(conditions, attr)))
+    return calls

@@ -1,7 +1,6 @@
 """catalog-io: parsing, round-trips, classification surveys, reports."""
 
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -29,7 +28,7 @@ from loopkit import (
     write_report,
 )
 from loopkit.catalog import CSV_COLUMNS, classify_records, rows_csv
-from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, fixture_records
+from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, fixture_records, moufang12
 
 from conftest import CORPUS5
 
@@ -272,24 +271,14 @@ def test_unsupported_format():
         write_report(report, "yaml")
 
 
-def test_classify_loop_scans_each_identity_once(monkeypatch, t2):
-    import loopkit.identities as identities
-
-    calls = Counter()
-
-    def counted(name, scan):
-        def wrapper(L):
-            calls[name] += 1
-            return scan(L)
-        return wrapper
-
-    bol = counted("right_bol", identities._right_bol)
-    moufang = counted("right_moufang", identities._right_moufang)
-    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_BOL, bol)
-    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_MOUFANG, moufang)
-    monkeypatch.setattr(identities, "_right_moufang", moufang)
-    classify_loop("x", t2)
-    assert calls == {"right_bol": 1, "right_moufang": 1}
+def test_classify_loop_scans_each_identity_once(scan_counts):
+    # one LoopFacts per record: every scan once, and the triple products
+    # built once for coverage, RA2 and the profile
+    classify_loop("x", moufang12())
+    assert scan_counts == {
+        "right_bol": 1, "right_moufang": 1, "extra": 1, "associative": 1,
+        "triple_products": 1, "quad_scans": 1,
+    }
 
 
 def test_classify_records_jobs_order_preserved():

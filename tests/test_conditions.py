@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from loopkit import (
     lemma_allthree,
     lemma_key_mfg,
     lemma_lip_equiv,
+    oracle_equiv_ra2,
+    oracle_equiv_srar,
     quad_conditions,
     quad_profile,
     quad_values,
@@ -31,6 +34,7 @@ from loopkit import (
 )
 from loopkit.conditions import (
     PROFILE_KEYS,
+    LoopFacts,
     first_abc_gap,
     first_quad_gap,
     first_triple_gap,
@@ -340,6 +344,35 @@ def test_kernel_matches_per_tuple_reference(name):
     else:
         with pytest.raises(NotSrar):
             lemma_allthree(L)
+
+
+def test_no_condition_set_has_size_two():
+    # any two of D, E, F force S=T=U=V, which is the third, so the
+    # all-three-or-one lemma can only ever flag the empty set
+    s, t, u, v = np.array(list(product(range(4), repeat=4)), dtype=np.uint8).T
+    codes = set(conditions._code(s, t, u, v).tolist())
+    assert len(s) == 256 and codes == {0, 1, 2, 4, 7}
+
+
+# order5-6 is the first order-5 loop that is not right Bol
+@pytest.mark.parametrize("name", ["bol16", "moufang12", "s3", "octonions", "order5-6"])
+def test_verifiers_read_the_same_facts_from_a_table_or_loop_facts(name):
+    L = KERNEL_CORPUS[name]
+    f = LoopFacts(L)
+    for fn in (is_srar, is_ra2, triple_coverage, triple_profile, first_triple_gap,
+               first_abc_gap):
+        assert fn(f) == fn(L), fn.__name__
+    for fn in (lemma_allthree, lemma_lip_equiv, lemma_key_mfg, thm_main_verify):
+        try:
+            expected = fn(L)
+        except (NotBol, NotSrar) as exc:
+            with pytest.raises(type(exc)):
+                fn(f)
+        else:
+            assert fn(f) == expected, fn.__name__
+    if L.order <= 6:
+        assert oracle_equiv_srar(f) == oracle_equiv_srar(L)
+        assert oracle_equiv_ra2(f) == oracle_equiv_ra2(L)
 
 
 def test_subset_key_canonical():

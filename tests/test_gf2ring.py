@@ -22,6 +22,7 @@ from loopkit import (
     validate_table,
     zero,
 )
+from loopkit.conditions import LoopFacts
 from loopkit.fixtures import cyclic_group
 
 from conftest import CORPUS5, NON_BOL_5_RAW
@@ -228,6 +229,13 @@ def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
     assert oracle_equiv_ra2(non_bol5)
     with pytest.raises(OrderExceedsCap):
         oracle_equiv_ra2(cyclic_group(9))
+
+
+def test_oracles_check_the_cap_before_any_pointwise_scan(scan_counts):
+    for oracle, n in ((oracle_equiv_srar, 7), (oracle_equiv_ra2, 9)):
+        with pytest.raises(OrderExceedsCap):
+            oracle(LoopFacts(cyclic_group(n)))
+    assert scan_counts == {}
 
 
 def test_ring_witness_scan_order_is_lexicographic(non_bol5):

@@ -1,7 +1,6 @@
 """enumerator-sweeps: orchestration, determinism, violation capture."""
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -9,7 +8,6 @@ from loopkit import (
     CHECKS,
     OrderExceedsCap,
     SweepSpec,
-    IdentityId,
     enumerate_loops,
     render_sweep,
     run_sweep,
@@ -32,20 +30,30 @@ def test_order5_odd_order_check():
     assert cell.first_violation is None
 
 
-def test_odd_order_check_reuses_the_cached_bol_scan(monkeypatch):
-    import loopkit.identities as identities
-
-    calls = Counter()
-    scan = identities._right_bol
-
-    def counted(L):
-        calls["right_bol"] += 1
-        return scan(L)
-
-    monkeypatch.setitem(identities._CHECKS, IdentityId.RIGHT_BOL, counted)
+def test_odd_order_check_reuses_the_cached_bol_scan(scan_counts):
     run_sweep(SweepSpec((5,), ("pair_coverage_ra2", "odd_order_associative")))
     # one right Bol scan per order-5 loop, shared by both checks
-    assert calls == {"right_bol": 56}
+    assert scan_counts["right_bol"] == 56
+
+
+# the checks the default sweep runs at order 6: all but the two ring
+# checks capped below it
+ORDER6_CHECKS = tuple(c for c in CHECKS if c not in ("srar_ring_equiv", "alt_ring_equiv"))
+
+
+def test_sweep_scans_each_fact_once_per_loop(scan_counts):
+    run_sweep(SweepSpec((5,), ORDER6_CHECKS))
+    # 56 loops, 6 of them right Bol.  Each loop's one LoopFacts scans
+    # right Bol, right Moufang and extra once; each Bol loop builds its
+    # triple products once and scans quadruples twice (SRAR and the
+    # all-three-or-one lemma).  The 6 further right Moufang scans are
+    # is_extra's cross-check, and the 6 further RIP scans are LIP's
+    # choice of inverse, both inside identities.py.
+    assert scan_counts == {
+        "right_bol": 56, "right_moufang": 56 + 6, "extra": 56, "associative": 6,
+        "right_alternative": 6, "rip": 6 + 6, "lip": 6, "commutative": 6,
+        "triple_products": 6, "quad_scans": 12,
+    }
 
 
 def test_order2_all_checks():
@@ -83,6 +91,11 @@ def test_spec_validation():
         SweepSpec((4,), ())
     with pytest.raises(ValueError):
         SweepSpec((4,), ("made_up_check",))
+    # a repeated order or check would be scanned twice into one cell
+    with pytest.raises(ValueError, match="repeated orders"):
+        SweepSpec((4, 5, 4), ("lip_equiv",))
+    with pytest.raises(ValueError, match="repeated checks"):
+        SweepSpec((4,), ("lip_equiv", "moufang_implies_bol", "lip_equiv"))
 
 
 def test_violation_capture_first_loop(monkeypatch):
