@@ -4,7 +4,7 @@ The package decides the named loop identities (right Bol, Moufang,
 alternative laws, inverse properties, extra, ...) and the pointwise
 quadruple/triple conditions characterizing loops whose GF(2) loop rings
 are right Bol (SRAR) or alternative (RA2), and cross-checks those
-characterizations against an independent brute-force ring oracle and
+characterizations against independent GF(2) loop-ring oracles and
 exhaustive enumeration of all small loops.
 """
 
@@ -64,6 +64,7 @@ from .gf2ring import (
     RingIdentityId,
     RingWitness,
     basis,
+    low_weight_ring_check,
     oracle_equiv_ra2,
     oracle_equiv_srar,
     product_table,

@@ -1,4 +1,4 @@
-"""Brute-force GF(2) loop-algebra oracle.
+"""GF(2) loop-algebra oracles: brute force and low weight.
 
 An element of the loop algebra over the two-element field is a subset of
 the n loop elements, encoded as an n-bit mask with loop element i at bit
@@ -6,19 +6,28 @@ i.  Addition is XOR; multiplication extends the loop product by the
 distributive laws, so the coefficient of g in a*b is the parity of the
 number of pairs (i in a, j in b) with i*j = g.
 
-Ring identities are decided by enumerating every tuple of ring elements
-(masks scan in ascending integer order), which makes this module an
-oracle that is independent of any pointwise criterion on the loop.  All
-four identities share one loop over x: each supplies the lhs and rhs
-slabs over (y[, z]) for a fixed x, built from the 2^n x 2^n product
-table, and the first mismatch in C order is the witness.  The
-identities have repeated variables, so no multilinear shortcut is taken.
-Default caps keep the 2^(kn) scans at desk scale: order 8 for the
-two-variable identities, order 6 for the three-variable ones.
+Two oracles decide the four ring identities.  Both compute only ring
+products of GF(2) vectors from the Cayley table, so they are independent
+of the pointwise criteria they cross-check.
+
+- ring_identity_check enumerates every tuple of ring elements (masks
+  scan in ascending integer order) over the 2^n x 2^n product table.
+  All four identities share one loop over x: each supplies the lhs and
+  rhs slabs over (y[, z]) for a fixed x, and the first mismatch in C
+  order is the witness.  Default caps keep the 2^(kn) scans at desk
+  scale: order 8 for the two-variable identities, order 6 for the
+  three-variable ones, and a byte budget bounds any explicit cap.  It is
+  the assumption-free reference and the `ring-check` backend.
+- low_weight_ring_check tests only tuples of basis elements and
+  weight-2 elements, which the degree lemma in its docstring shows is
+  enough.  It needs no product table, so it reaches the order-12 and
+  order-16 fixtures; oracle_equiv_srar and oracle_equiv_ra2 use it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +38,17 @@ from .conditions import LoopFacts, first_abc_gap, first_triple_gap
 
 TWO_VAR_CAP = 8
 THREE_VAR_CAP = 6
+# Peak bytes the brute scan holds per entry of the 2^n x 2^n table (4^n
+# entries), rounded up from tracemalloc peaks: 4.0 for two variables at
+# orders 8-10 (the uint16 table and its doubling copy), and 14.1 and 12.5
+# for three at orders 8 and 9 (adding q[y, z] and the per-x slabs).  A
+# scan whose estimate is over the budget is refused.
+_BYTES_PER_ENTRY = {2: 4, 3: 16}
+RING_BYTE_BUDGET = 256 << 20
+# The low-weight oracle holds ring elements as uint64 masks.
+LOW_WEIGHT_CAP = 64
+# Grid points per low-weight slab, so its memory stays bounded at any order.
+_SLAB_ENTRIES = 1 << 16
 
 
 class LengthMismatch(LoopError):
@@ -168,13 +188,20 @@ def ring_identity_check(
     Scans run with x outermost in ascending mask order, then (y[, z]) in
     C order, so the reported witness is the lexicographically first
     violating tuple.  Raises OrderExceedsCap when the loop order is over
-    the (default or explicit) cap.
+    the (default or explicit) cap, or when its estimated peak memory is
+    over RING_BYTE_BUDGET; either check runs before anything is allocated.
     """
     limit = default_cap(ident) if cap is None else cap
     n = L.order
     if n > limit:
         raise OrderExceedsCap(
             f"order {n} exceeds cap {limit} for {ident.value}; pass an explicit cap to override"
+        )
+    need = _BYTES_PER_ENTRY[_NVARS[ident]] << 2 * n
+    if need > RING_BYTE_BUDGET:
+        raise OrderExceedsCap(
+            f"order {n} {ident.value} scan would hold about {need >> 20} MiB, over the "
+            f"{RING_BYTE_BUDGET >> 20} MiB budget"
         )
     P = product_table(L)
     N = 1 << n
@@ -208,16 +235,131 @@ def ring_identity_check(
     return None
 
 
+# Each ring identity's (lhs, rhs), written once over the product m.  The
+# variable at position _SQUARED[ident] occurs twice on each side, every
+# other variable once.
+_SIDES = {
+    RingIdentityId.RIGHT_ALTERNATIVE: lambda m, x, y: (m(m(x, y), y), m(x, m(y, y))),
+    RingIdentityId.LEFT_ALTERNATIVE: lambda m, x, y: (m(m(x, x), y), m(x, m(x, y))),
+    RingIdentityId.RIGHT_BOL:
+        lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
+    RingIdentityId.RIGHT_MOUFANG:
+        lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
+}
+_SQUARED = {
+    RingIdentityId.RIGHT_ALTERNATIVE: 1,
+    RingIdentityId.LEFT_ALTERNATIVE: 0,
+    RingIdentityId.RIGHT_BOL: 1,
+    RingIdentityId.RIGHT_MOUFANG: 1,
+}
+
+
+def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | None:
+    """Decide a ring identity on low-weight tuples; None when it holds.
+
+    Degree lemma.  Let f map the subsets of {0..n-1} to an abelian group
+    by f(S) = sum of beta(a_1, ..., a_d) over all d-tuples in S^d.  Then
+    f vanishes on every S iff it vanishes on every S with |S| <= d.
+    Proof: group the d-tuples of S^d by the set U of their entries, so
+    f(S) = sum over U ⊆ S with |U| <= d of h(U), where h(U) sums beta
+    over the tuples whose entry set is exactly U.  Möbius inversion over
+    the subsets of U gives h(U) = sum over V ⊆ U of
+    (-1)^|U - V| f(V).  If f vanishes on all sets of size <= d, every
+    h(U) with |U| <= d is a sum of zeros, so every f(S) is 0.
+
+    A ring element is the sum of the basis elements in its support, so
+    by distributivity each side of an identity, with the other variables
+    fixed, has this form in a variable that occurs d times on that side.
+    Applying the lemma to one variable at a time, the identity holds iff
+    it holds whenever each variable has weight at most its degree.
+    Weight 0 gives 0 on both sides, since every side contains every
+    variable.  So the test sets are:
+
+    - right Bol, right Moufang: x and z basis, y of weight 1 or 2;
+    - right alternative: x basis, y of weight 1 or 2;
+    - left alternative: x of weight 1 or 2, y basis.
+
+    That is n^2 * n(n+1)/2 tuples for the three-variable laws, against
+    2^(3n).  At weight 1 the identity is the loop identity on basis
+    elements; at weight 2, given weight 1, only the cross terms remain,
+    which for right Bol at y = e_a + e_b are the four D/E/F products of
+    the quadruple (x, a, z, b).  This function still evaluates only ring
+    products: a product with a basis element is a gather on the Cayley
+    table, and a weight-2 element is the XOR of one-hot uint64 masks.
+
+    Scan order: first the tuples whose squared variable has weight 1,
+    then those where it has weight 2.  Within each stage the tuples run
+    in C order over (x, y[, z]), each variable's candidates in ascending
+    mask order.  The witness is the first failing tuple in that order.
+    Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
+    """
+    n = L.order
+    if n > LOW_WEIGHT_CAP:
+        raise OrderExceedsCap(
+            f"order {n} exceeds the low-weight oracle's {LOW_WEIGHT_CAP}-bit masks"
+        )
+    T = np.array(L.table, dtype=np.intp)
+    one, slabs = _low_weight_plan(n, ident)
+
+    def m(u, v):
+        # a ring element is a tuple of index arrays, the sum of its one-hots
+        return tuple(T[a, b] for a in u for b in v)
+
+    def masks(terms):
+        return functools.reduce(np.bitwise_xor, (one[t] for t in terms))
+
+    for cands, start, grid in slabs:
+        lhs, rhs = (masks(side) for side in _SIDES[ident](m, *grid))
+        bad = lhs != rhs
+        if bad.any():
+            at = np.unravel_index(int(bad.argmax()), bad.shape)
+            pos = (start + int(at[0]), *(int(i) for i in at[1:]))
+            return RingWitness(
+                ident.value,
+                tuple(Gf2Elem(n, sum(1 << int(t[p]) for t in c)) for c, p in zip(cands, pos)),
+                Gf2Elem(n, int(lhs[at])),
+                Gf2Elem(n, int(rhs[at])),
+            )
+    return None
+
+
+@functools.cache
+def _low_weight_plan(n: int, ident: RingIdentityId):
+    """The one-hot masks, and the low-weight test set as slabs in scan order.
+
+    Each slab is (cands, start, grid): cands[j] holds variable j's
+    candidates as one index array per term, and grid is the slab of
+    candidates from `start` on along x, with variable j on axis j.
+    """
+    k = _NVARS[ident]
+    weight_one = (np.arange(n),)
+    weight_two = np.tril_indices(n, -1)  # (b, a) with a < b, ascending mask order
+    slabs = []
+    for squared in (weight_one, weight_two):
+        cands = [squared if j == _SQUARED[ident] else weight_one for j in range(k)]
+        step = max(1, _SLAB_ENTRIES // math.prod(len(c[0]) for c in cands[1:]))
+        for start in range(0, len(cands[0][0]), step):
+            grid = [
+                tuple(
+                    (t[start:start + step] if j == 0 else t).reshape(
+                        [-1 if i == j else 1 for i in range(k)]
+                    )
+                    for t in c
+                )
+                for j, c in enumerate(cands)
+            ]
+            slabs.append((cands, start, grid))
+    return np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)), tuple(slabs)
+
+
 def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
-    """Ring right Bol (brute force) agrees with the pointwise SRAR criterion.
+    """Ring right Bol (low-weight oracle) agrees with the pointwise SRAR criterion.
 
     Both sides are computed independently; a False return means a proved
     equivalence failed and should be treated as an implementation bug.
-    The ring scan runs first, so an order over its cap raises
-    OrderExceedsCap before any pointwise work.
     """
     f = LoopFacts.of(L)
-    ring_side = ring_identity_check(f.loop, RingIdentityId.RIGHT_BOL) is None
+    ring_side = low_weight_ring_check(f.loop, RingIdentityId.RIGHT_BOL) is None
     return ring_side == f.srar
 
 
@@ -226,16 +368,16 @@ def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
 
     Pointwise {A,B,C} coverage of every triple against the ring left
     alternative law, and pointwise starred coverage against the ring
-    right alternative law; each side comes from its own scan, ring side
-    first, so an order over the cap raises OrderExceedsCap.  Agreement
-    is a theorem for Moufang loops and holds empirically for every loop
-    of order <= 5; some non-Moufang loops of order 6 have full coverage
-    yet fail a pointwise alternative law, hence the ring law, so a False
+    right alternative law; each ring side comes from the low-weight
+    oracle, each pointwise side from its own scan.  Agreement is a
+    theorem for Moufang loops and holds empirically for every loop of
+    order <= 5; some non-Moufang loops of order 6 have full coverage yet
+    fail a pointwise alternative law, hence the ring law, so a False
     return on such input is data, not a bug.
     """
     f = LoopFacts.of(L)
-    left_ring = ring_identity_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
+    left_ring = low_weight_ring_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
     if left_ring != (first_abc_gap(f) is None):
         return False
-    right_ring = ring_identity_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
+    right_ring = low_weight_ring_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
     return right_ring == (first_triple_gap(f) is None)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable
 
-from .core import LoopTable, TheoremViolation, Witness, nuclei
+from .core import LoopTable, Witness, nuclei
 
 
 class IdentityId(Enum):
@@ -199,13 +199,7 @@ def squares_in_nucleus(L: LoopTable) -> bool:
 def is_extra(L: LoopTable) -> bool:
     """Decide the extra identity by scan.
 
-    When it holds, the Moufang + squares-in-nucleus characterization is
-    asserted as an internal cross-check; a mismatch is a software fault,
-    not a property of the input.
+    The extra <=> Moufang + squares-in-nucleus characterization is checked
+    once, by the extra_iff_moufang_squares_nucleus sweep check.
     """
-    ok = _extra(L) is None
-    if ok and not (is_moufang(L) and squares_in_nucleus(L)):
-        raise TheoremViolation(
-            "extra identity holds but the Moufang/squares-in-nucleus characterization fails"
-        )
-    return ok
+    return _extra(L) is None

@@ -35,7 +35,7 @@ CheckFn = Callable[[LoopFacts], str | None]
 
 def _check_srar_ring_equiv(f: LoopFacts) -> str | None:
     if not oracle_equiv_srar(f):
-        return "ring right Bol brute force disagrees with the pointwise SRAR criterion"
+        return "ring right Bol (low-weight oracle) disagrees with the pointwise SRAR criterion"
     return None
 
 
@@ -123,10 +123,7 @@ def _check_bol_lip_implies_moufang(f: LoopFacts) -> str | None:
 
 
 def _check_extra_iff_moufang_squares_nucleus(f: LoopFacts) -> str | None:
-    try:
-        ext = f.extra
-    except TheoremViolation as exc:
-        return str(exc)
+    ext = f.extra
     rhs = f.moufang and squares_in_nucleus(f.loop)
     if ext != rhs:
         return f"extra={ext} but (Moufang and squares-in-nucleus)={rhs}"

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion (pytest -v gives the
 pass/fail line for each).
 
-Long tiers (order-6 ring equivalence, order 7) run only with
-LOOPKIT_LONG=1 in the environment and report as skipped otherwise.  The
+Long tiers (the four-identity order-6 oracle agreement, order 7) run
+only with LOOPKIT_LONG=1 in the environment and report as skipped
+otherwise.  The
 order-16 census runs only when fixtures/catalog16.loops is present.
 
 test_criterion_2_triple_2_5_9_as_stated encodes a stated expectation
@@ -22,14 +23,17 @@ import pytest
 
 from loopkit import (
     IdentityId,
+    RingIdentityId,
     check_identity,
     enumerate_loops,
     is_moufang,
     is_ra2,
     is_srar,
+    low_weight_ring_check,
     parse_catalog,
     quad_conditions,
     quad_values,
+    ring_identity_check,
     run_sweep,
     survey,
     triple_conditions,
@@ -140,6 +144,39 @@ def test_criterion_3_ring_bol_equivalence_order_6():
     result = run_sweep(SweepSpec((6,), ("srar_ring_equiv",)), jobs=4)
     _assert_no_violations(result)
     assert result.cells[0].loops_scanned == 9408
+
+
+def test_criterion_3_4_ring_equivalences_on_the_fixtures():
+    # SRAR <=> ring right Bol and RA2 <=> alternative ring, decided by the
+    # low-weight oracle at orders 16 and 12, past the brute-force caps
+    for raw, srar, ra2 in ((BOL_16_RAW, False, False), (MOUFANG_12_RAW, True, True)):
+        L = validate_table(raw)
+        ring = {i: low_weight_ring_check(L, i) is None for i in RingIdentityId}
+        assert is_srar(L)[0] == ring[RingIdentityId.RIGHT_BOL] == srar
+        alternative = (
+            ring[RingIdentityId.RIGHT_ALTERNATIVE] and ring[RingIdentityId.LEFT_ALTERNATIVE]
+        )
+        assert is_ra2(L)[0] == alternative == ra2
+
+
+def _oracles_agree(order, idents):
+    loops = []
+    enumerate_loops(order, loops.append)
+    for L in loops:
+        for ident in idents:
+            low = low_weight_ring_check(L, ident) is None
+            assert low == (ring_identity_check(L, ident) is None), (ident, L.raw_rows())
+    return len(loops)
+
+
+def test_criterion_3_low_weight_oracle_matches_brute_force_order_6():
+    # the comparators' ring oracle against the full 2^(3n) scan
+    assert _oracles_agree(6, (RingIdentityId.RIGHT_BOL,)) == 9408
+
+
+@long_tier
+def test_criterion_3_4_low_weight_oracle_matches_brute_force_order_6_long():
+    assert _oracles_agree(6, tuple(RingIdentityId)) == 9408
 
 
 def test_criterion_4_ring_alternative_equivalence_orders_2_to_5():

@@ -1,6 +1,7 @@
-"""gf2-loop-ring: mask algebra, product table, and ring-identity scans."""
+"""gf2-loop-ring: mask algebra, product table, and both ring-identity oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from loopkit import (
     OrderExceedsCap,
     RingIdentityId,
     basis,
+    enumerate_loops,
+    low_weight_ring_check,
     oracle_equiv_ra2,
     oracle_equiv_srar,
     product_table,
@@ -22,8 +25,7 @@ from loopkit import (
     validate_table,
     zero,
 )
-from loopkit.conditions import LoopFacts
-from loopkit.fixtures import cyclic_group
+from loopkit.fixtures import bol16, cyclic_group, moufang12
 
 from conftest import CORPUS5, NON_BOL_5_RAW
 
@@ -219,23 +221,34 @@ def test_oracle_equiv_srar_spot_checks(z5, non_bol5):
     assert oracle_equiv_srar(cyclic_group(3))
     assert oracle_equiv_srar(z5)
     assert oracle_equiv_srar(non_bol5)  # both sides false
-    with pytest.raises(OrderExceedsCap):
-        oracle_equiv_srar(cyclic_group(7))
 
 
 def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
     assert oracle_equiv_ra2(cyclic_group(2))
     assert oracle_equiv_ra2(z4)
     assert oracle_equiv_ra2(non_bol5)
-    with pytest.raises(OrderExceedsCap):
-        oracle_equiv_ra2(cyclic_group(9))
 
 
-def test_oracles_check_the_cap_before_any_pointwise_scan(scan_counts):
-    for oracle, n in ((oracle_equiv_srar, 7), (oracle_equiv_ra2, 9)):
-        with pytest.raises(OrderExceedsCap):
-            oracle(LoopFacts(cyclic_group(n)))
-    assert scan_counts == {}
+def test_oracles_decide_orders_past_the_brute_cap(t1, t2):
+    # the comparators use the low-weight oracle, which has no 2^n table
+    # and so no brute-force cap: orders 7, 9, 12 and 16 are decided
+    for L in (cyclic_group(7), cyclic_group(9), t1, t2):
+        assert oracle_equiv_srar(L)
+        assert oracle_equiv_ra2(L)
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_brute_scan_refuses_tables_over_the_byte_budget(ident):
+    # 4^14 uint16 entries is 512 MiB for the table alone
+    z14 = cyclic_group(14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderExceedsCap, match="MiB budget"):
+            ring_identity_check(z14, ident, cap=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ring_witness_scan_order_is_lexicographic(non_bol5):
@@ -252,3 +265,151 @@ def test_ring_witness_scan_order_is_lexicographic(non_bol5):
         lhs = P[b, Y[:, None]]
         rhs = P[xp][q]
         assert np.array_equal(lhs, rhs)
+
+
+# The low-weight test set in its documented scan order, written with
+# Gf2Elem and the definitional rmul: weight-1 values of the squared
+# variable first, then weight 2; C order over the variables within each
+# stage, every variable's candidates in ascending mask order.
+_SQUARED_VARIABLE = {
+    RingIdentityId.RIGHT_ALTERNATIVE: 1,
+    RingIdentityId.LEFT_ALTERNATIVE: 0,
+    RingIdentityId.RIGHT_BOL: 1,
+    RingIdentityId.RIGHT_MOUFANG: 1,
+}
+
+
+def _first_low_weight_failure(L, ident):
+    n = L.order
+    sides = _ring_definitions(L)[ident]
+    masks = {
+        1: [1 << i for i in range(n)],
+        2: sorted(1 << i | 1 << j for i in range(n) for j in range(i)),
+    }
+    for weight in (1, 2):
+        cands = [
+            masks[weight if j == _SQUARED_VARIABLE[ident] else 1]
+            for j in range(sides.__code__.co_argcount)
+        ]
+        for bits in itertools.product(*cands):
+            tup = tuple(Gf2Elem(n, b) for b in bits)
+            lhs, rhs = sides(*tup)
+            if lhs != rhs:
+                return tup, lhs, rhs
+    return None
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_oracle_matches_brute_force_orders_2_to_5(ident):
+    # same verdict as the full scan, and the witness is the first failure
+    # of the definitional low-weight scan
+    for L in CORPUS5:
+        w = low_weight_ring_check(L, ident)
+        assert (w is None) == (ring_identity_check(L, ident) is None), L.raw_rows()
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_low_weight_failure(L, ident), L.raw_rows()
+
+
+# Order-6 loops that are left (resp. right) alternative but whose rings
+# are not: the ring law first fails with the squared variable at weight 2.
+LEFT_ALT_ONLY_AT_BASIS_6 = (
+    (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5), (3, 5, 1, 6, 2, 4),
+    (4, 6, 5, 1, 3, 2), (5, 4, 6, 2, 1, 3), (6, 3, 2, 5, 4, 1),
+)
+RIGHT_ALT_ONLY_AT_BASIS_6 = (
+    (1, 2, 3, 4, 5, 6), (2, 1, 4, 5, 6, 3), (3, 5, 1, 6, 4, 2),
+    (4, 6, 2, 1, 3, 5), (5, 3, 6, 2, 1, 4), (6, 4, 5, 3, 2, 1),
+)
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_witnesses_at_weight_two(ident):
+    # loops where some ring law holds on basis elements and fails at
+    # weight 2, so the second stage and its pair order decide the witness
+    corpus = {
+        "bol16": bol16(), "moufang12": moufang12(),
+        "left6": validate_table(LEFT_ALT_ONLY_AT_BASIS_6),
+        "right6": validate_table(RIGHT_ALT_ONLY_AT_BASIS_6),
+    }
+    at_weight_two = set()
+    for name, L in corpus.items():
+        w = low_weight_ring_check(L, ident)
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_low_weight_failure(L, ident), name
+        if w is not None and any(bin(e.bits).count("1") == 2 for e in w.elements):
+            at_weight_two.add(name)
+    assert at_weight_two == {
+        RingIdentityId.RIGHT_ALTERNATIVE: {"right6"},
+        RingIdentityId.LEFT_ALTERNATIVE: {"left6"},
+        RingIdentityId.RIGHT_BOL: {"bol16"},
+        RingIdentityId.RIGHT_MOUFANG: set(),
+    }[ident]
+
+
+def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
+    # one x per slab: the slab offsets must give back the same witnesses
+    from loopkit import gf2ring
+
+    corpus = (*CORPUS5, bol16())
+    whole = [low_weight_ring_check(L, i) for L in corpus for i in RingIdentityId]
+    monkeypatch.setattr(gf2ring, "_SLAB_ENTRIES", 1)
+    gf2ring._low_weight_plan.cache_clear()
+    try:
+        sliced = [low_weight_ring_check(L, i) for L in corpus for i in RingIdentityId]
+    finally:
+        gf2ring._low_weight_plan.cache_clear()
+    assert sliced == whole
+
+
+def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
+    import loopkit.conditions as conditions
+    import loopkit.identities as identities
+
+    def forbidden(*args):
+        raise AssertionError("the ring oracle called a pointwise scan")
+
+    monkeypatch.setattr(conditions, "_code", forbidden)
+    for ident in identities._CHECKS:
+        monkeypatch.setitem(identities._CHECKS, ident, forbidden)
+        monkeypatch.setattr(identities, f"_{ident.value}", forbidden)
+    # fresh tables, so no cache built before the patch can answer
+    verdicts = {}
+    for L in (bol16(), moufang12()):
+        for ident in RingIdentityId:
+            w = low_weight_ring_check(L, ident)
+            verdicts[L.order, ident] = w is None
+            if w is not None:
+                lhs, rhs = _ring_definitions(L)[ident](*w.elements)
+                assert lhs == w.lhs and rhs == w.rhs and lhs != rhs
+    # M(S3,2) is Moufang and RA2: all four ring laws hold.  Bol 16.7.2.1
+    # is right alternative but neither SRAR nor left alternative.
+    assert verdicts == {
+        **{(12, ident): True for ident in RingIdentityId},
+        (16, RingIdentityId.RIGHT_ALTERNATIVE): True,
+        (16, RingIdentityId.LEFT_ALTERNATIVE): False,
+        (16, RingIdentityId.RIGHT_BOL): False,
+        (16, RingIdentityId.RIGHT_MOUFANG): False,
+    }
+
+
+def test_low_weight_oracle_order_cap():
+    # ring elements are uint64 masks
+    with pytest.raises(OrderExceedsCap, match="64-bit masks"):
+        low_weight_ring_check(cyclic_group(65), RingIdentityId.RIGHT_ALTERNATIVE)
+    assert low_weight_ring_check(cyclic_group(64), RingIdentityId.RIGHT_ALTERNATIVE) is None
+
+
+def test_right_but_not_left_alternative_rings_up_to_order_6():
+    # none below order 6; 60 of the 9 408 loops of order 6, among them
+    # the loop whose second row is 2 6 5 3 4 1
+    def right_not_left(L):
+        return (
+            low_weight_ring_check(L, RingIdentityId.RIGHT_ALTERNATIVE) is None
+            and low_weight_ring_check(L, RingIdentityId.LEFT_ALTERNATIVE) is not None
+        )
+
+    assert not any(right_not_left(L) for L in CORPUS5)
+    hits = []
+    assert enumerate_loops(6, lambda L: hits.append(L) if right_not_left(L) else None) == 9408
+    assert len(hits) == 60
+    assert (2, 6, 5, 3, 4, 1) in {L.raw_rows()[1] for L in hits}

@@ -113,8 +113,8 @@ def test_implication_chain_small_corpus(L):
 
 @given(st.sampled_from(CORPUS5))
 def test_extra_matches_characterization(L):
-    # is_extra performs the cross-check internally (TheoremViolation on
-    # mismatch); verify the equivalence explicitly as well
+    # is_extra is the bare scan; the characterization is checked here and
+    # by the extra_iff_moufang_squares_nucleus sweep check
     ext = is_extra(L)
     assert ext == (is_moufang(L) and squares_in_nucleus(L))
 

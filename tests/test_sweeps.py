@@ -46,11 +46,10 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     # 56 loops, 6 of them right Bol.  Each loop's one LoopFacts scans
     # right Bol, right Moufang and extra once; each Bol loop builds its
     # triple products once and scans quadruples twice (SRAR and the
-    # all-three-or-one lemma).  The 6 further right Moufang scans are
-    # is_extra's cross-check, and the 6 further RIP scans are LIP's
-    # choice of inverse, both inside identities.py.
+    # all-three-or-one lemma).  The 6 further RIP scans are LIP's choice
+    # of inverse, inside identities.py.
     assert scan_counts == {
-        "right_bol": 56, "right_moufang": 56 + 6, "extra": 56, "associative": 6,
+        "right_bol": 56, "right_moufang": 56, "extra": 56, "associative": 6,
         "right_alternative": 6, "rip": 6 + 6, "lip": 6, "commutative": 6,
         "triple_products": 6, "quad_scans": 12,
     }
