@@ -13,7 +13,7 @@ import itertools
 import sys
 from typing import Sequence
 
-from .core import LoopError, Witness, validate_table, enumerate_loops
+from .core import ENUMERATION_CAP, LoopError, Witness, validate_table, enumerate_loops
 from .catalog import (
     CatalogError,
     CatalogRecord,
@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("files", nargs="+")
 
     sp = sub.add_parser("sweep", help="verify proved statements over all small loops")
-    sp.add_argument("--order", type=int, action="append", choices=range(2, 8),
+    sp.add_argument("--order", type=int, action="append",
+                    choices=range(2, ENUMERATION_CAP + 1),
                     help="order to sweep (repeatable; default 2..6)")
     sp.add_argument("--long", action="store_true",
                     help="enable the order-7 and order-6 ring tiers")
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(sp)
 
     sp = sub.add_parser("enumerate", help="stream all normalized loops of one order")
-    sp.add_argument("--order", type=int, required=True, choices=range(2, 8))
+    sp.add_argument("--order", type=int, required=True, choices=range(2, ENUMERATION_CAP + 1))
     sp.add_argument("--long", action="store_true",
                     help="required for order 7 (16.9M records)")
 
@@ -99,14 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def describe_loop_witness(loop, w: Witness) -> str:
     """Render a loop-side witness 1-indexed with its evaluated sides."""
+    if w.identity_id != "def_coverage":
+        return w.describe()
     tup = ",".join(str(v) for v in w.one_indexed())
-    if w.identity_id == "def_coverage":
-        q = quad_values(loop, *w.elements)
-        return (
-            f"D/E/F empty at ({tup}): "
-            f"S={q.s + 1} T={q.t + 1} U={q.u + 1} V={q.v + 1}"
-        )
-    return f"{w.identity_id} fails at ({tup}): lhs={w.lhs + 1} rhs={w.rhs + 1}"
+    q = quad_values(loop, *w.elements)
+    return f"D/E/F empty at ({tup}): S={q.s + 1} T={q.t + 1} U={q.u + 1} V={q.v + 1}"
 
 
 def _out(data: bytes) -> None:

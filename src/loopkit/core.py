@@ -3,7 +3,8 @@ the worker-process map that sweeps and surveys share.
 
 A loop of order n is stored as an n x n table over the element indices
 0..n-1 whose rows and columns are permutations (a Latin square) and which
-has a two-sided identity element.  Elements are 0-indexed internally;
+has a two-sided identity element; only the table is stored, and the inverse
+maps are derived from it on first read.  Elements are 0-indexed internally;
 every error message, witness rendering, and file format uses the
 1-indexed labels that printed Cayley tables and catalogs use.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, TypeVar
 
 ENUMERATION_CAP = 7
@@ -53,15 +55,21 @@ class TheoremViolation(LoopError):
 class LoopTable:
     """An order-n loop given by its Cayley table (0-indexed internally).
 
-    rinv maps x to the element with x * rinv[x] = identity; linv maps x
-    to the element with linv[x] * x = identity.
+    Only the table is stored; rinv and linv are derived from it on first
+    read, with x * rinv[x] = identity and linv[x] * x = identity.
     """
 
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
-    rinv: tuple[int, ...]
-    linv: tuple[int, ...]
+
+    @cached_property
+    def rinv(self) -> tuple[int, ...]:
+        return tuple(row.index(self.identity) for row in self.table)
+
+    @cached_property
+    def linv(self) -> tuple[int, ...]:
+        return tuple(col.index(self.identity) for col in zip(*self.table))
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -142,12 +150,7 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     if ident is None:
         raise NoIdentity("no element is a two-sided identity")
 
-    table = tuple(tuple(v - 1 for v in row) for row in raw)
-    rinv = tuple(row.index(ident) for row in table)
-    linv = [0] * n
-    for x in range(n):
-        linv[rinv[x]] = x
-    return LoopTable(n, table, ident, rinv, tuple(linv))
+    return LoopTable(n, tuple(tuple(v - 1 for v in row) for row in raw), ident)
 
 
 def normalized(L: LoopTable) -> LoopTable:
@@ -236,28 +239,19 @@ def enumerate_loops(
     col_masks = [1 << j for j in range(n)]
     count = 0
 
-    def build() -> LoopTable:
-        table = tuple(rows)
-        rinv = tuple(row.index(0) for row in table)
-        linv = [0] * n
-        for x in range(n):
-            linv[rinv[x]] = x
-        return LoopTable(n, table, 0, rinv, tuple(linv))
-
     def fill_row(i: int) -> None:
         nonlocal count
+        if i == n:
+            count += 1
+            visitor(LoopTable(n, tuple(rows), 0))
+            return
         row = [0] * n
         row[0] = i
 
         def cell(j: int, row_mask: int) -> None:
-            nonlocal count
             if j == n:
                 rows.append(tuple(row))
-                if i == n - 1:
-                    count += 1
-                    visitor(build())
-                else:
-                    fill_row(i + 1)
+                fill_row(i + 1)
                 rows.pop()
                 return
             avail = full & ~row_mask & ~col_masks[j]
@@ -277,11 +271,7 @@ def enumerate_loops(
         rows.append(cand)
         for j in range(1, n):
             col_masks[j] |= 1 << cand[j]
-        if n == 2:
-            count += 1
-            visitor(build())
-        else:
-            fill_row(2)
+        fill_row(2)
         for j in range(1, n):
             col_masks[j] ^= 1 << cand[j]
         rows.pop()
@@ -291,11 +281,12 @@ def enumerate_loops(
 def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
     """fn over tasks in input order, in `jobs` worker processes.
 
-    fn must be a picklable module-level function.  Each worker takes one
-    contiguous chunk of the tasks; with jobs <= 1, or a single task, the
-    map runs in this process.
+    fn must be a picklable module-level function.  No more workers than
+    tasks are started, and each takes one contiguous chunk of the tasks;
+    with jobs <= 1, or a single task, the map runs in this process.
     """
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // jobs)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // workers)))

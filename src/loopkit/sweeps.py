@@ -17,7 +17,14 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ENUMERATION_CAP, LoopTable, TheoremViolation, enumerate_loops, parallel_map
+from .core import (
+    ENUMERATION_CAP,
+    LoopTable,
+    TheoremViolation,
+    enumerate_loops,
+    parallel_map,
+    second_row_candidates,
+)
 from .catalog import UnsupportedFormat, render_json_envelope
 from .identities import IdentityId, squares_in_nucleus
 from .conditions import (
@@ -27,7 +34,7 @@ from .conditions import (
     lemma_lip_equiv,
     thm_main_verify,
 )
-from .gf2ring import THREE_VAR_CAP, OrderExceedsCap, oracle_equiv_ra2, oracle_equiv_srar
+from .gf2ring import OrderExceedsCap, oracle_equiv_ra2, oracle_equiv_srar
 
 
 CheckFn = Callable[[LoopFacts], str | None]
@@ -140,7 +147,9 @@ class SweepCheck:
 
 
 CHECKS: dict[str, SweepCheck] = {
-    "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, THREE_VAR_CAP),
+    # the low-weight oracle decides any order; 6 keeps its cost out of the
+    # 16.9M-loop order-7 tier
+    "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, 6),
     "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, 5),
     "alt_ring_equiv_moufang": SweepCheck(
         _check_alt_ring_equiv, ENUMERATION_CAP, requires="moufang"
@@ -255,9 +264,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
                     f"check {name} is capped at order {CHECKS[name].max_order}, got {order}"
                 )
 
-    parts = max(jobs, 1)
     cells: list[SweepCell] = []
     for order in spec.orders:
+        # parts past the row-1 candidates (1, 1, 3, 11, 53, 309 at orders 2-7) are empty
+        parts = min(max(jobs, 1), len(second_row_candidates(order)))
         tasks = [(order, spec.checks, k, parts) for k in range(parts)]
         results = parallel_map(_sweep_part, tasks, jobs)
         scanned = sum(r[0] for r in results)

@@ -1,11 +1,13 @@
-"""The benchmark's tracer rebinds loopkit functions by name; keep those names."""
+"""The benchmark rebinds loopkit functions by name and pins order-7 part
+counts; keep those names and the enumerator's partition."""
 
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
 import loopkit
-from loopkit import sweeps
+from loopkit import enumerate_loops, second_row_candidates, sweeps
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,3 +30,15 @@ def test_traced_names_still_exist(monkeypatch):
     for name, check in sweeps.CHECKS.items():
         assert dataclasses.is_dataclass(check), name
         assert "fn" in {field.name for field in dataclasses.fields(check)}, name
+
+
+def test_order7_part_pins_still_hold():
+    # the order7-slice workload checks each part's loop count against
+    # order7_parts.json; parts 0 and 45 pin two different counts
+    with open(BENCH / "order7_parts.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    parts = len(second_row_candidates(7))
+    assert parts == doc["part_count"]
+    for p in (0, 45):
+        got = enumerate_loops(7, lambda L: None, part_index=p, part_count=parts)
+        assert got == doc["counts"][p]

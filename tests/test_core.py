@@ -1,22 +1,28 @@
-"""loop-core: validation, nuclei, enumeration."""
+"""loop-core: validation, nuclei, enumeration, the worker-process map."""
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from loopkit import (
+    LoopTable,
     Malformed,
     NoIdentity,
     NotLatin,
     OrderTooLarge,
+    SweepSpec,
     enumerate_loops,
     normalized,
     nuclei,
+    run_sweep,
     second_row_candidates,
     validate_table,
 )
+from loopkit import cli, core
 from loopkit.fixtures import BOL_16_RAW, MOUFANG_12_RAW, cyclic_group
 
 from conftest import CORPUS5
@@ -110,6 +116,19 @@ def test_inverse_maps_satisfy_defining_equations(L):
         assert L.mul(L.linv[x], x) == e
 
 
+def test_loop_tables_store_only_the_table():
+    assert [f.name for f in dataclasses.fields(LoopTable)] == ["order", "table", "identity"]
+    # Z3 with its identity at label 3, and the order-16 fixture
+    loops = [validate_table([[2, 3, 1], [3, 1, 2], [1, 2, 3]]), validate_table(BOL_16_RAW)]
+    enumerate_loops(4, loops.append)
+    for L in loops:
+        # the inverse maps are derived from the table when first read
+        assert "rinv" not in vars(L) and "linv" not in vars(L)
+        e = L.identity
+        assert all(L.mul(x, L.rinv[x]) == e == L.mul(L.linv[x], x) for x in range(L.order))
+        assert "rinv" in vars(L) and "linv" in vars(L)
+
+
 @given(st.sampled_from(CORPUS5), st.data())
 def test_division_is_total_and_unique(L, data):
     a = data.draw(st.integers(0, L.order - 1))
@@ -174,8 +193,9 @@ def test_moufang12_nucleus_is_trivial(t2):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_enumeration_counts_against_independent_oracle(n):
-    got = enumerate_loops(n, lambda L: None)
-    assert got == brute_reduced_count(n) == REDUCED_COUNTS[n]
+    visited = []
+    got = enumerate_loops(n, visited.append)
+    assert got == len(visited) == brute_reduced_count(n) == REDUCED_COUNTS[n]
 
 
 def test_enumeration_is_duplicate_free_and_valid():
@@ -183,9 +203,8 @@ def test_enumeration_is_duplicate_free_and_valid():
 
     def visit(L):
         seen.append(L.raw_rows())
-        revalidated = validate_table(L.raw_rows())
-        assert revalidated.table == L.table
-        assert revalidated.identity == L.identity == 0
+        assert validate_table(L.raw_rows()) == L
+        assert L.identity == 0
 
     for n in (2, 3, 4, 5):
         seen.clear()
@@ -219,3 +238,45 @@ def test_enumeration_caps_and_bad_args():
         enumerate_loops(1, lambda L: None)
     with pytest.raises(ValueError):
         enumerate_loops(4, lambda L: None, part_index=3, part_count=3)
+
+
+def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(core, "ProcessPoolExecutor", InlinePool)
+    assert core.parallel_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
+    assert sizes == [3]
+
+    # order 5 has 11 row-1 candidates, so at most 11 sweep parts
+    spec = SweepSpec((2, 5), ("odd_order_associative", "moufang_implies_bol"))
+    sizes.clear()
+    wide = run_sweep(spec, jobs=5000)
+    assert sizes == [11]
+    narrow = run_sweep(spec, jobs=1)
+    assert [dataclasses.replace(c, wall_time=0) for c in wide.cells] == [
+        dataclasses.replace(c, wall_time=0) for c in narrow.cells
+    ]
+
+    # the fixture catalog holds two records
+    tables = str(Path(__file__).resolve().parent.parent / "fixtures" / "tables.loops")
+    sizes.clear()
+    assert cli.main(["classify", "--jobs", "5000", tables]) == 0
+    assert sizes == [2]
+    wide_out = capsys.readouterr().out
+    assert cli.main(["classify", tables]) == 0
+    assert capsys.readouterr().out == wide_out

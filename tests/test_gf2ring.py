@@ -25,6 +25,7 @@ from loopkit import (
     validate_table,
     zero,
 )
+from loopkit import gf2ring
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
 from conftest import CORPUS5, NON_BOL_5_RAW
@@ -227,6 +228,24 @@ def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
     assert oracle_equiv_ra2(cyclic_group(2))
     assert oracle_equiv_ra2(z4)
     assert oracle_equiv_ra2(non_bol5)
+
+
+def test_comparators_ask_for_their_ring_laws(monkeypatch, t2):
+    # every shipped loop has ring right Bol and right Moufang both or
+    # neither, so only the request itself pins which law is decided
+    asked = []
+    real = gf2ring.low_weight_ring_check
+
+    def spy(L, ident):
+        asked.append(ident)
+        return real(L, ident)
+
+    monkeypatch.setattr(gf2ring, "low_weight_ring_check", spy)
+    assert oracle_equiv_srar(t2)
+    assert asked == [RingIdentityId.RIGHT_BOL]
+    asked.clear()
+    assert oracle_equiv_ra2(t2)  # M(S3,2) is RA2, so both halves run
+    assert asked == [RingIdentityId.LEFT_ALTERNATIVE, RingIdentityId.RIGHT_ALTERNATIVE]
 
 
 def test_oracles_decide_orders_past_the_brute_cap(t1, t2):
