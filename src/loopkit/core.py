@@ -225,7 +225,8 @@ def enumerate_loops(
     are disjoint, cover everything, and each is internally lexicographic,
     so counts add up and global minima are the min over parts.
 
-    Returns the number of loops visited.
+    Rows 2..n-2 are searched and the last row is computed.  Returns the
+    number of loops visited.
     """
     if n > ENUMERATION_CAP:
         raise OrderTooLarge(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -244,6 +245,12 @@ def enumerate_loops(
         if i == n:
             count += 1
             visitor(LoopTable(n, tuple(rows), 0))
+            return
+        if i == n - 1:
+            # the one completion of the Latin rectangle: each column's missing entry
+            rows.append((i, *[(full ^ col_masks[j]).bit_length() - 1 for j in range(1, n)]))
+            fill_row(n)
+            rows.pop()
             return
         row = [0] * n
         row[0] = i

@@ -1,8 +1,8 @@
 """Exhaustive checkers for the named loop identities.
 
-Each identity is decided by scanning the full Cartesian power of the
-element set, with the variables scanned in the order they appear in the
-defining equation:
+Each identity is decided by scanning the Cartesian power of the element
+set, with the variables scanned in the order they appear in the defining
+equation:
 
     right_bol          [(xy)z]y = x[(yz)y]
     right_moufang      [(xy)z]y = x[y(zy)]
@@ -15,19 +15,22 @@ defining equation:
     commutative        xy       = yx
     associative        (xy)z    = x(yz)
 
-The first failing tuple is returned as a Witness, so results are
-deterministic across runs and partitions.  A two-variable identity is
-written once, as a function giving its (lhs, rhs) at (x, y), and runs
-through the one early-exit scan `_pairs`.  The four three-variable scans
-(right Bol, right Moufang, extra, associative) are hand-unrolled instead,
-because they run on every loop of a sweep and unrolling measured about
-twice as fast as a generic scan; the comment above them has the numbers.
+A scan skips the tuples that the identity law alone decides (`_SKIPS_E`),
+so the first failing tuple in full lexicographic order is still the one
+returned as a Witness, and results are deterministic across runs and
+partitions.  A two-variable identity is written once, as a function
+giving its (lhs, rhs) at (x, y), and runs through the one early-exit
+scan `_pairs`.  The four three-variable scans (right Bol, right Moufang,
+extra, associative) are hand-unrolled instead, because they run on every
+loop of a sweep and unrolling measured about twice as fast as a generic
+scan; the comment above them has the numbers.
 """
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import LoopTable, Witness, nuclei
 
@@ -45,37 +48,55 @@ class IdentityId(Enum):
     ASSOCIATIVE = "associative"
 
 
+# Per variable of each three-variable identity: True where the identity law
+# alone decides it once that variable is e (right Bol at x = e is (yz)y =
+# (yz)y), so the scan skips e there.  Two-variable ones skip e in both.
+_SKIPS_E: dict[IdentityId, tuple[bool, ...]] = {
+    IdentityId.RIGHT_BOL: (True, True, False),
+    IdentityId.RIGHT_MOUFANG: (False, True, False),
+    IdentityId.EXTRA: (True, False, False),
+    IdentityId.ASSOCIATIVE: (True, True, True),
+}
+
+
+@functools.cache
+def _domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
+    """Per variable of ident, the elements its scan visits on order n with identity e."""
+    rest = tuple(v for v in range(n) if v != e)
+    return tuple(rest if skip else range(n) for skip in _SKIPS_E.get(ident, (True, True)))
+
+
 def _pairs(
-    L: LoopTable, name: str, sides: Callable[[int, int], tuple[int, int]]
+    L: LoopTable, ident: IdentityId, sides: Callable[[int, int], tuple[int, int]]
 ) -> Witness | None:
     """First (x, y) in C order where the two sides of a two-variable identity differ."""
-    n = L.order
-    for x in range(n):
-        for y in range(n):
+    xs, ys = _domains(L.order, L.identity, ident)
+    for x in xs:
+        for y in ys:
             lhs, rhs = sides(x, y)
             if lhs != rhs:
-                return Witness(name, (x, y), lhs, rhs)
+                return Witness(ident.value, (x, y), lhs, rhs)
     return None
 
 
 def _flexible(L: LoopTable) -> Witness | None:
     t = L.table
-    return _pairs(L, "flexible", lambda y, z: (t[t[y][z]][y], t[y][t[z][y]]))
+    return _pairs(L, IdentityId.FLEXIBLE, lambda y, z: (t[t[y][z]][y], t[y][t[z][y]]))
 
 
 def _right_alternative(L: LoopTable) -> Witness | None:
     t = L.table
-    return _pairs(L, "right_alternative", lambda x, y: (t[t[x][y]][y], t[x][t[y][y]]))
+    return _pairs(L, IdentityId.RIGHT_ALTERNATIVE, lambda x, y: (t[t[x][y]][y], t[x][t[y][y]]))
 
 
 def _left_alternative(L: LoopTable) -> Witness | None:
     t = L.table
-    return _pairs(L, "left_alternative", lambda x, y: (t[t[x][x]][y], t[x][t[x][y]]))
+    return _pairs(L, IdentityId.LEFT_ALTERNATIVE, lambda x, y: (t[t[x][x]][y], t[x][t[x][y]]))
 
 
 def _rip(L: LoopTable) -> Witness | None:
     t, rinv = L.table, L.rinv
-    return _pairs(L, "rip", lambda x, y: (t[t[x][y]][rinv[y]], x))
+    return _pairs(L, IdentityId.RIP, lambda x, y: (t[t[x][y]][rinv[y]], x))
 
 
 def _lip(L: LoopTable) -> Witness | None:
@@ -84,12 +105,12 @@ def _lip(L: LoopTable) -> Witness | None:
     # inverse, so the check is total on arbitrary loops.
     inv = L.rinv if _rip(L) is None else L.linv
     t = L.table
-    return _pairs(L, "lip", lambda x, y: (t[inv[x]][t[x][y]], y))
+    return _pairs(L, IdentityId.LIP, lambda x, y: (t[inv[x]][t[x][y]], y))
 
 
 def _commutative(L: LoopTable) -> Witness | None:
     t = L.table
-    return _pairs(L, "commutative", lambda x, y: (t[x][y], t[y][x]))
+    return _pairs(L, IdentityId.COMMUTATIVE, lambda x, y: (t[x][y], t[y][x]))
 
 
 # The three-variable scans stay unrolled, with the row lookups hoisted
@@ -97,18 +118,20 @@ def _commutative(L: LoopTable) -> Witness | None:
 # two-variable scans above only run on right Bol loops.  Over all 9 408
 # order-6 loops (best of 3, µs per loop on a 2-CPU Xeon) right Bol took
 # 10.3 unrolled, 18.3 as a per-tuple lambda scan and 23.1 as one numpy
-# tensor; associative took 5.9 unrolled and 12.7 as a lambda scan.
+# tensor; associative took 5.9 unrolled and 12.7 as a lambda scan, all
+# over every tuple.  In paired runs the _SKIPS_E skips took the unrolled
+# scans from 7.1-9.2 to 2.8-3.7 (right Bol) and 5.9-7.7 to 2.2-3.3.
 
 
 def _right_bol(L: LoopTable) -> Witness | None:
     t = L.table
-    n = L.order
-    for x in range(n):
+    xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_BOL)
+    for x in xs:
         tx = t[x]
-        for y in range(n):
+        for y in ys:
             ty = t[y]
             txy = t[tx[y]]
-            for z in range(n):
+            for z in zs:
                 lhs = t[txy[z]][y]
                 rhs = tx[t[ty[z]][y]]
                 if lhs != rhs:
@@ -118,13 +141,13 @@ def _right_bol(L: LoopTable) -> Witness | None:
 
 def _right_moufang(L: LoopTable) -> Witness | None:
     t = L.table
-    n = L.order
-    for x in range(n):
+    xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_MOUFANG)
+    for x in xs:
         tx = t[x]
-        for y in range(n):
+        for y in ys:
             ty = t[y]
             txy = t[tx[y]]
-            for z in range(n):
+            for z in zs:
                 lhs = t[txy[z]][y]
                 rhs = tx[ty[t[z][y]]]
                 if lhs != rhs:
@@ -134,13 +157,13 @@ def _right_moufang(L: LoopTable) -> Witness | None:
 
 def _extra(L: LoopTable) -> Witness | None:
     t = L.table
-    n = L.order
-    for x in range(n):
+    xs, ys, zs = _domains(L.order, L.identity, IdentityId.EXTRA)
+    for x in xs:
         tx = t[x]
-        for y in range(n):
+        for y in ys:
             ty = t[y]
             txy = t[tx[y]]
-            for z in range(n):
+            for z in zs:
                 lhs = t[txy[z]][x]
                 rhs = tx[ty[t[z][x]]]
                 if lhs != rhs:
@@ -150,13 +173,13 @@ def _extra(L: LoopTable) -> Witness | None:
 
 def _associative(L: LoopTable) -> Witness | None:
     t = L.table
-    n = L.order
-    for x in range(n):
+    xs, ys, zs = _domains(L.order, L.identity, IdentityId.ASSOCIATIVE)
+    for x in xs:
         tx = t[x]
-        for y in range(n):
+        for y in ys:
             ty = t[y]
             txy = t[tx[y]]
-            for z in range(n):
+            for z in zs:
                 lhs = txy[z]
                 rhs = tx[ty[z]]
                 if lhs != rhs:

@@ -221,14 +221,6 @@ class SweepResult:
         return sum(c.violations for c in self.cells)
 
 
-def _count_part(args: tuple[int, int, int]) -> int:
-    """Count one enumeration part (picklable helper for parallel_map)."""
-    order, part_index, part_count = args
-    return enumerate_loops(
-        order, lambda L: None, part_index=part_index, part_count=part_count
-    )
-
-
 def _sweep_part(args: tuple[int, tuple[str, ...], int, int]):
     """One enumeration part: returns (scanned, {check: [viol, first, time]})."""
     order, checks, part_index, part_count = args

@@ -1,3 +1,5 @@
+import itertools
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -26,6 +28,16 @@ def _collect_corpus(orders):
 
 # every normalized loop of orders 2..5 (1 + 1 + 4 + 56); cheap to build once
 CORPUS5 = _collect_corpus((2, 3, 4, 5))
+
+def relabelled(L, seed):
+    """L conjugated by a seeded permutation of all labels, identity included."""
+    sigma = list(range(L.order))
+    random.Random(seed).shuffle(sigma)
+    raw = [[0] * L.order for _ in range(L.order)]
+    for i, j in itertools.product(range(L.order), repeat=2):
+        raw[sigma[i]][sigma[j]] = sigma[L.table[i][j]] + 1
+    return validate_table(raw)
+
 
 # first order-5 loop in enumeration order that is not right Bol
 # (frozen from an independent permutation-based enumeration)

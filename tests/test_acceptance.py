@@ -246,9 +246,11 @@ def test_criterion_8_enumeration_counts():
 @long_tier
 def test_criterion_8_enumeration_count_order_7_long():
     from loopkit.core import parallel_map
-    from loopkit.sweeps import _count_part
+    from loopkit.sweeps import _sweep_part
 
-    total = sum(parallel_map(_count_part, [(7, k, 4) for k in range(4)], 4))
+    # a sweep part with no checks only counts the loops it enumerates
+    parts = parallel_map(_sweep_part, [(7, (), k, 4) for k in range(4)], 4)
+    total = sum(scanned for scanned, _ in parts)
     assert total == 16942080
 
 

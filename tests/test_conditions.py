@@ -1,6 +1,5 @@
 """srar-ra2: pointwise conditions, deciders, and the verified statements."""
 
-import random
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -43,7 +42,7 @@ from loopkit.conditions import (
 from loopkit.core import Witness
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5
+from conftest import CORPUS5, relabelled
 
 # machine-verified ground truth for the order-12 Moufang fixture: the
 # printed table yields products (11,12,11,12) at (2,5,9), the F' pattern
@@ -219,16 +218,6 @@ def test_quad_profile_consistency(t2, z4):
     assert prof2.counts["DE"] == prof2.counts["DF"] == prof2.counts["EF"] == 0
 
 
-def _relabelled(L: LoopTable, seed: int) -> LoopTable:
-    """L conjugated by a seeded permutation of all labels, identity included."""
-    sigma = list(range(L.order))
-    random.Random(seed).shuffle(sigma)
-    raw = [[0] * L.order for _ in range(L.order)]
-    for i, j in product(range(L.order), repeat=2):
-        raw[sigma[i]][sigma[j]] = sigma[L.table[i][j]] + 1
-    return validate_table(raw)
-
-
 def _symmetric3() -> LoopTable:
     """S3, composition of the permutations of (0, 1, 2)."""
     perms = sorted(permutations(range(3)))
@@ -277,7 +266,7 @@ KERNEL_CORPUS = {
     **{f"order{L.order}-{i}": L for i, L in enumerate(CORPUS5)},
     **_FIXTURES,
     **{
-        f"{name}-relabelled{seed}": _relabelled(L, seed)
+        f"{name}-relabelled{seed}": relabelled(L, seed)
         for name, L in _FIXTURES.items() for seed in (1, 2)
     },
     "s3": _symmetric3(),

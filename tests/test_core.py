@@ -206,9 +206,11 @@ def test_enumeration_is_duplicate_free_and_valid():
         assert validate_table(L.raw_rows()) == L
         assert L.identity == 0
 
-    for n in (2, 3, 4, 5):
+    # order 6 is where rows 2-4 branch above the computed last row
+    for n in (2, 3, 4, 5, 6):
         seen.clear()
         enumerate_loops(n, visit)
+        assert len(seen) == REDUCED_COUNTS[n]
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)  # lexicographic row-major order
 

@@ -380,6 +380,21 @@ def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
     assert sliced == whole
 
 
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
+    # the weight-2 stage must visit its pairs by ascending mask, the order
+    # the brute-force scan would meet them in; no fixture pins this alone
+    for n in (2, 3, 5, 8):
+        _, slabs = gf2ring._low_weight_plan(n, ident)
+        pairs = [c for cands, _, _ in slabs for c in cands if len(c) == 2]
+        assert pairs
+        for b, a in pairs:
+            masks = [(1 << int(u)) | (1 << int(v)) for u, v in zip(b, a)]
+            assert all(bin(m).count("1") == 2 for m in masks)
+            assert len(masks) == n * (n - 1) // 2
+            assert masks == sorted(set(masks))
+
+
 def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
     import loopkit.conditions as conditions
     import loopkit.identities as identities

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from loopkit import (
     IdentityId,
+    LoopTable,
     check_identity,
     holds,
     is_extra,
@@ -15,9 +16,10 @@ from loopkit import (
     squares_in_nucleus,
     validate_table,
 )
+from loopkit import identities
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5
+from conftest import CORPUS5, relabelled
 
 
 def s3_table():
@@ -189,12 +191,42 @@ def _first_failure(L, sides):
     return None
 
 
+def _identity_moved(L: LoopTable, seed: int) -> LoopTable:
+    """The first seeded relabelling of L, from `seed` on, that moves the identity off 0."""
+    return next(M for s in itertools.count(seed) if (M := relabelled(L, s)).identity != 0)
+
+
 REFERENCE_CORPUS = CORPUS5 + (bol16(), moufang12(), s3_table())
+
+# the same loops with the identity at a nonzero label, plus more seeds of
+# both fixtures: a scan that skips element 0 instead of the identity
+# returns a wrong witness on some of these
+MOVED_CORPUS = tuple(
+    _identity_moved(L, seed) for seed, L in enumerate(REFERENCE_CORPUS)
+) + tuple(_identity_moved(L, seed) for L in (bol16(), moufang12()) for seed in range(100, 104))
 
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
 def test_witnesses_match_definitional_scan(ident):
-    for L in REFERENCE_CORPUS:
+    for L in REFERENCE_CORPUS + MOVED_CORPUS:
         w = check_identity(L, ident)
         got = None if w is None else (w.elements, w.lhs, w.rhs)
         assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()
+
+
+@pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
+def test_skipped_tuples_hold_by_definition(ident):
+    # every tuple a scan leaves out must satisfy the defining equation on
+    # every loop; a wrong skip (say z = e for right Bol, where the
+    # equation is right alternativity) fails here even if no witness moves
+    skipped_any = False
+    for L in MOVED_CORPUS:
+        assert L.identity != 0
+        definition = _definitions(L)[ident]
+        scanned = set(itertools.product(*identities._domains(L.order, L.identity, ident)))
+        for tup in itertools.product(range(L.order), repeat=definition.__code__.co_argcount):
+            if tup not in scanned:
+                skipped_any = True
+                lhs, rhs = definition(*tup)
+                assert lhs == rhs, (L.raw_rows(), tup)
+    assert skipped_any
