@@ -7,13 +7,18 @@ has a two-sided identity element; only the table is stored, and the inverse
 maps are derived from it on first read.  Elements are 0-indexed internally;
 every error message, witness rendering, and file format uses the
 1-indexed labels that printed Cayley tables and catalogs use.
+
+Enumeration builds tables a whole row at a time: row_candidates lists,
+once per order, every row a normalized table can hold at each row index,
+with a bitmask of the (column, value) pairs it occupies.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import permutations
 from typing import Callable, Sequence, TypeVar
 
 ENUMERATION_CAP = 7
@@ -186,28 +191,31 @@ def nuclei(L: LoopTable) -> Nucleus:
     return Nucleus(left, middle, right, nuc, center)
 
 
-def second_row_candidates(n: int) -> list[tuple[int, ...]]:
-    """All valid completions of the first undetermined row, lexicographic.
+@cache
+def row_candidates(n: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """Every row a normalized order-n table can hold, per row index.
 
-    Row 1 of a normalized table starts with 1 and must avoid the value
-    already placed in each column by the identity row.  Enumeration
-    work-splitting partitions on this list.
+    Entry 0 holds only the identity row.  Entry i >= 1 lists, in
+    lexicographic order, the permutations p with p[0] = i and p[j] != j
+    for j >= 1; the identity row and column rule out every other
+    permutation.  Each row comes with its mask, sum(1 << (j*n + p[j])) over
+    j >= 1, one bit per (column, value) pair the row occupies, so two
+    rows can share a table iff their masks are disjoint.
     """
-    out: list[tuple[int, ...]] = []
+    identity = tuple(range(n))
+    out: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for p in permutations(identity):
+        if p == identity or (p[0] and all(p[j] != j for j in range(1, n))):
+            out[p[0]].append((p, sum(1 << (j * n + p[j]) for j in range(1, n))))
+    return tuple(map(tuple, out))
 
-    def rec(j: int, row: list[int], used: int) -> None:
-        if j == n:
-            out.append(tuple(row))
-            return
-        for v in range(n):
-            b = 1 << v
-            if v != j and not used & b:
-                row.append(v)
-                rec(j + 1, row, used | b)
-                row.pop()
 
-    rec(1, [1], 1 << 1)
-    return out
+def second_row_candidates(n: int) -> list[tuple[int, ...]]:
+    """The rows a normalized table can hold at row 1, lexicographic.
+
+    Enumeration work-splitting partitions on this list.
+    """
+    return [row for row, _ in row_candidates(n)[1]]
 
 
 def enumerate_loops(
@@ -225,8 +233,12 @@ def enumerate_loops(
     are disjoint, cover everything, and each is internally lexicographic,
     so counts add up and global minima are the min over parts.
 
-    Rows 2..n-2 are searched and the last row is computed.  Returns the
-    number of loops visited.
+    Rows 0..n-2 are picked whole from the row_candidates lists: each
+    picked row drops, with one mask test per entry, the candidates of
+    the later rows that share a (column, value) pair with it.  The last
+    row is not searched: an (n-1) x n Latin rectangle has one
+    completion, the row whose mask is what the others left over.
+    Returns the number of loops visited.
     """
     if n > ENUMERATION_CAP:
         raise OrderTooLarge(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -235,54 +247,41 @@ def enumerate_loops(
     if part_count < 1 or not 0 <= part_index < part_count:
         raise ValueError(f"invalid partition {part_index}/{part_count}")
 
-    full = (1 << n) - 1
-    rows: list[tuple[int, ...]] = [tuple(range(n))]
-    col_masks = [1 << j for j in range(n)]
-    count = 0
+    table = row_candidates(n)
+    row_of = {m: row for cands in table for row, m in cands}
+    lists = [[m for _, m in cands] for cands in table[:-1]]  # rows 0..n-2
+    if n > 2:
+        lists[1] = lists[1][part_index::part_count]
+    elif part_index:
+        return 0  # the one order-2 loop, whose row 1 is the computed last row, is in part 0
+    every_pair = (1 << n * n) - (1 << n)  # bits j*n + v for columns j >= 1
+    return _pick(n, (), every_pair, lists, row_of, visitor)
 
-    def fill_row(i: int) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            visitor(LoopTable(n, tuple(rows), 0))
-            return
-        if i == n - 1:
-            # the one completion of the Latin rectangle: each column's missing entry
-            rows.append((i, *[(full ^ col_masks[j]).bit_length() - 1 for j in range(1, n)]))
-            fill_row(n)
-            rows.pop()
-            return
-        row = [0] * n
-        row[0] = i
 
-        def cell(j: int, row_mask: int) -> None:
-            if j == n:
-                rows.append(tuple(row))
-                fill_row(i + 1)
-                rows.pop()
-                return
-            avail = full & ~row_mask & ~col_masks[j]
-            while avail:
-                b = avail & -avail
-                avail ^= b
-                row[j] = b.bit_length() - 1
-                col_masks[j] |= b
-                cell(j + 1, row_mask | b)
-                col_masks[j] ^= b
+def _pick(
+    n: int,
+    prefix: tuple[tuple[int, ...], ...],
+    left: int,
+    lists: list[list[int]],
+    row_of: dict[int, tuple[int, ...]],
+    visitor: Callable[[LoopTable], None],
+) -> int:
+    """Visit every completion of prefix; returns how many there were.
 
-        cell(1, 1 << i)
-
-    candidates = second_row_candidates(n)
-    for idx in range(part_index, len(candidates), part_count):
-        cand = candidates[idx]
-        rows.append(cand)
-        for j in range(1, n):
-            col_masks[j] |= 1 << cand[j]
-        fill_row(2)
-        for j in range(1, n):
-            col_masks[j] ^= 1 << cand[j]
-        rows.pop()
-    return count
+    lists[k] holds the masks of the candidates for row len(prefix) + k
+    that lie within `left`, the (column, value) pairs no row of prefix
+    holds.
+    """
+    head, rest = lists[0], lists[1:]
+    if rest:
+        count = 0
+        for m in head:
+            later = [[c for c in cands if not c & m] for cands in rest]
+            count += _pick(n, prefix + (row_of[m],), left ^ m, later, row_of, visitor)
+        return count
+    for m in head:  # row n-2; row n-1 holds what is left
+        visitor(LoopTable(n, prefix + (row_of[m], row_of[left ^ m]), 0))
+    return len(head)
 
 
 def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:

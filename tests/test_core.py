@@ -1,6 +1,7 @@
 """loop-core: validation, nuclei, enumeration, the worker-process map."""
 
 import dataclasses
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -214,23 +215,76 @@ def test_enumeration_is_duplicate_free_and_valid():
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)  # lexicographic row-major order
 
+    # an order-7 part: four searched rows below row 1
+    part = []
+    got = enumerate_loops(7, lambda L: part.append(L.table), part_index=241, part_count=309)
+    assert got == len(part) == 54720
+    assert len(set(part)) == len(part)
+    assert part == sorted(part)
+
+
+# SHA-256 of the repr(L.table) lines visited, one per loop, recorded with
+# the earlier cell-by-cell search: any change of a table or of the visit
+# order changes the digest
+VISIT_DIGESTS = [
+    (6, 0, 1, 9408, "42bb845789e11394f3342a11a9bf635e6cb4d13972c4283e18e37046f3b3f521"),
+    (7, 0, 309, 55296, "a72d512156ed1a53519636c325d9c1a3e3ecdde6404e1da4e7ba53a56b98f963"),
+    (7, 150, 309, 55040, "3dd2142803bb80f91399d90b0758dfa9bdd666296c22f3fbf334e7d7ed684d40"),
+    (7, 308, 309, 55296, "a3bc53f3c80306a9458dd1958588a697f1b999d9ce2b633468432b3dbbb0c9e8"),
+]
+
+
+@pytest.mark.parametrize("n, part_index, part_count, count, digest", VISIT_DIGESTS)
+def test_enumeration_visit_sequence_is_pinned(n, part_index, part_count, count, digest):
+    h = hashlib.sha256()
+
+    def visit(L):
+        h.update(repr(L.table).encode())
+        h.update(b"\n")
+
+    assert enumerate_loops(n, visit, part_index=part_index, part_count=part_count) == count
+    assert h.hexdigest() == digest
+
 
 def test_enumeration_partition_is_exact():
-    full = []
-    enumerate_loops(5, lambda L: full.append(L.raw_rows()))
-    merged = []
-    total = 0
-    for k in range(3):
-        part = []
-        total += enumerate_loops(5, lambda L: part.append(L.raw_rows()),
-                                 part_index=k, part_count=3)
-        merged.extend(part)
-    assert total == len(full) == 56
-    assert sorted(merged) == full
+    # order 2's one loop has its row 1 computed, not searched
+    for n, part_count in ((2, 2), (5, 3), (6, 4), (6, 53)):
+        full = []
+        enumerate_loops(n, lambda L: full.append(L.table))
+        row1 = second_row_candidates(n)
+        merged = []
+        total = 0
+        for k in range(part_count):
+            part = []
+            total += enumerate_loops(n, lambda L: part.append(L.table),
+                                     part_index=k, part_count=part_count)
+            assert part == sorted(part)
+            # part k holds the loops whose row 1 has candidate index k mod part_count
+            assert {t[1] for t in part} == set(row1[k::part_count])
+            merged.extend(part)
+        assert total == len(full) == REDUCED_COUNTS[n]
+        assert sorted(merged) == full
 
 
 def test_second_row_candidates_order2():
     assert second_row_candidates(2) == [(1, 0)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_row_candidates_match_their_definition(n):
+    table = core.row_candidates(n)
+    assert len(table) == n
+    assert [row for row, _ in table[0]] == [tuple(range(n))]
+    for i, cands in enumerate(table):
+        rows = [row for row, _ in cands]
+        assert rows == sorted(set(rows))
+        if i:
+            assert len(rows) == {2: 1, 3: 1, 4: 3, 5: 11, 6: 53, 7: 309}[n]
+        for row, mask in cands:
+            assert sorted(row) == list(range(n)) and row[0] == i
+            assert i == 0 or all(row[j] != j for j in range(1, n))
+            assert mask == sum(1 << (j * n + row[j]) for j in range(1, n))
+    assert second_row_candidates(n) == [row for row, _ in table[1]]
 
 
 def test_enumeration_caps_and_bad_args():
