@@ -18,10 +18,10 @@ of the pointwise criteria they cross-check.
   scale: order 8 for the two-variable identities, order 6 for the
   three-variable ones, and a byte budget bounds any explicit cap.  It is
   the assumption-free reference and the `ring-check` backend.
-- low_weight_ring_check tests only tuples of basis elements and
-  weight-2 elements, which the degree lemma in its docstring shows is
-  enough.  It needs no product table, so it reaches the order-12 and
-  order-16 fixtures; oracle_equiv_srar and oracle_equiv_ra2 use it.
+- low_weight_ring_check scans the basis tuples early-exit on the Cayley
+  table, then the weight-2 tuples in numpy slabs; the degree lemma in
+  its docstring shows this is enough.  With no product table it runs up
+  to order 64; oracle_equiv_srar and oracle_equiv_ra2 use it.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ def ring_identity_check(
 
 
 # Each ring identity's (lhs, rhs), written once over the product m.  The
-# variable at position _SQUARED[ident] occurs twice on each side, every
-# other variable once.
+# squared variable, y (x in left alternative), occurs twice on each side,
+# every other variable once.
 _SIDES = {
     RingIdentityId.RIGHT_ALTERNATIVE: lambda m, x, y: (m(m(x, y), y), m(x, m(y, y))),
     RingIdentityId.LEFT_ALTERNATIVE: lambda m, x, y: (m(m(x, x), y), m(x, m(x, y))),
@@ -245,12 +245,6 @@ _SIDES = {
         lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
     RingIdentityId.RIGHT_MOUFANG:
         lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
-}
-_SQUARED = {
-    RingIdentityId.RIGHT_ALTERNATIVE: 1,
-    RingIdentityId.LEFT_ALTERNATIVE: 0,
-    RingIdentityId.RIGHT_BOL: 1,
-    RingIdentityId.RIGHT_MOUFANG: 1,
 }
 
 
@@ -284,22 +278,56 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
     elements; at weight 2, given weight 1, only the cross terms remain,
     which for right Bol at y = e_a + e_b are the four D/E/F products of
     the quadruple (x, a, z, b).  This function still evaluates only ring
-    products: a product with a basis element is a gather on the Cayley
-    table, and a weight-2 element is the XOR of one-hot uint64 masks.
+    products: a product of basis elements is one Cayley table entry, and
+    one with a weight-2 element XORs the one-hot uint64 masks of entries.
 
-    Scan order: first the tuples whose squared variable has weight 1,
-    then those where it has weight 2.  Within each stage the tuples run
-    in C order over (x, y[, z]), each variable's candidates in ascending
-    mask order.  The witness is the first failing tuple in that order.
-    Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
+    Scan order: first all tuples of basis elements in one early-exit scan,
+    identity included, then those whose squared variable has weight 2.
+    Each stage runs in C order over (x, y[, z]), each variable's candidates
+    in ascending mask order.  The witness is the first failing tuple in
+    that order.  Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
     """
     n = L.order
     if n > LOW_WEIGHT_CAP:
         raise OrderExceedsCap(
             f"order {n} exceeds the low-weight oracle's {LOW_WEIGHT_CAP}-bit masks"
         )
+    found = _basis_failure(L, ident) or _weight_two_failure(L, ident)
+    if found is None:
+        return None
+    *at, lhs, rhs = (Gf2Elem(n, bits) for bits in found)
+    return RingWitness(ident.value, tuple(at), lhs, rhs)
+
+
+def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
+    """Stage 1: masks of the first failing basis tuple, then of both sides."""
+    t, r = L.table, range(L.order)
+    if _NVARS[ident] == 2:
+        sides, m = _SIDES[ident], L.mul
+        for x in r:
+            for y in r:
+                lhs, rhs = sides(m, x, y)
+                if lhs != rhs:
+                    return 1 << x, 1 << y, 1 << lhs, 1 << rhs
+        return None
+    moufang = ident is RingIdentityId.RIGHT_MOUFANG
+    for x in r:
+        tx = t[x]
+        for y in r:
+            ty, txy = t[y], t[tx[y]]
+            for z in r:
+                # ((x*y)*z)*y against x*((y*z)*y), or x*(y*(z*y)) for Moufang
+                lhs = t[txy[z]][y]
+                rhs = tx[ty[t[z][y]]] if moufang else tx[t[ty[z]][y]]
+                if lhs != rhs:
+                    return 1 << x, 1 << y, 1 << z, 1 << lhs, 1 << rhs
+    return None
+
+
+def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
+    """Stage 2: the same with the squared variable at weight 2, in numpy slabs."""
     T = np.array(L.table, dtype=np.intp)
-    one, slabs = _low_weight_plan(n, ident)
+    one, slabs = _low_weight_plan(L.order, ident)
 
     def m(u, v):
         # a ring element is a tuple of index arrays, the sum of its one-hots
@@ -314,41 +342,36 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
         if bad.any():
             at = np.unravel_index(int(bad.argmax()), bad.shape)
             pos = (start + int(at[0]), *(int(i) for i in at[1:]))
-            return RingWitness(
-                ident.value,
-                tuple(Gf2Elem(n, sum(1 << int(t[p]) for t in c)) for c, p in zip(cands, pos)),
-                Gf2Elem(n, int(lhs[at])),
-                Gf2Elem(n, int(rhs[at])),
-            )
+            masks_at = (sum(1 << int(t[p]) for t in c) for c, p in zip(cands, pos))
+            return *masks_at, int(lhs[at]), int(rhs[at])
     return None
 
 
 @functools.cache
 def _low_weight_plan(n: int, ident: RingIdentityId):
-    """The one-hot masks, and the low-weight test set as slabs in scan order.
+    """The one-hot masks, and the stage-2 test set as slabs in scan order.
 
     Each slab is (cands, start, grid): cands[j] holds variable j's
     candidates as one index array per term, and grid is the slab of
     candidates from `start` on along x, with variable j on axis j.
     """
     k = _NVARS[ident]
-    weight_one = (np.arange(n),)
     weight_two = np.tril_indices(n, -1)  # (b, a) with a < b, ascending mask order
+    squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
+    cands = [weight_two if j == squared else (np.arange(n),) for j in range(k)]
+    step = max(1, _SLAB_ENTRIES // math.prod(len(c[0]) for c in cands[1:]))
     slabs = []
-    for squared in (weight_one, weight_two):
-        cands = [squared if j == _SQUARED[ident] else weight_one for j in range(k)]
-        step = max(1, _SLAB_ENTRIES // math.prod(len(c[0]) for c in cands[1:]))
-        for start in range(0, len(cands[0][0]), step):
-            grid = [
-                tuple(
-                    (t[start:start + step] if j == 0 else t).reshape(
-                        [-1 if i == j else 1 for i in range(k)]
-                    )
-                    for t in c
+    for start in range(0, len(cands[0][0]), step):
+        grid = [
+            tuple(
+                (t[start:start + step] if j == 0 else t).reshape(
+                    [-1 if i == j else 1 for i in range(k)]
                 )
-                for j, c in enumerate(cands)
-            ]
-            slabs.append((cands, start, grid))
+                for t in c
+            )
+            for j, c in enumerate(cands)
+        ]
+        slabs.append((cands, start, grid))
     return np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)), tuple(slabs)
 
 

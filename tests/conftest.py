@@ -82,15 +82,18 @@ def z6():
 
 @pytest.fixture
 def scan_counts(monkeypatch):
-    """A Counter of every identity scan, triple-product build and quadruple scan.
+    """A Counter of every identity scan, condition build and ring oracle stage.
 
     Identity scans are counted per IdentityId value whether they are
     reached through identities._CHECKS or, inside identities.py, by their
     module-level name; triple-product builds as "triple_products"
-    (conditions._triple_values) and quadruple scans as "quad_scans"
-    (conditions._first_quad).
+    (conditions._triple_values), quadruple scans as "quad_scans"
+    (conditions._first_quad), and the ring oracle's basis scans and
+    weight-2 runs as "ring_basis_scans" and "ring_weight_two_runs"
+    (gf2ring._basis_failure and gf2ring._weight_two_failure).
     """
     import loopkit.conditions as conditions
+    import loopkit.gf2ring as gf2ring
     import loopkit.identities as identities
     from loopkit import IdentityId
 
@@ -106,6 +109,11 @@ def scan_counts(monkeypatch):
         scan = counted(ident.value, identities._CHECKS[ident])
         monkeypatch.setitem(identities._CHECKS, ident, scan)
         monkeypatch.setattr(identities, f"_{ident.value}", scan)
-    for attr, name in (("_triple_values", "triple_products"), ("_first_quad", "quad_scans")):
-        monkeypatch.setattr(conditions, attr, counted(name, getattr(conditions, attr)))
+    for module, attr, name in (
+        (conditions, "_triple_values", "triple_products"),
+        (conditions, "_first_quad", "quad_scans"),
+        (gf2ring, "_basis_failure", "ring_basis_scans"),
+        (gf2ring, "_weight_two_failure", "ring_weight_two_runs"),
+    ):
+        monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
     return calls

@@ -28,7 +28,7 @@ from loopkit import (
 from loopkit import gf2ring
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5, NON_BOL_5_RAW
+from conftest import CORPUS5, NON_BOL_5_RAW, relabelled
 
 masks6 = st.integers(0, 63)
 
@@ -365,6 +365,19 @@ def test_low_weight_witnesses_at_weight_two(ident):
     }[ident]
 
 
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_witnesses_on_relabelled_loops(ident):
+    # enumerated loops all have identity 0; relabelled, the basis scan must
+    # still visit the identity element in index order, skipping nothing
+    corpus = [relabelled(L, seed) for L in CORPUS5 for seed in (1, 2, 3)]
+    corpus += [relabelled(L, seed) for L in (bol16(), moufang12()) for seed in (4, 5)]
+    assert all(L.identity != 0 for L in corpus[-4:])
+    for L in corpus:
+        w = low_weight_ring_check(L, ident)
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_low_weight_failure(L, ident), L.raw_rows()
+
+
 def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
     # one x per slab: the slab offsets must give back the same witnesses
     from loopkit import gf2ring
@@ -387,7 +400,7 @@ def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
     for n in (2, 3, 5, 8):
         _, slabs = gf2ring._low_weight_plan(n, ident)
         pairs = [c for cands, _, _ in slabs for c in cands if len(c) == 2]
-        assert pairs
+        assert len(pairs) == len(slabs) > 0  # the basis stage has no slabs
         for b, a in pairs:
             masks = [(1 << int(u)) | (1 << int(v)) for u, v in zip(b, a)]
             assert all(bin(m).count("1") == 2 for m in masks)
@@ -408,17 +421,21 @@ def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
         monkeypatch.setattr(identities, f"_{ident.value}", forbidden)
     # fresh tables, so no cache built before the patch can answer
     verdicts = {}
-    for L in (bol16(), moufang12()):
+    for L in (bol16(), moufang12(), validate_table(NON_BOL_5_RAW)):
         for ident in RingIdentityId:
             w = low_weight_ring_check(L, ident)
             verdicts[L.order, ident] = w is None
             if w is not None:
                 lhs, rhs = _ring_definitions(L)[ident](*w.elements)
                 assert lhs == w.lhs and rhs == w.rhs and lhs != rhs
+                if L.order == 5:  # every law fails in the basis stage
+                    assert all(len(e.support()) == 1 for e in w.elements)
     # M(S3,2) is Moufang and RA2: all four ring laws hold.  Bol 16.7.2.1
-    # is right alternative but neither SRAR nor left alternative.
+    # is right alternative but neither SRAR nor left alternative.  The
+    # order-5 loop satisfies none of the four laws, even on basis elements.
     assert verdicts == {
         **{(12, ident): True for ident in RingIdentityId},
+        **{(5, ident): False for ident in RingIdentityId},
         (16, RingIdentityId.RIGHT_ALTERNATIVE): True,
         (16, RingIdentityId.LEFT_ALTERNATIVE): False,
         (16, RingIdentityId.RIGHT_BOL): False,

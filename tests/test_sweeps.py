@@ -47,11 +47,25 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     # right Bol, right Moufang and extra once; each Bol loop builds its
     # triple products once and scans quadruples twice (SRAR and the
     # all-three-or-one lemma).  The 6 further RIP scans are LIP's choice
-    # of inverse, inside identities.py.
+    # of inverse, inside identities.py.  The 6 Moufang loops are groups,
+    # so alt_ring_equiv_moufang decides both ring alternative laws on
+    # each, and each law passes the basis stage into the weight-2 stage.
     assert scan_counts == {
         "right_bol": 56, "right_moufang": 56, "extra": 56, "associative": 6,
         "right_alternative": 6, "rip": 6 + 6, "lip": 6, "commutative": 6,
         "triple_products": 6, "quad_scans": 12,
+        "ring_basis_scans": 6 * 2, "ring_weight_two_runs": 6 * 2,
+    }
+
+
+def test_ring_sweep_reaches_weight_two_only_past_the_basis_stage(scan_counts):
+    run_sweep(SweepSpec((5,), ("srar_ring_equiv",)))
+    # ring right Bol is scanned on basis tuples for all 56 loops; only the
+    # 6 right Bol loops, whose rings hold there, run the weight-2 stage.
+    # The pointwise side scans right Bol, then quadruples on the Bol loops.
+    assert scan_counts == {
+        "ring_basis_scans": 56, "ring_weight_two_runs": 6,
+        "right_bol": 56, "quad_scans": 6,
     }
 
 
