@@ -29,7 +29,7 @@ from .catalog import (
     write_report,
 )
 from .conditions import LoopFacts, quad_values
-from .gf2ring import OrderExceedsCap, RingIdentityId, ring_identity_check
+from .gf2ring import OrderExceedsCap, RingIdentityId, low_weight_ring_check
 from .identities import IdentityId
 from .sweeps import CHECKS, SweepResult, SweepSpec, render_sweep, run_sweep
 
@@ -70,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="append counterexample lines for failing records (text format)")
     sp.add_argument("files", nargs="+")
 
-    sp = sub.add_parser("ring-check", help="brute-force a ring identity per record")
+    sp = sub.add_parser("ring-check", help="decide a GF(2) ring identity per record")
     sp.add_argument("--identity", choices=sorted(RING_IDENTITY_FLAGS), required=True)
-    sp.add_argument("--cap", type=int, default=None, help="override the order cap")
     sp.add_argument("files", nargs="+")
 
     sp = sub.add_parser("survey", help="classification survey with census counts")
@@ -181,7 +180,7 @@ def _cmd_ring_check(args) -> int:
     out = []
     for rec in records:
         try:
-            w = ring_identity_check(rec.loop, ident, cap=args.cap)
+            w = low_weight_ring_check(rec.loop, ident)
         except OrderExceedsCap as exc:
             out.append(f"{rec.name}: skipped: {exc}")
             skipped = True

@@ -10,18 +10,19 @@ Two oracles decide the four ring identities.  Both compute only ring
 products of GF(2) vectors from the Cayley table, so they are independent
 of the pointwise criteria they cross-check.
 
+- low_weight_ring_check scans the basis tuples early-exit on the Cayley
+  table, then the weight-2 tuples in numpy slabs; the degree lemma in
+  its docstring shows this is enough.  With no product table it runs up
+  to order 64; `loopkit ring-check`, oracle_equiv_srar and
+  oracle_equiv_ra2 use it.
 - ring_identity_check enumerates every tuple of ring elements (masks
   scan in ascending integer order) over the 2^n x 2^n product table.
   All four identities share one loop over x: each supplies the lhs and
   rhs slabs over (y[, z]) for a fixed x, and the first mismatch in C
-  order is the witness.  Default caps keep the 2^(kn) scans at desk
+  order is the witness.  Fixed caps keep the 2^(kn) scans at desk
   scale: order 8 for the two-variable identities, order 6 for the
-  three-variable ones, and a byte budget bounds any explicit cap.  It is
-  the assumption-free reference and the `ring-check` backend.
-- low_weight_ring_check scans the basis tuples early-exit on the Cayley
-  table, then the weight-2 tuples in numpy slabs; the degree lemma in
-  its docstring shows this is enough.  With no product table it runs up
-  to order 64; oracle_equiv_srar and oracle_equiv_ra2 use it.
+  three-variable ones.  It is the assumption-free reference the tests
+  hold the low-weight oracle to.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ from .conditions import LoopFacts, first_abc_gap, first_triple_gap
 
 TWO_VAR_CAP = 8
 THREE_VAR_CAP = 6
-# Peak bytes the brute scan holds per entry of the 2^n x 2^n table (4^n
-# entries), rounded up from tracemalloc peaks: 4.0 for two variables at
-# orders 8-10 (the uint16 table and its doubling copy), and 14.1 and 12.5
-# for three at orders 8 and 9 (adding q[y, z] and the per-x slabs).  A
-# scan whose estimate is over the budget is refused.
-_BYTES_PER_ENTRY = {2: 4, 3: 16}
-RING_BYTE_BUDGET = 256 << 20
 # The low-weight oracle holds ring elements as uint64 masks.
 LOW_WEIGHT_CAP = 64
 # Grid points per low-weight slab, so its memory stays bounded at any order.
@@ -176,33 +170,18 @@ def product_table(L: LoopTable) -> np.ndarray:
     return P
 
 
-def default_cap(ident: RingIdentityId) -> int:
-    return TWO_VAR_CAP if _NVARS[ident] == 2 else THREE_VAR_CAP
-
-
-def ring_identity_check(
-    L: LoopTable, ident: RingIdentityId, cap: int | None = None
-) -> RingWitness | None:
+def ring_identity_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | None:
     """Scan all ring-element tuples; None when the identity holds.
 
     Scans run with x outermost in ascending mask order, then (y[, z]) in
     C order, so the reported witness is the lexicographically first
-    violating tuple.  Raises OrderExceedsCap when the loop order is over
-    the (default or explicit) cap, or when its estimated peak memory is
-    over RING_BYTE_BUDGET; either check runs before anything is allocated.
+    violating tuple.  Raises OrderExceedsCap, before anything is
+    allocated, past TWO_VAR_CAP or THREE_VAR_CAP.
     """
-    limit = default_cap(ident) if cap is None else cap
     n = L.order
-    if n > limit:
-        raise OrderExceedsCap(
-            f"order {n} exceeds cap {limit} for {ident.value}; pass an explicit cap to override"
-        )
-    need = _BYTES_PER_ENTRY[_NVARS[ident]] << 2 * n
-    if need > RING_BYTE_BUDGET:
-        raise OrderExceedsCap(
-            f"order {n} {ident.value} scan would hold about {need >> 20} MiB, over the "
-            f"{RING_BYTE_BUDGET >> 20} MiB budget"
-        )
+    cap = TWO_VAR_CAP if _NVARS[ident] == 2 else THREE_VAR_CAP
+    if n > cap:
+        raise OrderExceedsCap(f"order {n} exceeds cap {cap} for {ident.value}")
     P = product_table(L)
     N = 1 << n
     Y = np.arange(N, dtype=np.intp)
@@ -287,16 +266,20 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
     in ascending mask order.  The witness is the first failing tuple in
     that order.  Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
     """
-    n = L.order
-    if n > LOW_WEIGHT_CAP:
-        raise OrderExceedsCap(
-            f"order {n} exceeds the low-weight oracle's {LOW_WEIGHT_CAP}-bit masks"
-        )
-    found = _basis_failure(L, ident) or _weight_two_failure(L, ident)
+    found = _low_weight_failure(L, ident)
     if found is None:
         return None
-    *at, lhs, rhs = (Gf2Elem(n, bits) for bits in found)
+    *at, lhs, rhs = (Gf2Elem(L.order, bits) for bits in found)
     return RingWitness(ident.value, tuple(at), lhs, rhs)
+
+
+def _low_weight_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
+    """Masks of the first failing low-weight tuple, then of both sides."""
+    if L.order > LOW_WEIGHT_CAP:
+        raise OrderExceedsCap(
+            f"order {L.order} exceeds the low-weight oracle's {LOW_WEIGHT_CAP}-bit masks"
+        )
+    return _basis_failure(L, ident) or _weight_two_failure(L, ident)
 
 
 def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
@@ -382,7 +365,7 @@ def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
     equivalence failed and should be treated as an implementation bug.
     """
     f = LoopFacts.of(L)
-    ring_side = low_weight_ring_check(f.loop, RingIdentityId.RIGHT_BOL) is None
+    ring_side = _low_weight_failure(f.loop, RingIdentityId.RIGHT_BOL) is None
     return ring_side == f.srar
 
 
@@ -399,8 +382,8 @@ def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     return on such input is data, not a bug.
     """
     f = LoopFacts.of(L)
-    left_ring = low_weight_ring_check(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
+    left_ring = _low_weight_failure(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
     if left_ring != (first_abc_gap(f) is None):
         return False
-    right_ring = low_weight_ring_check(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
+    right_ring = _low_weight_failure(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
     return right_ring == (first_triple_gap(f) is None)

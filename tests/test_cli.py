@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from loopkit import parse_catalog
+from loopkit import parse_catalog, ring_identity_check
 from loopkit.catalog import emit_record
+from loopkit.cli import RING_IDENTITY_FLAGS
 from loopkit.fixtures import cyclic_group
 
 from conftest import NON_BOL_5_RAW
@@ -118,14 +119,60 @@ def test_ring_check_holds_and_fails(small_catalog):
     assert r.stdout.splitlines()[0] == "Z4: right-alt holds"
 
 
-def test_ring_check_cap_skip_and_override(small_catalog):
-    r = run_cli("ring-check", "--identity", "right-moufang", FIXTURES)
+FIXTURE_RING_CHECKS = {
+    "right-bol": (2, [
+        "16.7.2.1: ring_right_bol fails at x=2 y=2+3 z=9: lhs=10+11+13+14 rhs=9+10+14+16",
+        "M(S3,2): right-bol holds",
+    ]),
+    "right-moufang": (2, [
+        "16.7.2.1: ring_right_moufang fails at x=1 y=2 z=9: lhs=9 rhs=11",
+        "M(S3,2): right-moufang holds",
+    ]),
+    "right-alt": (0, ["16.7.2.1: right-alt holds", "M(S3,2): right-alt holds"]),
+    "left-alt": (2, [
+        "16.7.2.1: ring_left_alternative fails at x=2 y=9: lhs=9 rhs=11",
+        "M(S3,2): left-alt holds",
+    ]),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FIXTURE_RING_CHECKS))
+def test_ring_check_decides_the_fixtures(flag):
+    code, lines = FIXTURE_RING_CHECKS[flag]
+    r = run_cli("ring-check", "--identity", flag, FIXTURES)
+    assert (r.returncode, r.stdout.splitlines()) == (code, lines)
+
+
+def test_ring_check_skips_orders_past_the_low_weight_cap(tmp_path):
+    path = tmp_path / "z64_z65.loops"
+    path.write_text(
+        emit_record("Z64", cyclic_group(64)) + "\n" + emit_record("Z65", cyclic_group(65)) + "\n"
+    )
+    r = run_cli("ring-check", "--identity", "right-alt", str(path))
     assert r.returncode == 1
-    assert all("skipped: order" in line for line in r.stdout.splitlines())
-    # --cap tightens as well as loosens
-    r = run_cli("ring-check", "--identity", "right-bol", "--cap", "3", small_catalog)
-    assert r.returncode == 1
-    assert all("skipped" in line for line in r.stdout.splitlines())
+    assert r.stdout.splitlines() == [
+        "Z64: right-alt holds",
+        "Z65: skipped: order 65 exceeds the low-weight oracle's 64-bit masks",
+    ]
+
+
+@pytest.fixture(scope="module")
+def order5_catalog(tmp_path_factory):
+    path = tmp_path_factory.mktemp("enum") / "order5.loops"
+    path.write_text(run_cli("enumerate", "--order", "5").stdout)
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", sorted(RING_IDENTITY_FLAGS))
+def test_ring_check_agrees_with_the_brute_force_reference(flag, order5_catalog):
+    ident = RING_IDENTITY_FLAGS[flag]
+    with open(order5_catalog, encoding="utf-8") as fh:
+        records = parse_catalog(fh)
+    r = run_cli("ring-check", "--identity", flag, order5_catalog)
+    verdicts = [line.endswith(f": {flag} holds") for line in r.stdout.splitlines()]
+    expected = [ring_identity_check(rec.loop, ident) is None for rec in records]
+    assert verdicts == expected
+    assert r.returncode == (0 if all(expected) else 2)
 
 
 def test_jobs_must_be_positive():
@@ -187,6 +234,7 @@ def test_usage_errors():
     assert run_cli("enumerate", "--order", "9").returncode == 3
     assert run_cli("survey", "--format", "yaml", FIXTURES).returncode == 3
     assert run_cli("ring-check", FIXTURES).returncode == 3  # --identity required
+    assert run_cli("ring-check", "--identity", "right-bol", "--cap", "3", FIXTURES).returncode == 3
 
 
 def test_help_exits_zero():
