@@ -102,6 +102,9 @@ def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
 # default), so tokens stop at 18 digits, more than any loop that fits in
 # memory needs
 _NUMBER = re.compile(r"[0-9]{1,18}")
+# a stripped table row: numbers separated by whitespace, which for str
+# patterns is what str.split() splits on
+_ROW = re.compile(r"[0-9]{1,18}(?:\s+[0-9]{1,18})*")
 
 
 def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[list[int]]]]:
@@ -147,9 +150,9 @@ def _iter_raw_records(lines: Iterable[str]) -> Iterator[tuple[str, int, list[lis
             cells = rline.split()
             if len(cells) != n:
                 raise ParseError(rline_no, f"expected {n} entries, got {len(cells)}")
-            if not all(_NUMBER.fullmatch(c) for c in cells):
+            if not _ROW.fullmatch(rline):
                 raise ParseError(rline_no, f"non-integer table entry in {rline!r}")
-            grid.append([int(c) for c in cells])
+            grid.append(list(map(int, cells)))
         yield name, header_line, grid
 
 

@@ -27,10 +27,14 @@ the same letters for the primed conditions) or "A","B","C".
 The per-tuple functions (quad_values, quad_conditions, triple_conditions,
 abc_conditions) are the definitional reference.  The whole-loop scans
 evaluate the same bracketings with one numpy kernel over product arrays
-built from the Cayley table: n^3 arrays for triples, and one n^3 slab per
-first element x for quadruples, so memory stays O(n^3) and a gap search
-stops at the first x that has one.  Every scan reports the
-lexicographically first flagged tuple.
+built from the Cayley table: n^3 arrays for triples, and for quadruples
+blocks of 1, 1, 2, 4, ... first elements x, one n^3 slab each, with at
+most 2^16 quadruples per block unless one slab is larger.  So memory
+stays O(n^3), a loop with a gap at x = 0 pays for one slab, and a loop
+with no gap pays for about log n blocks instead of n slabs.  The kernel
+takes two bracketings and the transposition of the scanned elements that
+gives the other two, and codes D, E and F in four comparisons.  Every
+scan reports the lexicographically first flagged tuple.
 
 LoopFacts caches a loop's identity witnesses, SRAR and RA2 witnesses,
 extra flag, and triple products with their D'/E'/F' code, which
@@ -210,69 +214,96 @@ def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:
 
 
 # The evaluation kernel.  Every condition family compares four bracketings
-# a, b, c, d elementwise, and each bracketing is a transpose of (xy)z or of
-# x(yz), so one code function serves them all: bit 1 = D (a=b and c=d),
-# bit 2 = E (a=d and b=c), bit 4 = F (a=c and b=d).  Arrays are indexed by
-# the scanned elements in scan order, so the first flagged code in C order
-# is the lexicographically first tuple.
+# a, b, c, d elementwise, where c and d are a and b under one transposition
+# of the scanned elements, so one code function serves them all: bit 1 = D
+# (a=b and c=d), bit 2 = E (a=d and b=c), bit 4 = F (a=c and b=d).  Since
+# c=d is a=b transposed and b=c is a=d transposed, four comparisons give
+# all three bits.  Arrays are indexed by the scanned elements in scan
+# order, so the first flagged code in C order is the lexicographically
+# first tuple.
 
 _D, _E, _F = 1, 2, 4
 _PAIRS = (_D | _E, _D | _F, _E | _F)
 
-# codes flagged by each quadruple scan: the empty set, and sets of size 0 or 2
-_EMPTY = np.array([code == 0 for code in range(8)])
-_SIZE_0_OR_2 = np.array([code in (0, *_PAIRS) for code in range(8)])
+# codes flagged by each quadruple scan, as bit masks over the 8 codes: the
+# empty set, and sets of size 0 or 2
+_EMPTY = np.uint8(1)
+_SIZE_0_OR_2 = np.uint8(sum(1 << code for code in (0, *_PAIRS)))
+
+# the transpositions giving c, d from a, b: triples [x, y, z] swap y and
+# z, A/B/C swaps x and y, quadruple blocks [x, y, z, w] swap y and w
+_TRIPLE_AXES = (0, 2, 1)
+_ABC_AXES = (1, 0, 2)
+_QUAD_AXES = (0, 3, 2, 1)
+
+_BLOCK = 1 << 16  # quadruples per block, at most
 
 
-def _code(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The 3-bit D/E/F code of four product arrays."""
-    has_d = ((a == b) & (c == d)).view(np.uint8)
-    has_e = ((a == d) & (b == c)).view(np.uint8)
-    has_f = ((a == c) & (b == d)).view(np.uint8)
+def _code(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The 3-bit D/E/F code of a, b, c = a.transpose(axes), d = b.transpose(axes)."""
+    e1 = a == b
+    e2 = a == b.transpose(axes)
+    has_d = (e1 & e1.transpose(axes)).view(np.uint8)
+    has_e = (e2 & e2.transpose(axes)).view(np.uint8)
+    has_f = ((a == a.transpose(axes)) & (b == b.transpose(axes))).view(np.uint8)
     return has_d | has_e << 1 | has_f << 2
 
 
 def _first_flagged(
-    identity_id: str, flagged: np.ndarray, values: tuple[np.ndarray, ...], prefix: tuple = ()
+    identity_id: str, flagged: np.ndarray, values: tuple[np.ndarray, ...], x0: int = 0
 ) -> Witness | None:
-    """Witness at the first True of `flagged` in C order, or None.
+    """Witness at the first nonzero entry of `flagged` in C order, or None.
 
     lhs and rhs are the first unequal pair of `values` there, in the
-    order the caller lists them.
+    order the caller lists them; x0 is added to the first element.
     """
     k = int(flagged.argmax())
     if not flagged.flat[k]:
         return None
     at = np.unravel_index(k, flagged.shape)
     lhs, rhs = _first_diff(tuple(int(v[at]) for v in values))
-    return Witness(identity_id, prefix + tuple(int(i) for i in at), lhs, rhs)
+    return Witness(identity_id, (x0 + int(at[0]), *(int(i) for i in at[1:])), lhs, rhs)
 
 
 def _tables(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
-    """The Cayley table T in the smallest fitting dtype, and TT[a,b,c] = (ab)c."""
-    T = np.array(L.table, dtype=np.min_scalar_type(L.order - 1))
-    return T, T[T]
+    """The Cayley table as intp indices and as values in its smallest dtype.
+
+    Products compare fastest in the small dtype, and numpy gathers with
+    intp indices without casting them first.
+    """
+    return L.array.astype(np.intp), L.array
 
 
-def _triple_values(L: LoopTable) -> tuple[np.ndarray, ...]:
-    """(xy)z, x(yz), (xz)y, x(zy), each indexed [x, y, z]."""
-    T, TT = _tables(L)
-    a, b = TT, T[:, T]
-    return a, b, a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+def _triple_values(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
+    """(xy)z and x(yz), each indexed [x, y, z]."""
+    T, V = _tables(L)
+    return V[T], V.take(T, axis=1)
 
 
-def _quad_slabs(L: LoopTable):
-    """Yield x and the products S, T, U, V for that x, each indexed [y, z, w]."""
-    T, TT = _tables(L)
-    for x in range(L.order):
-        s, t = TT[T[x]], T[x][TT]
-        yield x, (s, t, s.transpose(2, 1, 0), t.transpose(2, 1, 0))
+def _quad_blocks(L: LoopTable):
+    """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
+
+    Blocks double, 1, 1, 2, 4, ... first elements, each of at most
+    _BLOCK quadruples unless one n^3 slab is larger: a gap at x = 0
+    costs one slab, and a full scan about log n blocks.
+    """
+    T, V = _tables(L)
+    TT, VV = T[T], V[T]
+    n = L.order
+    cap = max(1, _BLOCK // n**3)
+    x0 = 0
+    while x0 < n:
+        x1 = min(x0 + min(max(x0, 1), cap), n)
+        yield x0, VV[T[x0:x1]], V[x0:x1].take(TT, axis=1)
+        x0 = x1
 
 
-def _first_quad(L: LoopTable, identity_id: str, flag: np.ndarray) -> Witness | None:
-    """First quadruple whose D/E/F code is flagged, in x-slabs of n^3."""
-    for x, values in _quad_slabs(L):
-        w = _first_flagged(identity_id, flag[_code(*values)], values, (x,))
+def _first_quad(L: LoopTable, identity_id: str, flags: np.uint8) -> Witness | None:
+    """First quadruple whose D/E/F code is in `flags`, in doubling x-blocks."""
+    for x0, s, t in _quad_blocks(L):
+        values = (s, t, s.transpose(_QUAD_AXES), t.transpose(_QUAD_AXES))
+        flagged = flags >> _code(s, t, _QUAD_AXES) & 1
+        w = _first_flagged(identity_id, flagged, values, x0)
         if w is not None:
             return w
     return None
@@ -285,15 +316,16 @@ def first_quad_gap(L: LoopTable) -> Witness | None:
 
 def first_triple_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose D'/E'/F' set is empty, scan order (x, y, z)."""
-    values, code = LoopFacts.of(L).triples
+    (a, b), code = LoopFacts.of(L).triples
+    values = (a, b, a.transpose(_TRIPLE_AXES), b.transpose(_TRIPLE_AXES))
     return _first_flagged("def_prime_coverage", code == 0, values)
 
 
 def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose {A,B,C} set is empty."""
-    p1, p3 = LoopFacts.of(L).triples[0][:2]
-    p2, p4 = p1.transpose(1, 0, 2), p3.transpose(1, 0, 2)
-    return _first_flagged("abc_coverage", _code(p1, p3, p2, p4) == 0, (p1, p2, p3, p4))
+    p1, p3 = LoopFacts.of(L).triples[0]
+    p2, p4 = p1.transpose(_ABC_AXES), p3.transpose(_ABC_AXES)
+    return _first_flagged("abc_coverage", _code(p1, p3, _ABC_AXES) == 0, (p1, p2, p3, p4))
 
 
 class LoopFacts:
@@ -315,10 +347,10 @@ class LoopFacts:
         return self._witnesses[ident]
 
     @cached_property
-    def triples(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """The four triple products (see _triple_values) and their D'/E'/F' code."""
+    def triples(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """(xy)z and x(yz) (see _triple_values) and their D'/E'/F' code."""
         values = _triple_values(self.loop)
-        return values, _code(*values)
+        return values, _code(*values, _TRIPLE_AXES)
 
     @cached_property
     def srar_witness(self) -> Witness | None:
@@ -378,7 +410,9 @@ def triple_profile(L: LoopFacts | LoopTable) -> TripleProfile:
 
 def quad_profile(L: LoopTable) -> QuadProfile:
     """Count the quadruples realizing each subset of {D,E,F}."""
-    counts = sum(np.bincount(_code(*values).ravel(), minlength=8) for _, values in _quad_slabs(L))
+    counts = sum(
+        np.bincount(_code(s, t, _QUAD_AXES).ravel(), minlength=8) for _, s, t in _quad_blocks(L)
+    )
     return QuadProfile(_profile_dict(counts.tolist()), L.order**4)
 
 

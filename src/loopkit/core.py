@@ -18,8 +18,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 ENUMERATION_CAP = 7
 
@@ -60,8 +62,8 @@ class TheoremViolation(LoopError):
 class LoopTable:
     """An order-n loop given by its Cayley table (0-indexed internally).
 
-    Only the table is stored; rinv and linv are derived from it on first
-    read, with x * rinv[x] = identity and linv[x] * x = identity.
+    Only the table is stored; rinv, linv and array are derived from it on
+    first read, with x * rinv[x] = identity and linv[x] * x = identity.
     """
 
     order: int
@@ -75,6 +77,13 @@ class LoopTable:
     @cached_property
     def linv(self) -> tuple[int, ...]:
         return tuple(col.index(self.identity) for col in zip(*self.table))
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only numpy array in the smallest fitting dtype."""
+        a = np.array(self.table, dtype=np.min_scalar_type(self.order - 1))
+        a.flags.writeable = False
+        return a
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -121,11 +130,38 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     """Check a 1-indexed square array and build a LoopTable from it.
 
     Raises Malformed, NotLatin, or NoIdentity; diagnostics use 1-indexed
-    rows, columns, and entries.
+    rows, columns, and entries.  A table of plain ints whose every row
+    and column is the set 1..n passes in one set comparison per line;
+    any other input goes through _first_fault, which finds and words the
+    first fault cell by cell.
     """
     n = len(raw)
     if n == 0:
         raise Malformed("empty table")
+    labels = set(range(1, n + 1))
+    if not (
+        set(map(type, chain.from_iterable(raw))) == {int}
+        and all(len(row) == n and set(row) == labels for row in raw)
+        and all(set(col) == labels for col in zip(*raw))
+    ):
+        _first_fault(raw, n)  # returns only on valid tables with int subclass entries
+
+    table = tuple(tuple([v - 1 for v in row]) for row in raw)
+    try:  # a Latin square has at most one identity row
+        ident = table.index(tuple(range(n)))
+    except ValueError:
+        ident = None
+    if ident is None or any(row[ident] != x for x, row in enumerate(table)):
+        raise NoIdentity("no element is a two-sided identity")
+    return LoopTable(n, table, ident)
+
+
+def _first_fault(raw: Sequence[Sequence[int]], n: int) -> None:
+    """Raise for the first fault of a nonempty table, in validation order.
+
+    Row shapes and entries come first, row by row, then repeats within
+    rows, then repeats within columns.
+    """
     for i, row in enumerate(raw):
         if len(row) != n:
             raise Malformed(f"row {i + 1} has {len(row)} entries, expected {n}")
@@ -145,17 +181,6 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
             if v in seen:
                 raise NotLatin(f"column {j + 1} repeats entry {v}")
             seen.add(v)
-
-    expected = tuple(range(1, n + 1))
-    ident = None
-    for e in range(n):
-        if tuple(raw[e]) == expected and all(raw[x][e] == x + 1 for x in range(n)):
-            ident = e
-            break
-    if ident is None:
-        raise NoIdentity("no element is a two-sided identity")
-
-    return LoopTable(n, tuple(tuple(v - 1 for v in row) for row in raw), ident)
 
 
 def normalized(L: LoopTable) -> LoopTable:

@@ -54,6 +54,8 @@ class OrderExceedsCap(LoopError):
 
 
 class RingIdentityId(Enum):
+    __hash__ = object.__hash__  # C-level; the members are singletons
+
     RIGHT_ALTERNATIVE = "ring_right_alternative"
     LEFT_ALTERNATIVE = "ring_left_alternative"
     RIGHT_BOL = "ring_right_bol"

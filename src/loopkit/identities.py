@@ -23,7 +23,12 @@ giving its (lhs, rhs) at (x, y), and runs through the one early-exit
 scan `_pairs`.  The four three-variable scans (right Bol, right Moufang,
 extra, associative) are hand-unrolled instead, because they run on every
 loop of a sweep and unrolling measured about twice as fast as a generic
-scan; the comment above them has the numbers.
+scan.  On loops of order 8 and up, a three-variable scan whose first x
+row holds hands its remaining rows to `_tail`, which evaluates the
+identity, written once in `_SIDES` as an (lhs, rhs) pair over a product,
+with numpy; the first mismatch in C order is the witness there too.  So
+no loop of order 7 or less, where nearly every scan stops in its first
+row, ever pays for numpy.  The comment above the scans has the numbers.
 """
 
 from __future__ import annotations
@@ -32,10 +37,14 @@ import functools
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import LoopTable, Witness, nuclei
 
 
 class IdentityId(Enum):
+    __hash__ = object.__hash__  # C-level; the members are singletons
+
     RIGHT_BOL = "right_bol"
     RIGHT_MOUFANG = "right_moufang"
     FLEXIBLE = "flexible"
@@ -121,6 +130,66 @@ def _commutative(L: LoopTable) -> Witness | None:
 # tensor; associative took 5.9 unrolled and 12.7 as a lambda scan, all
 # over every tuple.  In paired runs the _SKIPS_E skips took the unrolled
 # scans from 7.1-9.2 to 2.8-3.7 (right Bol) and 5.9-7.7 to 2.2-3.3.
+#
+# From _TAIL_ORDER on, a scan whose first row holds hands the other rows
+# to _tail.  On relabelled cyclic groups, where every scan runs to the
+# end, the numpy tail pays from order 7 for right Bol and right Moufang
+# and from order 8 for all four (µs per loop in the benchmark's reference
+# units, Python against tail: order 7 right Bol 33.7 against 29.1,
+# associative 19.7 against 23.6; order 8 right Bol 45.0 against 35.2,
+# associative 28.4 against 25.8; order 12 right Bol 144 against 65).  A
+# scan that fails early in its second row pays about 15 µs more in numpy
+# than in Python, and 96% of the order-6 loops (all of a sampled order-7
+# enumeration part) fail right Bol and associativity in their first row,
+# so below order 8 the Python scan stays the whole scan.  The tail takes
+# all its rows in one block up to _BLOCK tuples: on seeded relabellings
+# of both fixtures, blocks of 1, 2, 4, ... rows cost more on the scans
+# that hold (right Bol 11.4 against 6.8 ms per 80 loops) than they saved
+# on those that fail in row 2 (extra 3.3 against 3.6 ms).
+
+_TAIL_ORDER = 8
+_BLOCK = 1 << 16  # tuples per numpy block, at most
+
+# (lhs, rhs) of each three-variable identity over a product m, for _tail;
+# the unrolled scans below evaluate the same equations
+_SIDES = {
+    IdentityId.RIGHT_BOL: lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
+    IdentityId.RIGHT_MOUFANG: lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
+    IdentityId.EXTRA: lambda m, x, y, z: (m(m(m(x, y), z), x), m(x, m(y, m(z, x)))),
+    IdentityId.ASSOCIATIVE: lambda m, x, y, z: (m(m(x, y), z), m(x, m(y, z))),
+}
+
+
+@functools.cache
+def _grid(n: int, e: int, ident: IdentityId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The domains of ident as arrays shaped to broadcast over [x, y, z]."""
+    xs, ys, zs = (np.array(d, dtype=np.intp) for d in _domains(n, e, ident))
+    for a in (xs, ys, zs):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return xs[:, None, None], ys[:, None], zs
+
+
+def _tail(L: LoopTable, ident: IdentityId) -> Witness | None:
+    """The first failing tuple of ident past the first x of its domain.
+
+    The rows go to numpy in blocks of at most _BLOCK tuples, which at
+    order 16 is all of them at once.  The first mismatch in C order is
+    the witness, as in the Python scans.
+    """
+    xs, y, z = _grid(L.order, L.identity, ident)
+    T = L.array.astype(np.intp)  # numpy casts any other index array first
+    sides = _SIDES[ident]
+    rows = max(1, _BLOCK // (y.size * z.size))
+    for start in range(1, len(xs), rows):
+        x = xs[start:start + rows]
+        lhs, rhs = sides(lambda a, b: T[a, b], x, y, z)
+        bad = lhs != rhs
+        k = int(bad.argmax())
+        if bad.flat[k]:
+            i, j, l = np.unravel_index(k, bad.shape)
+            return Witness(ident.value, (int(x[i, 0, 0]), int(y[j, 0]), int(z[l])),
+                           int(lhs[i, j, l]), int(rhs[i, j, l]))
+    return None
 
 
 def _right_bol(L: LoopTable) -> Witness | None:
@@ -136,6 +205,8 @@ def _right_bol(L: LoopTable) -> Witness | None:
                 rhs = tx[t[ty[z]][y]]
                 if lhs != rhs:
                     return Witness("right_bol", (x, y, z), lhs, rhs)
+        if L.order >= _TAIL_ORDER:
+            return _tail(L, IdentityId.RIGHT_BOL)
     return None
 
 
@@ -152,6 +223,8 @@ def _right_moufang(L: LoopTable) -> Witness | None:
                 rhs = tx[ty[t[z][y]]]
                 if lhs != rhs:
                     return Witness("right_moufang", (x, y, z), lhs, rhs)
+        if L.order >= _TAIL_ORDER:
+            return _tail(L, IdentityId.RIGHT_MOUFANG)
     return None
 
 
@@ -168,6 +241,8 @@ def _extra(L: LoopTable) -> Witness | None:
                 rhs = tx[ty[t[z][x]]]
                 if lhs != rhs:
                     return Witness("extra", (x, y, z), lhs, rhs)
+        if L.order >= _TAIL_ORDER:
+            return _tail(L, IdentityId.EXTRA)
     return None
 
 
@@ -184,6 +259,8 @@ def _associative(L: LoopTable) -> Witness | None:
                 rhs = tx[ty[z]]
                 if lhs != rhs:
                     return Witness("associative", (x, y, z), lhs, rhs)
+        if L.order >= _TAIL_ORDER:
+            return _tail(L, IdentityId.ASSOCIATIVE)
     return None
 
 

@@ -86,10 +86,12 @@ def scan_counts(monkeypatch):
 
     Identity scans are counted per IdentityId value whether they are
     reached through identities._CHECKS or, inside identities.py, by their
-    module-level name; triple-product builds as "triple_products"
-    (conditions._triple_values), quadruple scans as "quad_scans"
-    (conditions._first_quad), and the ring oracle's basis scans and
-    weight-2 runs as "ring_basis_scans" and "ring_weight_two_runs"
+    module-level name; numpy tails of the three-variable scans as
+    "identity_tails" (identities._tail); triple-product builds as
+    "triple_products" (conditions._triple_values), quadruple scans as
+    "quad_scans" (conditions._first_quad, one per scan whatever its
+    number of x-blocks), and the ring oracle's basis scans and weight-2
+    runs as "ring_basis_scans" and "ring_weight_two_runs"
     (gf2ring._basis_failure and gf2ring._weight_two_failure).
     """
     import loopkit.conditions as conditions
@@ -110,6 +112,7 @@ def scan_counts(monkeypatch):
         monkeypatch.setitem(identities._CHECKS, ident, scan)
         monkeypatch.setattr(identities, f"_{ident.value}", scan)
     for module, attr, name in (
+        (identities, "_tail", "identity_tails"),
         (conditions, "_triple_values", "triple_products"),
         (conditions, "_first_quad", "quad_scans"),
         (gf2ring, "_basis_failure", "ring_basis_scans"),

@@ -337,10 +337,19 @@ def test_kernel_matches_per_tuple_reference(name):
 
 def test_no_condition_set_has_size_two():
     # any two of D, E, F force S=T=U=V, which is the third, so the
-    # all-three-or-one lemma can only ever flag the empty set
-    s, t, u, v = np.array(list(product(range(4), repeat=4)), dtype=np.uint8).T
-    codes = set(conditions._code(s, t, u, v).tolist())
-    assert len(s) == 256 and codes == {0, 1, 2, 4, 7}
+    # all-three-or-one lemma can only ever flag the empty set.  Each of
+    # the 4^4 value patterns (s, t, u, v) sits on a mirrored pair of
+    # cells, s, t at (i, j) of a, b and u, v at (j, i), so the transposed
+    # arrays give u, v there; each code is checked against the definitions
+    cells = dict(zip(product(range(4), repeat=4), combinations(range(24), 2)))
+    a, b = np.zeros((2, 24, 24), dtype=np.uint8)
+    for (s, t, u, v), (i, j) in cells.items():
+        a[i, j], b[i, j], a[j, i], b[j, i] = s, t, u, v
+    code = conditions._code(a, b, (1, 0))
+    for (s, t, u, v), (i, j) in cells.items():
+        want = (s == t and u == v) | (s == v and t == u) << 1 | (s == u and t == v) << 2
+        assert code[i, j] == want, (s, t, u, v)
+    assert len(cells) == 256 and {int(code[ij]) for ij in cells.values()} == {0, 1, 2, 4, 7}
 
 
 # order5-6 is the first order-5 loop that is not right Bol
@@ -434,6 +443,52 @@ def test_srar_triples_all_three_or_one(L):
 
 def test_first_quad_gap_none_on_srar(t2):
     assert first_quad_gap(t2) is None
+
+
+def _first_empty_quad(L: LoopTable) -> Witness | None:
+    """The first quadruple with no D, E or F, from the per-tuple functions."""
+    for q in product(range(L.order), repeat=4):
+        if not quad_conditions(L, *q):
+            v = quad_values(L, *q)
+            return _ref_witness("def_coverage", q, (v.s, v.t, v.u, v.v))
+    return None
+
+
+# seeded relabellings of Bol 16.7.2.1 whose first quadruple gap is at
+# x = 0, 1, 2, 3 and 4: the first four x-blocks, x = 2 and 3 sharing one
+@pytest.mark.parametrize("seed, x", [(0, 0), (1, 1), (13, 2), (151, 3), (454, 4)])
+def test_quad_gap_witness_in_each_block(seed, x):
+    L = relabelled(bol16(), seed)
+    w = first_quad_gap(L)
+    assert w.elements[0] == x
+    assert w == _first_empty_quad(L)
+
+
+def test_srar_loop_has_no_gap_in_any_block(t2):
+    for L in (t2, relabelled(t2, 3)):
+        assert first_quad_gap(L) is None is _first_empty_quad(L)
+        assert lemma_allthree(L) is None
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (2, [(0, 1), (1, 1)]),
+    (12, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 4)]),
+    (16, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 8)]),
+    # 24^3 = 13 824, so at most 4 first elements fit in 2^16 quadruples
+    (24, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 4), (12, 4), (16, 4), (20, 4)]),
+    # one slab of 41^3 is already over 2^16: one first element per block
+    (41, [(x, 1) for x in range(41)]),
+])
+def test_quad_blocks_double_up_to_the_cap(n, blocks):
+    L = relabelled(cyclic_group(n), n)
+    got = []
+    for x0, s, t in conditions._quad_blocks(L):
+        got.append((x0, len(s)))
+        assert s.shape == t.shape == (len(s), n, n, n)
+        for i, y, z, w in product((0, len(s) - 1), (0, n - 1), (1,), (0, n - 2)):
+            q = quad_values(L, x0 + i, y, z, w)
+            assert (s[i, y, z, w], t[i, y, z, w]) == (q.s, q.t)
+    assert got == blocks
 
 
 @given(st.permutations(list(range(12))))

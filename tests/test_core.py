@@ -84,6 +84,40 @@ def test_booleans_are_not_table_entries():
         validate_table([[True, 2], [2, True]])
 
 
+@pytest.mark.parametrize("raw, error, message", [
+    # a length or entry fault in a later row wins over repeats anywhere
+    ([[1, 1, 3], [2, 3], [3, 1, 2]], Malformed, "row 2 has 2 entries, expected 3"),
+    ([[1, 1], [2, 3]], Malformed, "row 2 contains 3, expected an integer in 1..2"),
+    ([[2, 2], [1, 1.0]], Malformed, "row 2 contains 1.0, expected an integer in 1..2"),
+    ([[1, 3], ["2", 1]], Malformed, "row 1 contains 3, expected an integer in 1..2"),
+    ([[1, [2]], [2, 1]], Malformed, r"row 1 contains \[2\], expected an integer in 1..2"),
+    # a repeat within a row wins over repeats within columns
+    ([[1, 2, 3], [1, 2, 2], [3, 1, 2]], NotLatin, "row 2 repeats entry 2"),
+    ([[1, 2, 3], [1, 3, 2], [2, 3, 1]], NotLatin, "column 1 repeats entry 1"),
+    ([[1, 2, 3], [2, 3, 1], [3, 2, 1]], NotLatin, "column 2 repeats entry 2"),
+])
+def test_first_fault_is_reported(raw, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        validate_table(raw)
+
+
+def test_entries_are_ints_but_not_bools():
+    # True == 1 and 1.0 == 1, so a table of them has the right sets of
+    # entries, but only int subclasses other than bool are accepted
+    with pytest.raises(Malformed, match="^row 2 contains True"):
+        validate_table([[1, 2], [2, True]])
+    with pytest.raises(Malformed, match="^row 1 contains 1.0"):
+        validate_table([[1.0, 2], [2, 1]])
+
+    class Label(int):
+        pass
+
+    raw = [[2, 3, 1], [3, 1, 2], [1, 2, 3]]
+    L = validate_table([[Label(v) for v in row] for row in raw])
+    assert L == validate_table(raw) and L.identity == 2
+    assert all(type(v) is int for row in L.table for v in row)
+
+
 def test_not_latin_row_and_column():
     with pytest.raises(NotLatin, match="row 2 repeats entry 2"):
         validate_table([[1, 2], [2, 2]])

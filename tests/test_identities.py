@@ -1,6 +1,7 @@
 """identity-checks: the ten named identities and their interplay."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -230,3 +231,69 @@ def test_skipped_tuples_hold_by_definition(ident):
                 lhs, rhs = definition(*tup)
                 assert lhs == rhs, (L.raw_rows(), tup)
     assert skipped_any
+
+
+THREE_VARIABLE = (
+    IdentityId.RIGHT_BOL, IdentityId.RIGHT_MOUFANG, IdentityId.EXTRA, IdentityId.ASSOCIATIVE,
+)
+
+
+def _product(A: LoopTable, B: LoopTable) -> LoopTable:
+    """The direct product A x B, with (a, b) labelled a * |B| + b."""
+    m = B.order
+    return validate_table([
+        [A.table[a][c] * m + B.table[b][d] + 1 for c in range(A.order) for d in range(m)]
+        for a in range(A.order) for b in range(m)
+    ])
+
+
+# products of the first five order-5 loops with Z2 and Z3 (orders 10 and
+# 15), and relabellings of them: on these each three-variable identity
+# first fails in the second x row of its scan on some loops and later on
+# others, so the numpy tail finds the witness
+TAIL_CORPUS = tuple(
+    L
+    for A in CORPUS5[6:11]
+    for Z in (cyclic_group(2), cyclic_group(3))
+    for P in (_product(A, Z), _product(Z, A))
+    for L in (P, relabelled(P, 0), relabelled(P, 1))
+)
+
+
+@pytest.mark.parametrize("ident", THREE_VARIABLE, ids=lambda i: i.value)
+def test_tail_witnesses_match_definitional_scan(ident):
+    rows = Counter()
+    for L in TAIL_CORPUS:
+        w = check_identity(L, ident)
+        got = None if w is None else (w.elements, w.lhs, w.rhs)
+        assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()
+        if w is not None:
+            xs = identities._domains(L.order, L.identity, ident)[0]
+            rows[min(xs.index(w.elements[0]), 2)] += 1
+    # failures in the first row (Python), the second and a later one (numpy)
+    assert rows[0] and rows[1] and rows[2], rows
+
+
+def test_tail_blocks_keep_the_first_witness():
+    # at order 80 a numpy block holds 10 x rows; on this product every
+    # three-variable identity first fails at x = 16, in the second block
+    L = _product(CORPUS5[8], cyclic_group(16))
+    for ident in THREE_VARIABLE:
+        xs, ys, zs = identities._domains(L.order, L.identity, ident)
+        w = check_identity(L, ident)
+        assert xs.index(w.elements[0]) > identities._BLOCK // (len(ys) * len(zs))
+        assert (w.elements, w.lhs, w.rhs) == _first_failure(L, _definitions(L)[ident])
+
+
+def test_numpy_tails_start_at_order_8(scan_counts):
+    # relabelled groups hold every identity, so each scan passes its
+    # first row; below order 8 the rest stays in Python as well
+    for n in range(2, 8):
+        for seed in range(3):
+            L = relabelled(cyclic_group(n), seed)
+            for ident in THREE_VARIABLE:
+                assert check_identity(L, ident) is None
+    assert scan_counts["identity_tails"] == 0
+    for ident in THREE_VARIABLE:
+        assert check_identity(relabelled(cyclic_group(8), 0), ident) is None
+    assert scan_counts["identity_tails"] == 4
