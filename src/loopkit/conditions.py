@@ -36,26 +36,27 @@ takes two bracketings and the transposition of the scanned elements that
 gives the other two, and codes D, E and F in four comparisons.  Every
 scan reports the lexicographically first flagged tuple.
 
-LoopFacts caches a loop's identity witnesses, SRAR and RA2 witnesses,
-extra flag, and triple products with their D'/E'/F' code, which
-coverage, the triple profile and both triple gaps reduce.  is_srar,
-is_ra2, those triple functions, the lemma_* verifiers, thm_main_verify
-and gf2ring's oracle_equiv_* take a LoopFacts or a LoopTable, so a sweep
-or a classification passes its one LoopFacts through.  The kernel scans
-(check_identity, first_quad_gap, quad_profile) take the bare table: the
-cache calls them, and the benchmark's tracer counts their work from it.
-So does cor_odd_verify, which the order-7 tier calls once per loop.
+LoopFacts caches a loop's identity scans as plain failure tuples, its
+SRAR and RA2 verdicts, extra flag, and triple products with their
+D'/E'/F' code, which coverage, the triple profile and both triple gaps
+reduce; it builds a Witness only when one is read.  is_srar, is_ra2,
+those triple functions, the lemma_* verifiers, thm_main_verify and
+gf2ring's oracle_equiv_* take a LoopFacts or a LoopTable, so a sweep or
+a classification passes its one LoopFacts through.  The kernel scans
+(identities.first_failure, first_quad_gap, quad_profile) take the bare
+table, and the cache calls them.  So does cor_odd_verify, which the
+order-7 tier calls once per loop and which decides through
+identities.holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import LoopTable, LoopError, TheoremViolation, Witness
-from .identities import IdentityId, check_identity, is_extra
+from .core import LoopTable, LoopError, TheoremViolation, Witness, memo
+from .identities import Failure, IdentityId, first_failure, holds, is_extra
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
@@ -127,8 +128,14 @@ class MainTheoremReport:
         )
 
 
+# all four checks, built once: the order-7 tier makes one per loop
+_IMPLICATIONS = {
+    (h, c): ImplicationCheck(h, c, not h or c) for h in (False, True) for c in (False, True)
+}
+
+
 def _implication(hypothesis: bool, conclusion: bool) -> ImplicationCheck:
-    return ImplicationCheck(hypothesis, conclusion, (not hypothesis) or conclusion)
+    return _IMPLICATIONS[hypothesis, conclusion]
 
 
 def subset_key(conds: frozenset[str]) -> str:
@@ -329,49 +336,67 @@ def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
 
 
 class LoopFacts:
-    """The whole-loop facts of one loop, each computed at most once."""
+    """The whole-loop facts of one loop, each computed at most once.
+
+    The flags only test the scans' failure tuples for None; a Witness is
+    built when witness, srar_witness or ra2_witness is read.
+    """
 
     def __init__(self, loop: LoopTable):
         self.loop = loop
-        self._witnesses: dict[IdentityId, Witness | None] = {}
+        self._failures: dict[IdentityId, Failure | None] = {}
 
     @classmethod
     def of(cls, L: LoopFacts | LoopTable) -> LoopFacts:
         """L itself if it is a LoopFacts, else fresh facts of the table L."""
         return L if isinstance(L, LoopFacts) else cls(L)
 
-    def witness(self, ident: IdentityId) -> Witness | None:
-        """check_identity on this loop, scanned once per identity."""
-        if ident not in self._witnesses:
-            self._witnesses[ident] = check_identity(self.loop, ident)
-        return self._witnesses[ident]
+    def _failure(self, ident: IdentityId) -> Failure | None:
+        """first_failure on this loop, scanned once per identity."""
+        if ident not in self._failures:
+            self._failures[ident] = first_failure(self.loop, ident)
+        return self._failures[ident]
 
-    @cached_property
+    def holds(self, ident: IdentityId) -> bool:
+        return self._failure(ident) is None
+
+    def witness(self, ident: IdentityId) -> Witness | None:
+        """check_identity on this loop, from the one scan per identity."""
+        found = self._failure(ident)
+        return None if found is None else Witness(ident.value, *found)
+
+    @memo
     def triples(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """(xy)z and x(yz) (see _triple_values) and their D'/E'/F' code."""
         values = _triple_values(self.loop)
         return values, _code(*values, _TRIPLE_AXES)
 
-    @cached_property
+    # The condition halves of SRAR and RA2, read only where the identity
+    # half holds, so that the flags and the witnesses share one scan.
+    _quad_gap = memo(lambda self: first_quad_gap(self.loop))
+    _coverage_gap = memo(lambda self: first_abc_gap(self) or first_triple_gap(self))
+
+    @memo
     def srar_witness(self) -> Witness | None:
         """The first right Bol counterexample, else the first quadruple with no D/E/F."""
-        return self.witness(IdentityId.RIGHT_BOL) or first_quad_gap(self.loop)
+        return self.witness(IdentityId.RIGHT_BOL) or self._quad_gap
 
-    @cached_property
+    @memo
     def ra2_witness(self) -> Witness | None:
         """The first failure of right Moufang, then A/B/C, then D'/E'/F' coverage."""
-        w = self.witness(IdentityId.RIGHT_MOUFANG)
-        return w or first_abc_gap(self) or first_triple_gap(self)
+        return self.witness(IdentityId.RIGHT_MOUFANG) or self._coverage_gap
 
-    # The flags stay cached_property: the sweep reads them on every loop,
-    # and plain property reads of the memos measured slower there.
-    right_bol = cached_property(lambda self: self.witness(IdentityId.RIGHT_BOL) is None)
-    moufang = cached_property(lambda self: self.witness(IdentityId.RIGHT_MOUFANG) is None)
-    associative = cached_property(lambda self: self.witness(IdentityId.ASSOCIATIVE) is None)
-    srar = cached_property(lambda self: self.srar_witness is None)
-    ra2 = cached_property(lambda self: self.ra2_witness is None)
-    extra = cached_property(lambda self: is_extra(self.loop))
-    coverage = cached_property(lambda self: triple_coverage(self))
+    # The flags are memos too: the sweep reads them on every loop, and as
+    # plain properties over the per-identity failures they made a sweep of
+    # the non-ring checks over orders 2-6 about 12% slower (median of 7
+    # alternating runs, 332-343 against 374-384 ms on a 2-CPU Xeon).
+    right_bol = memo(lambda self: self.holds(IdentityId.RIGHT_BOL))
+    moufang = memo(lambda self: self.holds(IdentityId.RIGHT_MOUFANG))
+    associative = memo(lambda self: self.holds(IdentityId.ASSOCIATIVE))
+    srar = memo(lambda self: self.right_bol and self._quad_gap is None)
+    ra2 = memo(lambda self: self.moufang and self._coverage_gap is None)
+    extra = memo(lambda self: is_extra(self.loop))
+    coverage = memo(lambda self: triple_coverage(self))
 
     @property
     def odd_order(self) -> bool:
@@ -428,9 +453,8 @@ def _profile_dict(counts: list[int]) -> dict[str, int]:
 def _bol_facts(L: LoopFacts | LoopTable) -> LoopFacts:
     """The facts of L, which must be right Bol (raises NotBol otherwise)."""
     f = LoopFacts.of(L)
-    w = f.witness(IdentityId.RIGHT_BOL)
-    if w is not None:
-        raise NotBol(w.describe())
+    if not f.right_bol:
+        raise NotBol(f.witness(IdentityId.RIGHT_BOL).describe())
     return f
 
 
@@ -443,7 +467,7 @@ def lemma_allthree(L: LoopFacts | LoopTable) -> Witness | None:
     0.  The scan stays for the sweep cell.
     """
     f = LoopFacts.of(L)
-    if f.srar_witness is not None:
+    if not f.srar:
         raise NotSrar(f.srar_witness.describe())
     return _first_quad(f.loop, "quad_all_three_or_one", _SIZE_0_OR_2)
 
@@ -489,7 +513,7 @@ def thm_main_verify(L: LoopFacts | LoopTable) -> MainTheoremReport:
     """
     f = _bol_facts(L)
     cov = f.coverage
-    commutative = f.witness(IdentityId.COMMUTATIVE) is None
+    commutative = f.holds(IdentityId.COMMUTATIVE)
     return MainTheoremReport(
         de_implies_ra2_extra=_implication(cov.de_everywhere, f.ra2 and f.extra),
         df_implies_group=_implication(cov.df_everywhere, f.associative),
@@ -500,13 +524,14 @@ def thm_main_verify(L: LoopFacts | LoopTable) -> MainTheoremReport:
 def cor_odd_verify(L: LoopTable) -> ImplicationCheck:
     """Odd order and SRAR must imply associativity.
 
-    No LoopFacts: the order-7 tier calls this once per loop, and building
-    one made each call about a third slower.
+    No LoopFacts: the order-7 tier calls this once per loop, and deciding
+    through one took 7.8 against 4.3 µs per loop on order-7 enumeration
+    part 45 (median of 7 runs on a 2-CPU Xeon, enumeration excluded).
     """
     hypothesis = (
         L.order % 2 == 1
-        and check_identity(L, IdentityId.RIGHT_BOL) is None
+        and holds(L, IdentityId.RIGHT_BOL)
         and first_quad_gap(L) is None
     )
-    conclusion = check_identity(L, IdentityId.ASSOCIATIVE) is None
+    conclusion = holds(L, IdentityId.ASSOCIATIVE)
     return _implication(hypothesis, conclusion)

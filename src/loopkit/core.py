@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, permutations
 from typing import Callable, Sequence, TypeVar
 
@@ -27,6 +27,24 @@ ENUMERATION_CAP = 7
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class memo:
+    """functools.cached_property as of Python 3.12: computed on first read and
+    stored in the instance __dict__, without the RLock that 3.11 takes there."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class LoopError(Exception):
@@ -70,15 +88,20 @@ class LoopTable:
     table: tuple[tuple[int, ...], ...]
     identity: int
 
-    @cached_property
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], identity: int):
+        # the generated frozen __init__ pays an object.__setattr__ per field
+        d = self.__dict__
+        d["order"], d["table"], d["identity"] = order, table, identity
+
+    @memo
     def rinv(self) -> tuple[int, ...]:
         return tuple(row.index(self.identity) for row in self.table)
 
-    @cached_property
+    @memo
     def linv(self) -> tuple[int, ...]:
         return tuple(col.index(self.identity) for col in zip(*self.table))
 
-    @cached_property
+    @memo
     def array(self) -> np.ndarray:
         """The table as a read-only numpy array in the smallest fitting dtype."""
         a = np.array(self.table, dtype=np.min_scalar_type(self.order - 1))
@@ -106,6 +129,10 @@ class Witness:
     elements: tuple[int, ...]
     lhs: int
     rhs: int
+
+    def __init__(self, identity_id: str, elements: tuple[int, ...], lhs: int, rhs: int):
+        d = self.__dict__  # as in LoopTable
+        d["identity_id"], d["elements"], d["lhs"], d["rhs"] = identity_id, elements, lhs, rhs
 
     def one_indexed(self) -> tuple[int, ...]:
         return tuple(x + 1 for x in self.elements)

@@ -339,7 +339,11 @@ def _low_weight_plan(n: int, ident: RingIdentityId):
     Each slab is (cands, start, grid): cands[j] holds variable j's
     candidates as one index array per term, and grid is the slab of
     candidates from `start` on along x, with variable j on axis j.
+    Below order 2 there is no element of weight 2, so there are no slabs.
     """
+    one = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    if n < 2:
+        return one, ()
     k = _NVARS[ident]
     weight_two = np.tril_indices(n, -1)  # (b, a) with a < b, ascending mask order
     squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
@@ -357,7 +361,7 @@ def _low_weight_plan(n: int, ident: RingIdentityId):
             for j, c in enumerate(cands)
         ]
         slabs.append((cands, start, grid))
-    return np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)), tuple(slabs)
+    return one, tuple(slabs)
 
 
 def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:

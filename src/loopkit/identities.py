@@ -17,8 +17,13 @@ equation:
 
 A scan skips the tuples that the identity law alone decides (`_SKIPS_E`),
 so the first failing tuple in full lexicographic order is still the one
-returned as a Witness, and results are deterministic across runs and
-partitions.  A two-variable identity is written once, as a function
+it returns, and results are deterministic across runs and partitions.
+Scans decide without explaining: each returns that tuple as a plain
+(elements, lhs, rhs) tuple, or None.  check_identity is the one route
+that wraps it in a Witness; first_failure hands it on bare, to caches
+such as conditions.LoopFacts that explain only on request.  holds,
+is_moufang and is_extra only test for None, so deciding a loop builds
+no Witness.  A two-variable identity is written once, as a function
 giving its (lhs, rhs) at (x, y), and runs through the one early-exit
 scan `_pairs`.  The four three-variable scans (right Bol, right Moufang,
 extra, associative) are hand-unrolled instead, because they run on every
@@ -40,6 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import LoopTable, Witness, nuclei
+
+Failure = tuple[tuple[int, ...], int, int]  # a scan's (elements, lhs, rhs)
 
 
 class IdentityId(Enum):
@@ -77,38 +84,38 @@ def _domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
 
 def _pairs(
     L: LoopTable, ident: IdentityId, sides: Callable[[int, int], tuple[int, int]]
-) -> Witness | None:
+) -> Failure | None:
     """First (x, y) in C order where the two sides of a two-variable identity differ."""
     xs, ys = _domains(L.order, L.identity, ident)
     for x in xs:
         for y in ys:
             lhs, rhs = sides(x, y)
             if lhs != rhs:
-                return Witness(ident.value, (x, y), lhs, rhs)
+                return (x, y), lhs, rhs
     return None
 
 
-def _flexible(L: LoopTable) -> Witness | None:
+def _flexible(L: LoopTable) -> Failure | None:
     t = L.table
     return _pairs(L, IdentityId.FLEXIBLE, lambda y, z: (t[t[y][z]][y], t[y][t[z][y]]))
 
 
-def _right_alternative(L: LoopTable) -> Witness | None:
+def _right_alternative(L: LoopTable) -> Failure | None:
     t = L.table
     return _pairs(L, IdentityId.RIGHT_ALTERNATIVE, lambda x, y: (t[t[x][y]][y], t[x][t[y][y]]))
 
 
-def _left_alternative(L: LoopTable) -> Witness | None:
+def _left_alternative(L: LoopTable) -> Failure | None:
     t = L.table
     return _pairs(L, IdentityId.LEFT_ALTERNATIVE, lambda x, y: (t[t[x][x]][y], t[x][t[x][y]]))
 
 
-def _rip(L: LoopTable) -> Witness | None:
+def _rip(L: LoopTable) -> Failure | None:
     t, rinv = L.table, L.rinv
     return _pairs(L, IdentityId.RIP, lambda x, y: (t[t[x][y]][rinv[y]], x))
 
 
-def _lip(L: LoopTable) -> Witness | None:
+def _lip(L: LoopTable) -> Failure | None:
     # x' means the right inverse when RIP holds (then inverses are
     # two-sided); otherwise the equation is read literally with the left
     # inverse, so the check is total on arbitrary loops.
@@ -117,7 +124,7 @@ def _lip(L: LoopTable) -> Witness | None:
     return _pairs(L, IdentityId.LIP, lambda x, y: (t[inv[x]][t[x][y]], y))
 
 
-def _commutative(L: LoopTable) -> Witness | None:
+def _commutative(L: LoopTable) -> Failure | None:
     t = L.table
     return _pairs(L, IdentityId.COMMUTATIVE, lambda x, y: (t[x][y], t[y][x]))
 
@@ -169,7 +176,7 @@ def _grid(n: int, e: int, ident: IdentityId) -> tuple[np.ndarray, np.ndarray, np
     return xs[:, None, None], ys[:, None], zs
 
 
-def _tail(L: LoopTable, ident: IdentityId) -> Witness | None:
+def _tail(L: LoopTable, ident: IdentityId) -> Failure | None:
     """The first failing tuple of ident past the first x of its domain.
 
     The rows go to numpy in blocks of at most _BLOCK tuples, which at
@@ -187,12 +194,12 @@ def _tail(L: LoopTable, ident: IdentityId) -> Witness | None:
         k = int(bad.argmax())
         if bad.flat[k]:
             i, j, l = np.unravel_index(k, bad.shape)
-            return Witness(ident.value, (int(x[i, 0, 0]), int(y[j, 0]), int(z[l])),
-                           int(lhs[i, j, l]), int(rhs[i, j, l]))
+            return ((int(x[i, 0, 0]), int(y[j, 0]), int(z[l])),
+                    int(lhs[i, j, l]), int(rhs[i, j, l]))
     return None
 
 
-def _right_bol(L: LoopTable) -> Witness | None:
+def _right_bol(L: LoopTable) -> Failure | None:
     t = L.table
     xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_BOL)
     for x in xs:
@@ -204,13 +211,13 @@ def _right_bol(L: LoopTable) -> Witness | None:
                 lhs = t[txy[z]][y]
                 rhs = tx[t[ty[z]][y]]
                 if lhs != rhs:
-                    return Witness("right_bol", (x, y, z), lhs, rhs)
+                    return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
             return _tail(L, IdentityId.RIGHT_BOL)
     return None
 
 
-def _right_moufang(L: LoopTable) -> Witness | None:
+def _right_moufang(L: LoopTable) -> Failure | None:
     t = L.table
     xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_MOUFANG)
     for x in xs:
@@ -222,13 +229,13 @@ def _right_moufang(L: LoopTable) -> Witness | None:
                 lhs = t[txy[z]][y]
                 rhs = tx[ty[t[z][y]]]
                 if lhs != rhs:
-                    return Witness("right_moufang", (x, y, z), lhs, rhs)
+                    return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
             return _tail(L, IdentityId.RIGHT_MOUFANG)
     return None
 
 
-def _extra(L: LoopTable) -> Witness | None:
+def _extra(L: LoopTable) -> Failure | None:
     t = L.table
     xs, ys, zs = _domains(L.order, L.identity, IdentityId.EXTRA)
     for x in xs:
@@ -240,13 +247,13 @@ def _extra(L: LoopTable) -> Witness | None:
                 lhs = t[txy[z]][x]
                 rhs = tx[ty[t[z][x]]]
                 if lhs != rhs:
-                    return Witness("extra", (x, y, z), lhs, rhs)
+                    return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
             return _tail(L, IdentityId.EXTRA)
     return None
 
 
-def _associative(L: LoopTable) -> Witness | None:
+def _associative(L: LoopTable) -> Failure | None:
     t = L.table
     xs, ys, zs = _domains(L.order, L.identity, IdentityId.ASSOCIATIVE)
     for x in xs:
@@ -258,13 +265,13 @@ def _associative(L: LoopTable) -> Witness | None:
                 lhs = txy[z]
                 rhs = tx[ty[z]]
                 if lhs != rhs:
-                    return Witness("associative", (x, y, z), lhs, rhs)
+                    return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
             return _tail(L, IdentityId.ASSOCIATIVE)
     return None
 
 
-_CHECKS: dict[IdentityId, Callable[[LoopTable], Witness | None]] = {
+_CHECKS: dict[IdentityId, Callable[[LoopTable], Failure | None]] = {
     IdentityId.RIGHT_BOL: _right_bol,
     IdentityId.RIGHT_MOUFANG: _right_moufang,
     IdentityId.FLEXIBLE: _flexible,
@@ -280,6 +287,12 @@ _CHECKS: dict[IdentityId, Callable[[LoopTable], Witness | None]] = {
 
 def check_identity(L: LoopTable, ident: IdentityId) -> Witness | None:
     """Return None when the identity holds, else the first counterexample."""
+    found = _CHECKS[ident](L)
+    return None if found is None else Witness(ident.value, *found)
+
+
+def first_failure(L: LoopTable, ident: IdentityId) -> Failure | None:
+    """check_identity's counterexample as a plain (elements, lhs, rhs) tuple."""
     return _CHECKS[ident](L)
 
 

@@ -114,17 +114,15 @@ def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
 
 
 def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
-    w = f.witness(IdentityId.RIGHT_ALTERNATIVE)
-    if w is not None:
-        return f"right Bol loop fails right alternative: {w.describe()}"
-    w = f.witness(IdentityId.RIP)
-    if w is not None:
-        return f"right Bol loop fails RIP: {w.describe()}"
+    laws = ((IdentityId.RIGHT_ALTERNATIVE, "right alternative"), (IdentityId.RIP, "RIP"))
+    for ident, law in laws:
+        if not f.holds(ident):
+            return f"right Bol loop fails {law}: {f.witness(ident).describe()}"
     return None
 
 
 def _check_bol_lip_implies_moufang(f: LoopFacts) -> str | None:
-    if f.witness(IdentityId.LIP) is None and not f.moufang:
+    if f.holds(IdentityId.LIP) and not f.moufang:
         return "right Bol loop with LIP is not Moufang"
     return None
 

@@ -156,6 +156,18 @@ def test_ring_check_skips_orders_past_the_low_weight_cap(tmp_path):
     ]
 
 
+def test_ring_check_decides_the_order_1_loop(tmp_path):
+    # validate accepts the trivial loop, and its ring Z2 satisfies every
+    # law; below order 2 the low-weight oracle has no weight-2 stage
+    path = tmp_path / "one.loops"
+    path.write_text("loop one\norder 1\n1\n")
+    (record,) = parse_catalog(path.read_text())
+    for flag, ident in sorted(RING_IDENTITY_FLAGS.items()):
+        r = run_cli("ring-check", "--identity", flag, str(path))
+        assert (r.returncode, r.stdout, r.stderr) == (0, f"one: {flag} holds\n", "")
+        assert ring_identity_check(record.loop, ident) is None
+
+
 @pytest.fixture(scope="module")
 def order5_catalog(tmp_path_factory):
     path = tmp_path_factory.mktemp("enum") / "order5.loops"

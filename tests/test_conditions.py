@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 import loopkit.conditions as conditions
 from loopkit import (
+    IdentityId,
+    ImplicationCheck,
     LoopTable,
     NotBol,
     NotSrar,
     abc_conditions,
+    check_identity,
     cor_odd_verify,
+    enumerate_loops,
     is_ra2,
     is_srar,
     lemma_allthree,
@@ -511,3 +515,22 @@ def test_classification_is_relabeling_invariant(perm):
     got = classify_loop("x", relabeled)
     ref = classify_loop("x", base)
     assert got == ref
+
+
+def test_cor_odd_verify_returns_one_shared_check_per_outcome(z5):
+    loops = [z5]
+    enumerate_loops(5, loops.append)
+    enumerate_loops(6, loops.append)
+    seen = {}
+    for L in loops:
+        h = (
+            L.order % 2 == 1
+            and check_identity(L, IdentityId.RIGHT_BOL) is None
+            and first_quad_gap(L) is None
+        )
+        c = check_identity(L, IdentityId.ASSOCIATIVE) is None
+        got = cor_odd_verify(L)
+        assert got == ImplicationCheck(h, c, not h or c)
+        assert seen.setdefault((h, c), got) is got
+    # (True, False) would be a counterexample to the corollary
+    assert set(seen) == {(False, False), (False, True), (True, True)}

@@ -10,12 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loopkit import (
+    IdentityId,
     LoopTable,
     Malformed,
     NoIdentity,
     NotLatin,
     OrderTooLarge,
     SweepSpec,
+    Witness,
+    check_identity,
     enumerate_loops,
     normalized,
     nuclei,
@@ -24,6 +27,8 @@ from loopkit import (
     validate_table,
 )
 from loopkit import cli, core
+from loopkit.conditions import LoopFacts
+from loopkit.core import memo
 from loopkit.fixtures import BOL_16_RAW, MOUFANG_12_RAW, cyclic_group
 
 from conftest import CORPUS5
@@ -370,3 +375,51 @@ def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
     wide_out = capsys.readouterr().out
     assert cli.main(["classify", tables]) == 0
     assert capsys.readouterr().out == wide_out
+
+
+def _fields(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def test_value_objects_stay_frozen_and_compare_by_their_fields():
+    loops = []
+    enumerate_loops(5, loops.append)
+    witnesses = [w for L in loops for i in IdentityId if (w := check_identity(L, i))]
+    assert [f.name for f in dataclasses.fields(LoopTable)] == ["order", "table", "identity"]
+    assert [f.name for f in dataclasses.fields(Witness)] == ["identity_id", "elements", "lhs", "rhs"]
+    for objs in (loops, witnesses):
+        for a in objs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, dataclasses.fields(a)[0].name, 0)
+            copy = type(a)(*_fields(a))
+            assert copy == a and hash(copy) == hash(a) == hash(_fields(a))
+        for a, b in itertools.combinations(objs[:200], 2):
+            assert (a == b) == (_fields(a) == _fields(b))
+    # a memo read lands in __dict__ but not in the comparison
+    L = loops[-1]
+    assert L.rinv and L.linv and L.array.size
+    assert L == LoopTable(*_fields(L)) and hash(L) == hash(_fields(L))
+
+
+def test_memo_computes_once_per_instance_on_first_read():
+    calls = []
+
+    class Box:
+        @memo
+        def value(self):
+            """The number of computations so far."""
+            calls.append(self)
+            return len(calls)
+
+    a, b = Box(), Box()
+    assert "value" not in vars(a) and calls == []
+    assert (a.value, a.value, b.value, a.value, b.value) == (1, 1, 2, 1, 2)
+    assert calls == [a, b] and vars(a) == {"value": 1}
+    assert isinstance(Box.value, memo) and Box.value.__doc__.startswith("The number")
+
+    L = cyclic_group(5)
+    f = LoopFacts(L)
+    assert not {"rinv", "linv", "array"} & set(vars(L))
+    assert not {"right_bol", "srar", "triples"} & set(vars(f))
+    assert L.rinv is L.rinv and f.srar and f.right_bol
+    assert "rinv" in vars(L) and {"srar", "right_bol"} <= set(vars(f))

@@ -227,6 +227,16 @@ def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
     assert oracle_equiv_ra2(non_bol5)
 
 
+def test_ring_oracles_on_the_order_1_loop():
+    one = validate_table([[1]])
+    for ident in RingIdentityId:
+        assert gf2ring._low_weight_plan(1, ident)[1] == ()  # no element of weight 2
+        assert low_weight_ring_check(one, ident) is None
+        assert ring_identity_check(one, ident) is None
+    assert oracle_equiv_srar(one)
+    assert oracle_equiv_ra2(one)
+
+
 def test_comparators_ask_for_their_ring_laws(monkeypatch, t2):
     # every shipped loop has ring right Bol and right Moufang both or
     # neither, so only the request itself pins which law is decided

@@ -8,12 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loopkit import (
+    CHECKS,
     IdentityId,
     LoopTable,
+    SweepSpec,
+    Witness,
     check_identity,
+    cor_odd_verify,
+    enumerate_loops,
     holds,
     is_extra,
     is_moufang,
+    run_sweep,
     squares_in_nucleus,
     validate_table,
 )
@@ -213,6 +219,35 @@ def test_witnesses_match_definitional_scan(ident):
         w = check_identity(L, ident)
         got = None if w is None else (w.elements, w.lhs, w.rhs)
         assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()
+
+
+def test_deciding_builds_no_witness(monkeypatch):
+    # the scans return plain tuples and the deciders only test them for
+    # None; check_identity is the one identity route that builds a Witness
+    built = []
+    real_init = Witness.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Witness, "__init__", counted_init)
+    loops = []
+    enumerate_loops(5, loops.append)
+    for L in loops:
+        cor_odd_verify(L)
+    # the checks the default sweep runs at order 6
+    order6_checks = tuple(c for c in CHECKS if c not in ("srar_ring_equiv", "alt_ring_equiv"))
+    run_sweep(SweepSpec((5,), order6_checks))
+    assert built == []
+    failures = 0
+    for L in loops:
+        for ident in IdentityId:
+            w = check_identity(L, ident)
+            got = None if w is None else (w.elements, w.lhs, w.rhs)
+            assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()
+            failures += w is not None
+    assert len(built) == failures > 0
 
 
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
