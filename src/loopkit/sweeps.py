@@ -114,10 +114,13 @@ def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
 
 
 def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
-    laws = ((IdentityId.RIGHT_ALTERNATIVE, "right alternative"), (IdentityId.RIP, "RIP"))
-    for ident, law in laws:
-        if not f.holds(ident):
-            return f"right Bol loop fails {law}: {f.witness(ident).describe()}"
+    # witness() builds a Witness only for a law that fails
+    w = f.witness(IdentityId.RIGHT_ALTERNATIVE)
+    if w is not None:
+        return f"right Bol loop fails right alternative: {w.describe()}"
+    w = f.witness(IdentityId.RIP)
+    if w is not None:
+        return f"right Bol loop fails RIP: {w.describe()}"
     return None
 
 
