@@ -10,11 +10,11 @@ Two oracles decide the four ring identities.  Both compute only ring
 products of GF(2) vectors from the Cayley table, so they are independent
 of the pointwise criteria they cross-check.
 
-- low_weight_ring_check scans the basis tuples early-exit on the Cayley
-  table, then the weight-2 tuples in numpy slabs; the degree lemma in
-  its docstring shows this is enough.  With no product table it runs up
-  to order 64; `loopkit ring-check`, oracle_equiv_srar and
-  oracle_equiv_ra2 use it.
+- low_weight_ring_check scans the basis tuples the unit law leaves open
+  early-exit on the Cayley table, then the weight-2 tuples in numpy
+  slabs; the degree and unit lemmas in its docstring show this is
+  enough.  With no product table it runs up to order 64; `loopkit
+  ring-check`, oracle_equiv_srar and oracle_equiv_ra2 use it.
 - ring_identity_check enumerates every tuple of ring elements (masks
   scan in ascending integer order) over the 2^n x 2^n product table.
   All four identities share one loop over x: each supplies the lhs and
@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -228,6 +229,16 @@ _SIDES = {
         lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
 }
 
+# Per variable of each ring law: True where stage 1 skips the basis tuples
+# with that variable at the identity element e, which the unit law alone
+# decides (the unit lemma in low_weight_ring_check's docstring).
+_BASIS_SKIPS_E: dict[RingIdentityId, tuple[bool, ...]] = {
+    RingIdentityId.RIGHT_ALTERNATIVE: (True, True),
+    RingIdentityId.LEFT_ALTERNATIVE: (True, True),
+    RingIdentityId.RIGHT_BOL: (True, True, False),
+    RingIdentityId.RIGHT_MOUFANG: (False, True, False),
+}
+
 
 def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | None:
     """Decide a ring identity on low-weight tuples; None when it holds.
@@ -262,11 +273,27 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
     products: a product of basis elements is one Cayley table entry, and
     one with a weight-2 element XORs the one-hot uint64 masks of entries.
 
-    Scan order: first all tuples of basis elements in one early-exit scan,
-    identity included, then those whose squared variable has weight 2.
-    Each stage runs in C order over (x, y[, z]), each variable's candidates
-    in ascending mask order.  The witness is the first failing tuple in
-    that order.  Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
+    Unit lemma.  The loop's identity element e, as a basis element, is
+    the unit of the ring, so a law is a tautology at a tuple where it
+    becomes one after putting e for a variable and cancelling
+    e * a = a * e = a.  Right Bol ((xy)z)y = x((yz)y) reads (yz)y = (yz)y
+    at x = e and xz = xz at y = e, but (xy)y = x(yy) at z = e.  Right
+    Moufang ((xy)z)y = x(y(zy)) reads xz = xz at y = e, but
+    (yz)y = y(zy) at x = e and (xy)y = x(yy) at z = e.  Right alternative
+    (xy)y = x(yy) reads yy = yy at x = e and x = x at y = e; left
+    alternative (xx)y = x(xy) reads y = y at x = e and xx = xx at y = e.
+    So the basis tuples with e in a position _BASIS_SKIPS_E marks hold in
+    every loop ring: x = e or y = e for right Bol and both alternative
+    laws, y = e for right Moufang.  The laws left at z = e (and at x = e
+    for right Moufang) are laws of their own, so those tuples stay.
+
+    Scan order: first the tuples of basis elements, except the ones the
+    unit lemma decides, in one early-exit scan; then those whose squared
+    variable has weight 2.  Each stage runs in C order over (x, y[, z]),
+    each variable's candidates in ascending mask order.  The witness is
+    the first failing tuple in that order; a skipped tuple never fails,
+    so it is the first failing low-weight tuple with e included too.
+    Raises OrderExceedsCap past order LOW_WEIGHT_CAP.
     """
     found = _low_weight_failure(L, ident)
     if found is None:
@@ -284,23 +311,31 @@ def _low_weight_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] 
     return _basis_failure(L, ident) or _weight_two_failure(L, ident)
 
 
+@functools.cache
+def _basis_domains(n: int, e: int, ident: RingIdentityId) -> tuple[Sequence[int], ...]:
+    """Per variable of ident, the basis elements stage 1 visits on order n with identity e."""
+    rest = tuple(v for v in range(n) if v != e)
+    return tuple(rest if skip else range(n) for skip in _BASIS_SKIPS_E[ident])
+
+
 def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
     """Stage 1: masks of the first failing basis tuple, then of both sides."""
-    t, r = L.table, range(L.order)
+    t, domains = L.table, _basis_domains(L.order, L.identity, ident)
     if _NVARS[ident] == 2:
-        sides, m = _SIDES[ident], L.mul
-        for x in r:
-            for y in r:
+        (xs, ys), sides, m = domains, _SIDES[ident], L.mul
+        for x in xs:
+            for y in ys:
                 lhs, rhs = sides(m, x, y)
                 if lhs != rhs:
                     return 1 << x, 1 << y, 1 << lhs, 1 << rhs
         return None
+    xs, ys, zs = domains
     moufang = ident is RingIdentityId.RIGHT_MOUFANG
-    for x in r:
+    for x in xs:
         tx = t[x]
-        for y in r:
+        for y in ys:
             ty, txy = t[y], t[tx[y]]
-            for z in r:
+            for z in zs:
                 # ((x*y)*z)*y against x*((y*z)*y), or x*(y*(z*y)) for Moufang
                 lhs = t[txy[z]][y]
                 rhs = tx[ty[t[z][y]]] if moufang else tx[t[ty[z]][y]]
@@ -311,7 +346,7 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
 
 def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
     """Stage 2: the same with the squared variable at weight 2, in numpy slabs."""
-    T = np.array(L.table, dtype=np.intp)
+    T = L.array.astype(np.intp)  # its entries index T and the masks again
     one, slabs = _low_weight_plan(L.order, ident)
 
     def m(u, v):

@@ -361,7 +361,8 @@ def test_low_weight_witnesses_at_weight_two(ident):
 @pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
 def test_low_weight_witnesses_on_relabelled_loops(ident):
     # enumerated loops all have identity 0; relabelled, the basis scan must
-    # still visit the identity element in index order, skipping nothing
+    # skip the identity element, not element 0, where the unit law decides
+    # the tuple, and visit every other element in index order
     corpus = [relabelled(L, seed) for L in CORPUS5 for seed in (1, 2, 3)]
     corpus += [relabelled(L, seed) for L in (bol16(), moufang12()) for seed in (4, 5)]
     assert all(L.identity != 0 for L in corpus[-4:])
@@ -369,6 +370,54 @@ def test_low_weight_witnesses_on_relabelled_loops(ident):
         w = low_weight_ring_check(L, ident)
         got = None if w is None else (w.elements, w.lhs, w.rhs)
         assert got == _first_low_weight_failure(L, ident), L.raw_rows()
+
+
+# Per variable of each ring law, whether the basis stage leaves out the
+# tuples with the identity element there (the unit lemma in
+# low_weight_ring_check's docstring), and how many basis tuples of an
+# order-n loop that leaves.
+_UNIT_SKIPS = {
+    RingIdentityId.RIGHT_ALTERNATIVE: ((True, True), lambda n: (n - 1) ** 2),
+    RingIdentityId.LEFT_ALTERNATIVE: ((True, True), lambda n: (n - 1) ** 2),
+    RingIdentityId.RIGHT_BOL: ((True, True, False), lambda n: (n - 1) ** 2 * n),
+    RingIdentityId.RIGHT_MOUFANG: ((False, True, False), lambda n: n * (n - 1) * n),
+}
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_basis_stage_skips_exactly_the_unit_law_tuples(monkeypatch, ident):
+    # every law holds in a group ring, so the basis scan runs to its end;
+    # record each tuple it visits through its per-variable domains
+    skips, count = _UNIT_SKIPS[ident]
+    real = gf2ring._basis_domains
+    visited, current = [], [None] * len(skips)
+
+    class Recorded:
+        def __init__(self, j, domain):
+            self.j, self.domain = j, domain
+
+        def __iter__(self):
+            for v in self.domain:
+                current[self.j] = v
+                if self.j == len(skips) - 1:
+                    visited.append(tuple(current))
+                yield v
+
+    monkeypatch.setattr(
+        gf2ring, "_basis_domains",
+        lambda n, e, i: tuple(Recorded(j, d) for j, d in enumerate(real(n, e, i))),
+    )
+    for n, seed in ((4, 1), (5, 1), (6, 2), (7, 4)):
+        L = relabelled(cyclic_group(n), seed)
+        e = L.identity
+        assert e != 0
+        visited.clear()
+        assert low_weight_ring_check(L, ident) is None
+        assert visited == [
+            tup for tup in itertools.product(range(n), repeat=len(skips))
+            if not any(skip and v == e for skip, v in zip(skips, tup))
+        ]
+        assert len(visited) == count(n)
 
 
 def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
