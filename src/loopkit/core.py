@@ -287,9 +287,11 @@ def enumerate_loops(
 
     Rows 0..n-2 are picked whole from the row_candidates lists: each
     picked row drops, with one mask test per entry, the candidates of
-    the later rows that share a (column, value) pair with it.  The last
-    row is not searched: an (n-1) x n Latin rectangle has one
-    completion, the row whose mask is what the others left over.
+    the later rows that share a (column, value) pair with it.  Rows n-3
+    and n-2 are picked in one nested loop (see _pick).  The last row is
+    not searched: an (n-1) x n Latin rectangle has one completion, the
+    row whose mask is what the others left over.  Order 2, where only
+    row 0 would be picked, has one loop and is visited here directly.
     Returns the number of loops visited.
     """
     if n > ENUMERATION_CAP:
@@ -299,13 +301,16 @@ def enumerate_loops(
     if part_count < 1 or not 0 <= part_index < part_count:
         raise ValueError(f"invalid partition {part_index}/{part_count}")
 
+    if n == 2:  # row 1 of the one order-2 loop is the computed last row
+        if part_index:
+            return 0
+        visitor(LoopTable(2, ((0, 1), (1, 0)), 0))
+        return 1
+
     table = row_candidates(n)
     row_of = {m: row for cands in table for row, m in cands}
     lists = [[m for _, m in cands] for cands in table[:-1]]  # rows 0..n-2
-    if n > 2:
-        lists[1] = lists[1][part_index::part_count]
-    elif part_index:
-        return 0  # the one order-2 loop, whose row 1 is the computed last row, is in part 0
+    lists[1] = lists[1][part_index::part_count]
     every_pair = (1 << n * n) - (1 << n)  # bits j*n + v for columns j >= 1
     return _pick(n, (), every_pair, lists, row_of, visitor)
 
@@ -322,18 +327,26 @@ def _pick(
 
     lists[k] holds the masks of the candidates for row len(prefix) + k
     that lie within `left`, the (column, value) pairs no row of prefix
-    holds.
+    holds; there are at least two lists.  Rows n-3 and n-2 are picked in
+    one nested loop, which tests each row n-2 candidate against the row
+    n-3 pick instead of handing a filtered list down to a further call.
     """
     head, rest = lists[0], lists[1:]
-    if rest:
-        count = 0
+    count = 0
+    if len(rest) > 1:
         for m in head:
             later = [[c for c in cands if not c & m] for cands in rest]
             count += _pick(n, prefix + (row_of[m],), left ^ m, later, row_of, visitor)
         return count
-    for m in head:  # row n-2; row n-1 holds what is left
-        visitor(LoopTable(n, prefix + (row_of[m], row_of[left ^ m]), 0))
-    return len(head)
+    (last,) = rest
+    for m in head:  # row n-3
+        rows = prefix + (row_of[m],)
+        left_m = left ^ m
+        for m2 in last:  # row n-2; row n-1 holds what is left
+            if not m2 & m:
+                visitor(LoopTable(n, rows + (row_of[m2], row_of[left_m ^ m2]), 0))
+                count += 1
+    return count
 
 
 def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:

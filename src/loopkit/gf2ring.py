@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LoopError, LoopTable
-from .conditions import LoopFacts, first_abc_gap, first_triple_gap
+from .conditions import LoopFacts, abc_gaps
 
 TWO_VAR_CAP = 8
 THREE_VAR_CAP = 6
@@ -78,9 +78,11 @@ class Gf2Elem:
     order: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.order):
-            raise LengthMismatch(f"mask {self.bits:#x} does not fit order {self.order}")
+    def __init__(self, order: int, bits: int):
+        if not 0 <= bits < (1 << order):
+            raise LengthMismatch(f"mask {bits:#x} does not fit order {order}")
+        d = self.__dict__  # as in core.LoopTable
+        d["order"], d["bits"] = order, bits
 
     def __add__(self, other: "Gf2Elem") -> "Gf2Elem":
         if self.order != other.order:
@@ -116,6 +118,12 @@ class RingWitness:
     elements: tuple[Gf2Elem, ...]
     lhs: Gf2Elem
     rhs: Gf2Elem
+
+    def __init__(
+        self, identity_id: str, elements: tuple[Gf2Elem, ...], lhs: Gf2Elem, rhs: Gf2Elem
+    ):
+        d = self.__dict__  # as in core.LoopTable
+        d["identity_id"], d["elements"], d["lhs"], d["rhs"] = identity_id, elements, lhs, rhs
 
     def describe(self) -> str:
         names = "xyz"
@@ -298,7 +306,7 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
     found = _low_weight_failure(L, ident)
     if found is None:
         return None
-    *at, lhs, rhs = (Gf2Elem(L.order, bits) for bits in found)
+    *at, lhs, rhs = [Gf2Elem(L.order, bits) for bits in found]
     return RingWitness(ident.value, tuple(at), lhs, rhs)
 
 
@@ -416,15 +424,16 @@ def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     Pointwise {A,B,C} coverage of every triple against the ring left
     alternative law, and pointwise starred coverage against the ring
     right alternative law; each ring side comes from the low-weight
-    oracle, each pointwise side from its own scan.  Agreement is a
-    theorem for Moufang loops and holds empirically for every loop of
-    order <= 5; some non-Moufang loops of order 6 have full coverage yet
-    fail a pointwise alternative law, hence the ring law, so a False
-    return on such input is data, not a bug.
+    oracle, each pointwise side from the triple products' codes, tested
+    without building a Witness.  Agreement is a theorem for Moufang
+    loops and holds empirically for every loop of order <= 5; some
+    non-Moufang loops of order 6 have full coverage yet fail a pointwise
+    alternative law, hence the ring law, so a False return on such input
+    is data, not a bug.
     """
     f = LoopFacts.of(L)
     left_ring = _low_weight_failure(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
-    if left_ring != (first_abc_gap(f) is None):
+    if left_ring != (not abc_gaps(f).any()):
         return False
     right_ring = _low_weight_failure(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
-    return right_ring == (first_triple_gap(f) is None)
+    return right_ring == f.coverage.def_everywhere

@@ -95,7 +95,9 @@ def _check_pair_coverage_ra2(f: LoopFacts) -> str | None:
 
 
 def _check_odd_order_associative(f: LoopFacts) -> str | None:
-    # cor_odd_verify on the cached facts: odd order is the precondition
+    # cor_odd_verify on the cached facts: odd order is the precondition,
+    # and associativity is read only on SRAR loops, much as cor_odd_verify
+    # scans it only on right Bol loops
     if f.srar and not f.associative:
         return "odd-order SRAR loop is not associative"
     return None

@@ -521,6 +521,7 @@ def test_cor_odd_verify_returns_one_shared_check_per_outcome(z5):
     loops = [z5]
     enumerate_loops(5, loops.append)
     enumerate_loops(6, loops.append)
+    enumerate_loops(7, loops.append, part_index=150, part_count=309)
     seen = {}
     for L in loops:
         h = (
@@ -534,3 +535,17 @@ def test_cor_odd_verify_returns_one_shared_check_per_outcome(z5):
         assert seen.setdefault((h, c), got) is got
     # (True, False) would be a counterexample to the corollary
     assert set(seen) == {(False, False), (False, True), (True, True)}
+
+
+def test_cor_odd_verify_scans_associativity_only_on_right_bol_loops(scan_counts):
+    # every group is right Bol, so a loop failing right Bol is decided
+    # (False, False) by its one scan; the 92 right Bol loops of orders
+    # 2-6 (1 + 1 + 4 + 6 + 80) scan associativity, and the 7 of odd
+    # order scan quadruples first
+    loops = []
+    for n in range(2, 7):
+        enumerate_loops(n, loops.append)
+    for L in loops:
+        cor_odd_verify(L)
+    assert len(loops) == 9470
+    assert scan_counts == {"right_bol": 9470, "associative": 92, "quad_scans": 7}

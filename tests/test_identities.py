@@ -236,9 +236,7 @@ def test_deciding_builds_no_witness(monkeypatch):
     enumerate_loops(5, loops.append)
     for L in loops:
         cor_odd_verify(L)
-    # the checks the default sweep runs at order 6
-    order6_checks = tuple(c for c in CHECKS if c not in ("srar_ring_equiv", "alt_ring_equiv"))
-    run_sweep(SweepSpec((5,), order6_checks))
+    run_sweep(SweepSpec((5,), tuple(CHECKS)))
     assert built == []
     failures = 0
     for L in loops:
