@@ -1,9 +1,13 @@
 """enumerator-sweeps: orchestration, determinism, violation capture."""
 
+import dataclasses
+import hashlib
 import json
+import time
 
 import pytest
 
+from conftest import CORPUS5
 from loopkit import (
     CHECKS,
     OrderExceedsCap,
@@ -12,7 +16,7 @@ from loopkit import (
     render_sweep,
     run_sweep,
 )
-from loopkit.sweeps import LoopFacts, SweepCheck
+from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult
 
 
 def cells_key(result):
@@ -137,6 +141,100 @@ def test_requires_gates_the_check(monkeypatch):
     )
     res = run_sweep(SweepSpec((4, 5), ("odd_fails",)))
     assert [(c.order, c.violations) for c in res.cells] == [(4, 0), (5, 56)]
+
+
+def _loops_where(flag, orders):
+    """How many loops of the given orders have the LoopFacts flag (all, for None)."""
+    loops = [L for L in CORPUS5 if L.order in orders]
+    return sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
+
+
+def test_plan_runs_each_check_exactly_where_its_precondition_holds(monkeypatch):
+    # one counting check per precondition and a failing one scoped to RA2,
+    # requested out of group order so that the plan has to regroup them
+    flags = (None, *REQUIRES_FLAGS)
+    calls = dict.fromkeys(flags, 0)
+
+    def counting(flag):
+        def fn(facts):
+            calls[flag] += 1
+        return fn
+
+    for flag in flags:
+        monkeypatch.setitem(CHECKS, f"counts_{flag}", SweepCheck(counting(flag), 7, requires=flag))
+    monkeypatch.setitem(
+        CHECKS, "ra2_fails", SweepCheck(lambda facts: "synthetic", 7, requires="ra2")
+    )
+    checks = ("counts_right_bol", "ra2_fails", "counts_None", "counts_moufang",
+              "counts_srar", "counts_ra2", "counts_odd_order")
+    res = run_sweep(SweepSpec((4, 5), checks))
+    expected = {flag: _loops_where(flag, (4, 5)) for flag in flags}
+    # 4 + 56 loops; the 4 + 6 right Bol ones are all groups
+    assert expected == {None: 60, "right_bol": 10, "moufang": 10, "srar": 10,
+                        "ra2": 10, "odd_order": 56}
+    assert calls == expected
+    assert sum(c.violations for c in res.cells if c.check == "ra2_fails") == expected["ra2"]
+    # the report keeps request order
+    assert [c.check for c in res.cells] == list(checks) * 2
+
+
+def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
+    reads = []
+    monkeypatch.setattr(
+        LoopFacts, "odd_order", property(lambda f: reads.append(1) or f.loop.order % 2 == 1)
+    )
+    for name in ("odd_a", "odd_b"):
+        monkeypatch.setitem(CHECKS, name, SweepCheck(lambda facts: None, 7, requires="odd_order"))
+    run_sweep(SweepSpec((5,), ("odd_a", "moufang_implies_bol", "odd_b")))
+    # one read per order-5 loop for the group of both checks
+    assert len(reads) == 56
+
+
+def test_sweep_check_validates_its_precondition():
+    with pytest.raises(ValueError, match="unknown precondition 'right_bool'"):
+        SweepCheck(lambda facts: None, 7, requires="right_bool")
+    assert all(c.requires in (None, *REQUIRES_FLAGS) for c in CHECKS.values())
+    # every flag is a LoopFacts attribute, and swapping fn (as a tracer
+    # does with dataclasses.replace) keeps a valid precondition
+    facts = LoopFacts(CORPUS5[0])
+    assert all(isinstance(getattr(facts, flag), bool) for flag in REQUIRES_FLAGS)
+    check = dataclasses.replace(CHECKS["lip_equiv"], fn=lambda facts: None)
+    assert check.requires == "right_bol"
+
+
+# SHA-256 of render_sweep on the default `loopkit sweep`: orders 2-6,
+# with the order-6 ring right Bol tier left to --long
+DEFAULT_SWEEP_DIGESTS = {
+    "text": "cba7d3145680657baf3139646568202dcbfb89f58ec9fe09f29d4baf0ae2979b",
+    "json": "c77da0bcd935796ddfd8c7efdaefae904a146da5434c9324c09efc6f2596dec0",
+    "csv": "3a03c2278eebb0b4bca4c94a32a2a877ff2b4f5614cb8b6b7c824eadc721be92",
+}
+
+
+def test_default_sweep_report_is_pinned():
+    cells = []
+    for order in (2, 3, 4, 5, 6):
+        checks = tuple(
+            name for name, c in CHECKS.items()
+            if order <= c.max_order and not (order == 6 and name == "srar_ring_equiv")
+        )
+        cells += run_sweep(SweepSpec((order,), checks)).cells
+    result = SweepResult(tuple(cells))
+    digests = {fmt: hashlib.sha256(render_sweep(result, fmt)).hexdigest()
+               for fmt in DEFAULT_SWEEP_DIGESTS}
+    assert digests == DEFAULT_SWEEP_DIGESTS
+
+
+def test_wall_time_charges_each_step_once():
+    t0 = time.perf_counter()
+    res = run_sweep(SweepSpec((5,), tuple(CHECKS)))
+    elapsed = time.perf_counter() - t0
+    assert all(c.wall_time >= 0 for c in res.cells)
+    assert sum(c.wall_time for c in res.cells) <= elapsed
+    ran = [c for c in res.cells if _loops_where(CHECKS[c.check].requires, (5,))]
+    # every precondition holds on the order-5 groups, so every check ran
+    assert len(ran) == len(CHECKS)
+    assert all(c.wall_time > 0 for c in ran)
 
 
 def test_render_sweep_formats():
