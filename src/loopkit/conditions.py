@@ -26,21 +26,23 @@ the same letters for the primed conditions) or "A","B","C".
 
 The per-tuple functions (quad_values, quad_conditions, triple_conditions,
 abc_conditions) are the definitional reference.  The whole-loop scans
-evaluate the same bracketings with one numpy kernel over product arrays
-built from the Cayley table: n^3 arrays for triples, and for quadruples
-blocks of 1, 1, 2, 4, ... first elements x, one n^3 slab each, with at
-most 2^16 quadruples per block unless one slab is larger.  So memory
-stays O(n^3), a loop with a gap at x = 0 pays for one slab, and a loop
-with no gap pays for about log n blocks instead of n slabs.  The kernel
-takes two bracketings and the transposition of the scanned elements that
-gives the other two, and codes D, E and F in four comparisons.  Every
-scan reports the lexicographically first flagged tuple.
+evaluate the same bracketings with numpy over product arrays built from
+the Cayley table: n^3 arrays for triples, and for quadruples blocks of
+1, 1, 2, 4, ... first elements x, one n^3 slab each, with at most 2^16
+quadruples per block unless one slab is larger.  So memory stays O(n^3),
+a loop with a gap at x = 0 pays for one slab, and a loop with no gap
+pays for about log n blocks instead of n slabs.  Every coverage gap is
+decided in characteristic 2: the four bracketings pair up into D, E or
+F (A, B or C) exactly when their sum in F_2[L] is 0, so _parity_gaps
+compares one-hot masks.  The full D/E/F code (_code) is built only for
+the triple profile, pair coverage, quad_profile and the all-three-or-one
+lemma.  Every scan reports the lexicographically first flagged tuple.
 
 LoopFacts caches a loop's identity scans as plain failure tuples, its
-SRAR and RA2 verdicts, extra flag, and triple products with their
-D'/E'/F' code, which coverage, the triple profile and both triple gaps
-reduce; it builds a Witness only when one is read.  is_srar, is_ra2,
-those triple functions, the lemma_* verifiers, thm_main_verify and
+SRAR and RA2 verdicts, extra flag, and the triple products with their
+D'/E'/F' code and mask sum, which coverage, the triple profile and both
+triple gaps reduce; it builds a Witness only when one is read.  is_srar,
+is_ra2, those triple functions, the lemma_* verifiers, thm_main_verify and
 gf2ring's oracle_equiv_* take a LoopFacts or a LoopTable, so a sweep or
 a classification passes its one LoopFacts through.  The kernel scans
 (identities.first_failure, first_quad_gap, quad_profile) take the bare
@@ -51,7 +53,8 @@ identities.holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -220,21 +223,21 @@ def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:
     raise AssertionError("no differing pair in a non-covered quadruple")
 
 
-# The evaluation kernel.  Every condition family compares four bracketings
+# The evaluation kernels.  Every condition family compares four bracketings
 # a, b, c, d elementwise, where c and d are a and b under one transposition
-# of the scanned elements, so one code function serves them all: bit 1 = D
-# (a=b and c=d), bit 2 = E (a=d and b=c), bit 4 = F (a=c and b=d).  Since
-# c=d is a=b transposed and b=c is a=d transposed, four comparisons give
-# all three bits.  Arrays are indexed by the scanned elements in scan
-# order, so the first flagged code in C order is the lexicographically
-# first tuple.
+# of the scanned elements.  _parity_gaps flags the tuples where
+# e_a + e_b + e_c + e_d != 0 in F_2[L], from one-hot masks g = e_a + e_b.
+# _code gives the full set: bit 1 = D (a=b and c=d), bit 2 = E (a=d and
+# b=c), bit 4 = F (a=c and b=d).  Since c=d is a=b transposed and b=c is
+# a=d transposed, four comparisons give all three bits.  Arrays are indexed
+# by the scanned elements in scan order, so the first flagged entry in C
+# order is the lexicographically first tuple.
 
 _D, _E, _F = 1, 2, 4
 _PAIRS = (_D | _E, _D | _F, _E | _F)
 
-# codes flagged by each quadruple scan, as bit masks over the 8 codes: the
-# empty set, and sets of size 0 or 2
-_EMPTY = np.uint8(1)
+# codes flagged by the all-three-or-one scan, as a bit mask over the 8
+# codes: sets of size 0 or 2
 _SIZE_0_OR_2 = np.uint8(sum(1 << code for code in (0, *_PAIRS)))
 
 # the transpositions giving c, d from a, b: triples [x, y, z] swap y and
@@ -244,6 +247,20 @@ _ABC_AXES = (1, 0, 2)
 _QUAD_AXES = (0, 3, 2, 1)
 
 _BLOCK = 1 << 16  # quadruples per block, at most
+
+
+@functools.cache
+def _one_hot(n: int) -> np.ndarray:
+    """H[v] has only bit v set, in ceil(n/64) uint64 words: row v of the identity, packed."""
+    eye = np.eye(n, 64 * -(-n // 64), dtype=bool)
+    H = np.packbits(eye, axis=1, bitorder="little").view(np.uint64)
+    H.flags.writeable = False  # shared by every caller through the cache
+    return H
+
+
+def _parity_gaps(g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Cells where g = e_a + e_b differs from its transposition e_c + e_d (mask words last)."""
+    return (g != g.transpose(*axes, -1)).any(axis=-1)
 
 
 def _code(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -257,19 +274,24 @@ def _code(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _first_flagged(
-    identity_id: str, flagged: np.ndarray, values: tuple[np.ndarray, ...], x0: int = 0
+    identity_id: str, flagged: np.ndarray, values_at, x0: int = 0
 ) -> Witness | None:
     """Witness at the first nonzero entry of `flagged` in C order, or None.
 
-    lhs and rhs are the first unequal pair of `values` there, in the
-    order the caller lists them; x0 is added to the first element.
+    x0 is added to the first element; lhs and rhs are the first unequal
+    pair of values_at(elements), in the order it lists them.
     """
     k = int(flagged.argmax())
     if not flagged.flat[k]:
         return None
     at = np.unravel_index(k, flagged.shape)
-    lhs, rhs = _first_diff(tuple(int(v[at]) for v in values))
-    return Witness(identity_id, (x0 + int(at[0]), *(int(i) for i in at[1:])), lhs, rhs)
+    elements = (x0 + int(at[0]), *(int(i) for i in at[1:]))
+    return Witness(identity_id, elements, *_first_diff(values_at(elements)))
+
+
+def _values_at(*values: np.ndarray):
+    """values_at for _first_flagged: the entries of `values` at the elements."""
+    return lambda at: tuple(int(v[at]) for v in values)
 
 
 def _tables(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
@@ -287,14 +309,15 @@ def _triple_values(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
     return V[T], V.take(T, axis=1)
 
 
-def _quad_blocks(L: LoopTable):
+def _quad_blocks(L: LoopTable, V: np.ndarray):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
-    Blocks double, 1, 1, 2, 4, ... first elements, each of at most
-    _BLOCK quadruples unless one n^3 slab is larger: a gap at x = 0
-    costs one slab, and a full scan about log n blocks.
+    They are gathered from V: the table's values, or those with trailing
+    axes such as one-hot masks.  Blocks double, 1, 1, 2, 4, ... first
+    elements, each of at most _BLOCK quadruples unless one n^3 slab is
+    larger: a gap at x = 0 costs one slab, and a full scan about log n blocks.
     """
-    T, V = _tables(L)
+    T = _tables(L)[0]
     TT, VV = T[T], V[T]
     n = L.order
     cap = max(1, _BLOCK // n**3)
@@ -305,12 +328,11 @@ def _quad_blocks(L: LoopTable):
         x0 = x1
 
 
-def _first_quad(L: LoopTable, identity_id: str, flags: np.uint8) -> Witness | None:
-    """First quadruple whose D/E/F code is in `flags`, in doubling x-blocks."""
-    for x0, s, t in _quad_blocks(L):
-        values = (s, t, s.transpose(_QUAD_AXES), t.transpose(_QUAD_AXES))
-        flagged = flags >> _code(s, t, _QUAD_AXES) & 1
-        w = _first_flagged(identity_id, flagged, values, x0)
+def _first_quad(L: LoopTable, identity_id: str, V: np.ndarray, flags) -> Witness | None:
+    """First quadruple where flags(S, T) is set, S and T from V (see _quad_blocks)."""
+    values_at = lambda q: astuple(quad_values(L, *q))  # noqa: E731
+    for x0, s, t in _quad_blocks(L, V):
+        w = _first_flagged(identity_id, flags(s, t), values_at, x0)
         if w is not None:
             return w
     return None
@@ -318,28 +340,30 @@ def _first_quad(L: LoopTable, identity_id: str, flags: np.uint8) -> Witness | No
 
 def first_quad_gap(L: LoopTable) -> Witness | None:
     """First quadruple whose D/E/F set is empty, scan order (x, y, z, w)."""
-    return _first_quad(L, "def_coverage", _EMPTY)
+    masks = _one_hot(L.order)[L.array]
+    return _first_quad(L, "def_coverage", masks, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
 
 
 def abc_gaps(L: LoopFacts | LoopTable) -> np.ndarray:
     """Flags of the triples whose {A,B,C} set is empty, indexed [x, y, z]."""
-    p1, p3 = LoopFacts.of(L).triples[0]
-    return _code(p1, p3, _ABC_AXES) == 0
+    return _parity_gaps(LoopFacts.of(L).triple_masks, _ABC_AXES)
 
 
 def first_triple_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose D'/E'/F' set is empty, scan order (x, y, z)."""
-    (a, b), code = LoopFacts.of(L).triples
-    values = (a, b, a.transpose(_TRIPLE_AXES), b.transpose(_TRIPLE_AXES))
-    return _first_flagged("def_prime_coverage", code == 0, values)
+    f = LoopFacts.of(L)
+    a, b = f.triples
+    gaps = _parity_gaps(f.triple_masks, _TRIPLE_AXES)
+    values_at = _values_at(a, b, a.transpose(_TRIPLE_AXES), b.transpose(_TRIPLE_AXES))
+    return _first_flagged("def_prime_coverage", gaps, values_at)
 
 
 def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose {A,B,C} set is empty."""
     f = LoopFacts.of(L)
-    p1, p3 = f.triples[0]
+    p1, p3 = f.triples
     p2, p4 = p1.transpose(_ABC_AXES), p3.transpose(_ABC_AXES)
-    return _first_flagged("abc_coverage", abc_gaps(f), (p1, p2, p3, p4))
+    return _first_flagged("abc_coverage", abc_gaps(f), _values_at(p1, p2, p3, p4))
 
 
 class LoopFacts:
@@ -372,11 +396,15 @@ class LoopFacts:
         found = self._failure(ident)
         return None if found is None else Witness(ident.value, *found)
 
+    # (xy)z and x(yz) (see _triple_values) and their D'/E'/F' code
+    triples = memo(lambda self: _triple_values(self.loop))
+    triple_code = memo(lambda self: _code(*self.triples, _TRIPLE_AXES))
+
     @memo
-    def triples(self) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """(xy)z and x(yz) (see _triple_values) and their D'/E'/F' code."""
-        values = _triple_values(self.loop)
-        return values, _code(*values, _TRIPLE_AXES)
+    def triple_masks(self) -> np.ndarray:
+        """e_(xy)z + e_x(yz) as one-hot masks (see _one_hot), indexed [x, y, z, word]."""
+        H = _one_hot(self.loop.order)
+        return H[self.triples[0]] ^ H[self.triples[1]]
 
     # The condition halves of SRAR and RA2, read only where the identity
     # half holds, so that the flags and the witnesses share one scan.
@@ -428,7 +456,7 @@ def is_ra2(L: LoopFacts | LoopTable) -> tuple[bool, Witness | None]:
 
 def triple_coverage(L: LoopFacts | LoopTable) -> TripleCoverage:
     """The four coverage flags: every triple's code meets D|E|F, D|E, D|F, E|F."""
-    code = LoopFacts.of(L).triples[1]
+    code = LoopFacts.of(L).triple_code
     masks = (_D | _E | _F, *_PAIRS)
     return TripleCoverage(*(bool(np.all(code & mask)) for mask in masks))
 
@@ -436,14 +464,15 @@ def triple_coverage(L: LoopFacts | LoopTable) -> TripleCoverage:
 def triple_profile(L: LoopFacts | LoopTable) -> TripleProfile:
     """Count the triples realizing each subset of {D',E',F'}."""
     f = LoopFacts.of(L)
-    counts = np.bincount(f.triples[1].ravel(), minlength=8)
+    counts = np.bincount(f.triple_code.ravel(), minlength=8)
     return TripleProfile(_profile_dict(counts.tolist()), f.loop.order**3)
 
 
 def quad_profile(L: LoopTable) -> QuadProfile:
     """Count the quadruples realizing each subset of {D,E,F}."""
     counts = sum(
-        np.bincount(_code(s, t, _QUAD_AXES).ravel(), minlength=8) for _, s, t in _quad_blocks(L)
+        np.bincount(_code(s, t, _QUAD_AXES).ravel(), minlength=8)
+        for _, s, t in _quad_blocks(L, L.array)
     )
     return QuadProfile(_profile_dict(counts.tolist()), L.order**4)
 
@@ -476,7 +505,8 @@ def lemma_allthree(L: LoopFacts | LoopTable) -> Witness | None:
     f = LoopFacts.of(L)
     if not f.srar:
         raise NotSrar(f.srar_witness.describe())
-    return _first_quad(f.loop, "quad_all_three_or_one", _SIZE_0_OR_2)
+    flags = lambda s, t: _SIZE_0_OR_2 >> _code(s, t, _QUAD_AXES) & 1  # noqa: E731
+    return _first_quad(f.loop, "quad_all_three_or_one", f.loop.array, flags)
 
 
 def lemma_lip_equiv(L: LoopFacts | LoopTable) -> Witness | None:

@@ -424,12 +424,12 @@ def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     Pointwise {A,B,C} coverage of every triple against the ring left
     alternative law, and pointwise starred coverage against the ring
     right alternative law; each ring side comes from the low-weight
-    oracle, each pointwise side from the triple products' codes, tested
-    without building a Witness.  Agreement is a theorem for Moufang
-    loops and holds empirically for every loop of order <= 5; some
-    non-Moufang loops of order 6 have full coverage yet fail a pointwise
-    alternative law, hence the ring law, so a False return on such input
-    is data, not a bug.
+    oracle, the pointwise sides from the triple products' mask parity
+    and D'/E'/F' code, tested without building a Witness.  Agreement is
+    a theorem for Moufang loops and holds empirically for every loop of
+    order <= 5; some non-Moufang loops of order 6 have full coverage yet
+    fail a pointwise alternative law, hence the ring law, so a False
+    return on such input is data, not a bug.
     """
     f = LoopFacts.of(L)
     left_ring = _low_weight_failure(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None

@@ -39,6 +39,79 @@ def relabelled(L, seed):
     return validate_table(raw)
 
 
+def octonion_units():
+    """The 16 units +-e_i of the octonions, by Cayley-Dickson doubling."""
+
+    def unit(i, j, m):
+        # e_i e_j among m units as (sign, index); (a,b)(c,d) = (ac - d*b, da + bc*)
+        if m == 1:
+            return 1, 0
+        h = m // 2
+        (bi, i0), (bj, j0) = divmod(i, h), divmod(j, h)
+        bar = -1 if j0 else 1  # conjugation negates every unit except e_0
+        if not bi and not bj:  # (a,0)(c,0) = (ac, 0)
+            return unit(i0, j0, h)
+        if not bi:  # (a,0)(0,d) = (0, da)
+            s, r = unit(j0, i0, h)
+            return s, r + h
+        if not bj:  # (0,b)(c,0) = (0, bc*)
+            s, r = unit(i0, j0, h)
+            return bar * s, r + h
+        s, r = unit(j0, i0, h)  # (0,b)(0,d) = (-d*b, 0)
+        return -bar * s, r
+
+    raw = []
+    for x in range(16):
+        row = []
+        for y in range(16):
+            s, r = unit(x % 8, y % 8, 8)
+            negative = (s < 0) ^ (x >= 8) ^ (y >= 8)
+            row.append(r + 8 * negative + 1)
+        raw.append(row)
+    return validate_table(raw)
+
+
+def chein_a4():
+    """M(A4, 2), Chein's doubling of A4 (order 24): Moufang, but not SRAR.
+
+    Elements g and gu for g in A4, with gh, g(hu) = (hg)u,
+    (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g.
+    """
+    def mul(p, q):
+        return tuple(p[q[i]] for i in range(4))
+
+    group = [(0, 1, 2, 3)]
+    for g in group:  # closure of two generators; the list grows as it is read
+        for h in ((1, 2, 0, 3), (1, 0, 3, 2)):
+            if mul(g, h) not in group:
+                group.append(mul(g, h))
+    index = {g: i for i, g in enumerate(group)}
+    inv = {g: next(h for h in group if mul(g, h) == group[0]) for g in group}
+    m = len(group)
+
+    def product(i, j):
+        g, h = group[i % m], group[j % m]
+        if i < m:
+            return index[mul(g, h)] if j < m else m + index[mul(h, g)]
+        return m + index[mul(g, inv[h])] if j < m else index[mul(inv[h], g)]
+
+    return validate_table([[product(i, j) + 1 for j in range(2 * m)] for i in range(2 * m)])
+
+
+def bol_extension16():
+    """The central extension of Z2^3 by Z2 with cocycle x0 y1 y2 (order 16).
+
+    Element v + 8a is (v, a), and (x, a)(y, b) = (x + y, a + b + x0 y1 y2)
+    over the bits of x and y.  The cocycle satisfies the right Bol law,
+    so the loop is right Bol; it is SRAR and not Moufang.
+    """
+    def product(i, j):
+        x, y = i % 8, j % 8
+        return (x ^ y) + 8 * (i // 8 ^ j // 8 ^ x & y >> 1 & y >> 2 & 1)
+
+    return validate_table([[product(i, j) + 1 for j in range(16)] for i in range(16)])
+
+
 # first order-5 loop in enumeration order that is not right Bol
 # (frozen from an independent permutation-based enumeration)
 NON_BOL_5_RAW = (

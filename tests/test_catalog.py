@@ -1,6 +1,8 @@
 """catalog-io: parsing, round-trips, classification surveys, reports."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -27,10 +29,11 @@ from loopkit import (
     triple_profile,
     write_report,
 )
-from loopkit.catalog import CSV_COLUMNS, classify_records, rows_csv
-from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, fixture_records, moufang12
+from loopkit import cli
+from loopkit.catalog import CSV_COLUMNS, classify_records, emit_record, rows_csv
+from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, bol16, fixture_records, moufang12
 
-from conftest import CORPUS5
+from conftest import CORPUS5, relabelled
 
 FIXTURE_PATH = "fixtures/tables.loops"
 
@@ -297,3 +300,39 @@ def test_catalog_record_is_value_like(t2):
     a = CatalogRecord("x", t2, 1)
     b = CatalogRecord("x", t2, 1)
     assert a == b
+
+
+# seeded relabellings of both fixtures, in a seeded order.  The Bol
+# 16.7.2.1 seeds put the first quadruple gap at x = 0, 1, 2, 3 and 4,
+# across the first four x-blocks (see test_quad_gap_witness_in_each_block)
+SURVEY_SEEDS = {"bol16": (0, 1, 13, 151, 454), "moufang12": (1, 2, 3)}
+
+# SHA-256 of `loopkit survey --format F` over that catalog, the same at
+# every --jobs
+SURVEY_DIGESTS = {
+    "json": "ce6962f57e21d47ade68a8d6abc7c6fd38cf65b4c0adfee7e18aa83a20b502a2",
+    "csv": "fae50a589d818f7b2a48e60604bfb92074a48e1c1094562065df89eb25b7b5d1",
+    "text": "98e720a8ac385209c087b4d85f0ae2ede6ac05c42bcd64b99694d111e29c40ba",
+}
+
+
+@pytest.fixture(scope="module")
+def relabelled_catalog(tmp_path_factory):
+    sources = {"bol16": bol16(), "moufang12": moufang12()}
+    records = [
+        emit_record(f"{name}-{seed}", relabelled(sources[name], seed))
+        for name, seeds in SURVEY_SEEDS.items() for seed in seeds
+    ]
+    random.Random(7).shuffle(records)
+    path = tmp_path_factory.mktemp("survey") / "relabelled.loops"
+    path.write_text("\n".join(records))
+    return str(path)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_output_is_pinned(relabelled_catalog, capsysbinary, jobs):
+    digests = {}
+    for fmt in SURVEY_DIGESTS:
+        assert cli.main(["survey", "--format", fmt, "--jobs", jobs, relabelled_catalog]) == 0
+        digests[fmt] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digests == SURVEY_DIGESTS

@@ -38,6 +38,7 @@ from loopkit import (
 from loopkit.conditions import (
     PROFILE_KEYS,
     LoopFacts,
+    abc_gaps,
     first_abc_gap,
     first_quad_gap,
     first_triple_gap,
@@ -46,7 +47,7 @@ from loopkit.conditions import (
 from loopkit.core import Witness
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5, relabelled
+from conftest import CORPUS5, octonion_units, relabelled
 
 # machine-verified ground truth for the order-12 Moufang fixture: the
 # printed table yields products (11,12,11,12) at (2,5,9), the F' pattern
@@ -230,38 +231,6 @@ def _symmetric3() -> LoopTable:
     )
 
 
-def _octonion_units() -> LoopTable:
-    """The 16 units +-e_i of the octonions, by Cayley-Dickson doubling."""
-
-    def unit(i, j, m):
-        # e_i e_j among m units as (sign, index); (a,b)(c,d) = (ac - d*b, da + bc*)
-        if m == 1:
-            return 1, 0
-        h = m // 2
-        (bi, i0), (bj, j0) = divmod(i, h), divmod(j, h)
-        bar = -1 if j0 else 1  # conjugation negates every unit except e_0
-        if not bi and not bj:  # (a,0)(c,0) = (ac, 0)
-            return unit(i0, j0, h)
-        if not bi:  # (a,0)(0,d) = (0, da)
-            s, r = unit(j0, i0, h)
-            return s, r + h
-        if not bj:  # (0,b)(c,0) = (0, bc*)
-            s, r = unit(i0, j0, h)
-            return bar * s, r + h
-        s, r = unit(j0, i0, h)  # (0,b)(0,d) = (-d*b, 0)
-        return -bar * s, r
-
-    raw = []
-    for x in range(16):
-        row = []
-        for y in range(16):
-            s, r = unit(x % 8, y % 8, 8)
-            negative = (s < 0) ^ (x >= 8) ^ (y >= 8)
-            row.append(r + 8 * negative + 1)
-        raw.append(row)
-    return validate_table(raw)
-
-
 # every loop of orders 2..5, both fixtures and seeded relabellings of them,
 # S3 (the smallest nonabelian group: D'/F' coverage without E'/F') and the
 # octonion units (extra, nonassociative: D'/E' coverage without D'/F')
@@ -274,7 +243,7 @@ KERNEL_CORPUS = {
         for name, L in _FIXTURES.items() for seed in (1, 2)
     },
     "s3": _symmetric3(),
-    "octonions": _octonion_units(),
+    "octonions": octonion_units(),
 }
 
 
@@ -339,21 +308,92 @@ def test_kernel_matches_per_tuple_reference(name):
             lemma_allthree(L)
 
 
+def _value_patterns(labels=(0, 1, 2, 3)):
+    """Each of the 4^4 value patterns (s, t, u, v) on a mirrored pair of cells.
+
+    s, t sit at (i, j) of a, b and u, v at (j, i), so the transposed
+    arrays give u, v there.  Returns {pattern: (i, j)}, a and b, which
+    hold labels[s], labels[t], ... in place of s, t, ... .
+    """
+    cells = dict(zip(product(range(4), repeat=4), combinations(range(24), 2)))
+    a, b = np.zeros((2, 24, 24), dtype=np.intp)
+    for (s, t, u, v), (i, j) in cells.items():
+        a[i, j], b[i, j], a[j, i], b[j, i] = (labels[k] for k in (s, t, u, v))
+    return cells, a, b
+
+
 def test_no_condition_set_has_size_two():
     # any two of D, E, F force S=T=U=V, which is the third, so the
-    # all-three-or-one lemma can only ever flag the empty set.  Each of
-    # the 4^4 value patterns (s, t, u, v) sits on a mirrored pair of
-    # cells, s, t at (i, j) of a, b and u, v at (j, i), so the transposed
-    # arrays give u, v there; each code is checked against the definitions
-    cells = dict(zip(product(range(4), repeat=4), combinations(range(24), 2)))
-    a, b = np.zeros((2, 24, 24), dtype=np.uint8)
-    for (s, t, u, v), (i, j) in cells.items():
-        a[i, j], b[i, j], a[j, i], b[j, i] = s, t, u, v
+    # all-three-or-one lemma can only ever flag the empty set; each
+    # pattern's code is checked against the definitions
+    cells, a, b = _value_patterns()
     code = conditions._code(a, b, (1, 0))
     for (s, t, u, v), (i, j) in cells.items():
         want = (s == t and u == v) | (s == v and t == u) << 1 | (s == u and t == v) << 2
         assert code[i, j] == want, (s, t, u, v)
     assert len(cells) == 256 and {int(code[ij]) for ij in cells.values()} == {0, 1, 2, 4, 7}
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 2, 3), (0, 63, 64, 129)])
+@pytest.mark.parametrize("axes", [conditions._QUAD_AXES, conditions._ABC_AXES,
+                                  conditions._TRIPLE_AXES])
+def test_parity_gaps_flag_exactly_the_empty_condition_sets(axes, labels):
+    # every value pattern, on the two axes that `axes` swaps; the second
+    # labelling spreads the four values over three mask words
+    cells, a, b = _value_patterns(labels)
+    kept = tuple(k for k, ax in enumerate(axes) if ax == k)
+    a, b = np.expand_dims(a, kept), np.expand_dims(b, kept)
+    H = conditions._one_hot(labels[-1] + 1)
+    gaps = conditions._parity_gaps(H[a] ^ H[b], axes).reshape(24, 24)
+    assert np.array_equal(gaps, (conditions._code(a, b, axes) == 0).reshape(24, 24))
+    for pattern, (i, j) in cells.items():
+        odd = any(pattern.count(value) % 2 for value in pattern)
+        assert gaps[i, j] == gaps[j, i] == odd, pattern
+    # 256 patterns less the 4 constant ones and the 6 * 6 with two values
+    # twice (6 pairs of values, 6 ways to place them)
+    assert gaps.sum() == 2 * (256 - 4 - 36)
+
+
+def _first_empty_abc(L: LoopTable) -> Witness | None:
+    """The first triple with no A, B or C, from the per-tuple functions."""
+    m = L.mul
+    for x, y, z in product(range(L.order), repeat=3):
+        if not abc_conditions(L, x, y, z)[0]:
+            p = (m(m(x, y), z), m(m(y, x), z), m(x, m(y, z)), m(y, m(x, z)))
+            return _ref_witness("abc_coverage", (x, y, z), p)
+    return None
+
+
+def test_two_word_masks_give_the_first_gaps():
+    # order 80 needs two mask words; Bol 16.7.2.1 relabelled with seed 0
+    # has its first gaps near the start, and Z5 keeps them there
+    B, Z = relabelled(bol16(), 0), cyclic_group(5)
+    L = validate_table([
+        [B.table[i // 5][j // 5] * 5 + Z.table[i % 5][j % 5] + 1 for j in range(80)]
+        for i in range(80)
+    ])
+    assert conditions._one_hot(80).shape == (80, 2)
+    assert first_quad_gap(L) == _first_empty_quad(L) is not None
+    assert first_abc_gap(L) == _first_empty_abc(L) is not None
+
+
+def test_gaps_are_decided_without_the_condition_code(monkeypatch):
+    expected = {}
+    for L in (bol16(), moufang12()):
+        f = LoopFacts(L)
+        expected[L.order] = (first_quad_gap(L), abc_gaps(L), f.srar, f.ra2)
+
+    def forbidden(*args):
+        raise AssertionError("a coverage gap read the D/E/F code")
+
+    monkeypatch.setattr(conditions, "_code", forbidden)
+    # fresh tables and facts, so that no cache built before the patch answers
+    for L in (bol16(), moufang12()):
+        f = LoopFacts(L)
+        quad, abc, srar, ra2 = expected[L.order]
+        assert first_quad_gap(L) == quad and np.array_equal(abc_gaps(L), abc)
+        assert (f.srar, f.ra2) == (srar, ra2)
+    assert {n: e[2:] for n, e in expected.items()} == {16: (False, False), 12: (True, True)}
 
 
 # order5-6 is the first order-5 loop that is not right Bol
@@ -486,7 +526,7 @@ def test_srar_loop_has_no_gap_in_any_block(t2):
 def test_quad_blocks_double_up_to_the_cap(n, blocks):
     L = relabelled(cyclic_group(n), n)
     got = []
-    for x0, s, t in conditions._quad_blocks(L):
+    for x0, s, t in conditions._quad_blocks(L, L.array):
         got.append((x0, len(s)))
         assert s.shape == t.shape == (len(s), n, n, n)
         for i, y, z, w in product((0, len(s) - 1), (0, n - 1), (1,), (0, n - 2)):

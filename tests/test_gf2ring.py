@@ -458,6 +458,7 @@ def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
         raise AssertionError("the ring oracle called a pointwise scan")
 
     monkeypatch.setattr(conditions, "_code", forbidden)
+    monkeypatch.setattr(conditions, "_parity_gaps", forbidden)
     for ident in identities._CHECKS:
         monkeypatch.setitem(identities._CHECKS, ident, forbidden)
         monkeypatch.setattr(identities, f"_{ident.value}", forbidden)

@@ -7,7 +7,15 @@ import time
 
 import pytest
 
-from conftest import CORPUS5
+import loopkit.sweeps as sweeps
+from conftest import (
+    CORPUS5,
+    NON_BOL_5_RAW,
+    bol_extension16,
+    chein_a4,
+    octonion_units,
+    relabelled,
+)
 from loopkit import (
     CHECKS,
     OrderExceedsCap,
@@ -15,7 +23,9 @@ from loopkit import (
     enumerate_loops,
     render_sweep,
     run_sweep,
+    validate_table,
 )
+from loopkit.fixtures import bol16, moufang12
 from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult
 
 
@@ -177,6 +187,39 @@ def test_plan_runs_each_check_exactly_where_its_precondition_holds(monkeypatch):
     # the report keeps request order
     assert [c.check for c in res.cells] == list(checks) * 2
 
+
+def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
+    # at orders 4 and 5 every right Bol loop is a group, so those four
+    # flags hold on the same loops there.  These loops separate them:
+    # Bol 16.7.2.1 is right Bol only, M(S3,2) and the octonion units are
+    # RA2, a right Bol extension of order 16 (twice, the second relabelled)
+    # is SRAR but not Moufang, M(A4,2) is Moufang but not SRAR, and the
+    # order-5 loop is not right Bol.
+    ext = bol_extension16()
+    loops = (bol16(), moufang12(), octonion_units(), validate_table(NON_BOL_5_RAW),
+             ext, relabelled(ext, 1), chein_a4())
+
+    def visit_fixed(order, visit, part_index, part_count):
+        for L in loops:
+            visit(L)
+        return len(loops)
+
+    monkeypatch.setattr(sweeps, "enumerate_loops", visit_fixed)
+    flags = (None, *REQUIRES_FLAGS)
+    calls = dict.fromkeys(flags, 0)
+
+    def counting(flag):
+        def fn(facts):
+            calls[flag] += 1
+        return fn
+
+    for flag in flags:
+        monkeypatch.setitem(CHECKS, f"counts_{flag}", SweepCheck(counting(flag), 7, requires=flag))
+    res = run_sweep(SweepSpec((5,), tuple(f"counts_{flag}" for flag in reversed(flags))))
+    assert {c.loops_scanned for c in res.cells} == {len(loops)}
+    assert calls == {flag: sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
+                     for flag in flags}
+    assert calls == {None: 7, "right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
 
 def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
     reads = []
