@@ -226,20 +226,19 @@ def normalized(L: LoopTable) -> LoopTable:
 
 
 def nuclei(L: LoopTable) -> Nucleus:
-    """Compute nuclei and center by definitional scan over all pairs."""
-    t = L.table
-    rng = range(L.order)
-    left = frozenset(
-        a for a in rng if all(t[t[a][x]][y] == t[a][t[x][y]] for x in rng for y in rng)
-    )
-    middle = frozenset(
-        a for a in rng if all(t[t[x][a]][y] == t[x][t[a][y]] for x in rng for y in rng)
-    )
-    right = frozenset(
-        a for a in rng if all(t[t[x][y]][a] == t[x][t[y][a]] for x in rng for y in rng)
+    """Read nuclei and center off one associativity table.
+
+    holds[x, y, z] says (xy)z = x(yz); an element is in the left, middle
+    or right nucleus when its slice on axis 0, 1 or 2 holds throughout.
+    """
+    T = L.array
+    holds = T[T] == T[:, T]
+    left, middle, right = (
+        frozenset(np.flatnonzero(holds.all(axis=axes)).tolist())
+        for axes in ((1, 2), (0, 2), (0, 1))
     )
     nuc = left & middle & right
-    center = frozenset(a for a in nuc if all(t[a][x] == t[x][a] for x in rng))
+    center = nuc & frozenset(np.flatnonzero((T == T.T).all(axis=1)).tolist())
     return Nucleus(left, middle, right, nuc, center)
 
 

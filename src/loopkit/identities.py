@@ -25,15 +25,16 @@ such as conditions.LoopFacts that explain only on request.  holds,
 is_moufang and is_extra only test for None, so deciding a loop builds
 no Witness.  A two-variable identity is written once, as a function
 giving its (lhs, rhs) at (x, y), and runs through the one early-exit
-scan `_pairs`.  The four three-variable scans (right Bol, right Moufang,
-extra, associative) are hand-unrolled instead, because they run on every
-loop of a sweep and unrolling measured about twice as fast as a generic
-scan.  On loops of order 8 and up, a three-variable scan whose first x
-row holds hands its remaining rows to `_tail`, which evaluates the
-identity, written once in `_SIDES` as an (lhs, rhs) pair over a product,
-with numpy; the first mismatch in C order is the witness there too.  So
-no loop of order 7 or less, where nearly every scan stops in its first
-row, ever pays for numpy.  The comment above the scans has the numbers.
+scan `_pairs`.  The three-variable identities run on every loop of a
+sweep, so two hand-unrolled scans decide them: `_right_bol`, and
+`_right_product_law` for ((xy)z)u = x(y(zu)), which is right Moufang at
+u = y, extra at u = x and associativity at u = e.  On loops of order 8
+and up, a three-variable scan whose first x row holds hands its other
+rows to `_tail`, which evaluates the identity, written once in `_SIDES`
+as an (lhs, rhs) pair over a product, with numpy; the first mismatch in
+C order is the witness there too.  So no loop of order 7 or less, where
+nearly every scan stops in its first row, ever pays for numpy.  The
+comment above the scans has the numbers.
 """
 
 from __future__ import annotations
@@ -129,14 +130,18 @@ def _commutative(L: LoopTable) -> Failure | None:
     return _pairs(L, IdentityId.COMMUTATIVE, lambda x, y: (t[x][y], t[y][x]))
 
 
-# The three-variable scans stay unrolled, with the row lookups hoisted
-# out of the inner loop: they run on every loop of a sweep, while the
-# two-variable scans above only run on right Bol loops.  Over all 9 408
-# order-6 loops (best of 3, µs per loop on a 2-CPU Xeon) right Bol took
-# 10.3 unrolled, 18.3 as a per-tuple lambda scan and 23.1 as one numpy
-# tensor; associative took 5.9 unrolled and 12.7 as a lambda scan, all
-# over every tuple.  In paired runs the _SKIPS_E skips took the unrolled
-# scans from 7.1-9.2 to 2.8-3.7 (right Bol) and 5.9-7.7 to 2.2-3.3.
+# Two unrolled scans, with the row lookups hoisted out of the inner loop,
+# decide the four three-variable identities.  Right Bol's inner bracket
+# (yz)y is not of the form y(zu), so it keeps its own scan; the other
+# three share one, and _U picks their u from (x, y, e) once per (x, y)
+# pair.  Its entry points bind their IdentityId once (_at): reading an
+# enum member costs about 0.2 µs on Python 3.11, a fifth of a short scan.
+# Right Bol takes 1.0-1.9 µs per order-6 loop.  Measured dead ends (2-CPU
+# Xeon): one per-tuple lambda scan for all four laws adds 0.7-0.9 µs per
+# loop per identity, about +15% on the benchmark's sweep-default pass and
+# +20% on order7-slice; a row-at-a-time map scan is 3-5x slower; a
+# generic scan over per-(x, y) rows and columns is 1.3-1.5x slower, plus
+# 1-2 µs per loop to build the column tuples.
 #
 # From _TAIL_ORDER on, a scan whose first row holds hands the other rows
 # to _tail.  On relabelled cyclic groups, where every scan runs to the
@@ -217,58 +222,37 @@ def _right_bol(L: LoopTable) -> Failure | None:
     return None
 
 
-def _right_moufang(L: LoopTable) -> Failure | None:
-    t = L.table
-    xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_MOUFANG)
+# u of ((xy)z)u = x(y(zu)), as an index into (x, y, e)
+_U = {IdentityId.EXTRA: 0, IdentityId.RIGHT_MOUFANG: 1, IdentityId.ASSOCIATIVE: 2}
+
+
+def _right_product_law(L: LoopTable, ident: IdentityId) -> Failure | None:
+    t, e, k = L.table, L.identity, _U[ident]
+    xs, ys, zs = _domains(L.order, e, ident)
     for x in xs:
         tx = t[x]
         for y in ys:
             ty = t[y]
             txy = t[tx[y]]
+            u = (x, y, e)[k]
             for z in zs:
-                lhs = t[txy[z]][y]
-                rhs = tx[ty[t[z][y]]]
+                lhs = t[txy[z]][u]
+                rhs = tx[ty[t[z][u]]]
                 if lhs != rhs:
                     return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
-            return _tail(L, IdentityId.RIGHT_MOUFANG)
+            return _tail(L, ident)
     return None
 
 
-def _extra(L: LoopTable) -> Failure | None:
-    t = L.table
-    xs, ys, zs = _domains(L.order, L.identity, IdentityId.EXTRA)
-    for x in xs:
-        tx = t[x]
-        for y in ys:
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in zs:
-                lhs = t[txy[z]][x]
-                rhs = tx[ty[t[z][x]]]
-                if lhs != rhs:
-                    return (x, y, z), lhs, rhs
-        if L.order >= _TAIL_ORDER:
-            return _tail(L, IdentityId.EXTRA)
-    return None
+def _at(ident: IdentityId) -> Callable[[LoopTable], Failure | None]:
+    """_right_product_law with ident bound once, not read off IdentityId per call."""
+    return lambda L: _right_product_law(L, ident)
 
 
-def _associative(L: LoopTable) -> Failure | None:
-    t = L.table
-    xs, ys, zs = _domains(L.order, L.identity, IdentityId.ASSOCIATIVE)
-    for x in xs:
-        tx = t[x]
-        for y in ys:
-            ty = t[y]
-            txy = t[tx[y]]
-            for z in zs:
-                lhs = txy[z]
-                rhs = tx[ty[z]]
-                if lhs != rhs:
-                    return (x, y, z), lhs, rhs
-        if L.order >= _TAIL_ORDER:
-            return _tail(L, IdentityId.ASSOCIATIVE)
-    return None
+_right_moufang = _at(IdentityId.RIGHT_MOUFANG)
+_extra = _at(IdentityId.EXTRA)
+_associative = _at(IdentityId.ASSOCIATIVE)
 
 
 _CHECKS: dict[IdentityId, Callable[[LoopTable], Failure | None]] = {

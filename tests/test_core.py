@@ -29,9 +29,9 @@ from loopkit import (
 from loopkit import cli, core
 from loopkit.conditions import LoopFacts
 from loopkit.core import memo
-from loopkit.fixtures import BOL_16_RAW, MOUFANG_12_RAW, cyclic_group
+from loopkit.fixtures import BOL_16_RAW, MOUFANG_12_RAW, bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5
+from conftest import CORPUS5, bol_extension16, chein_a4, octonion_units
 
 # reduced Latin square counts, cross-checked against the independent
 # permutation-based oracle below
@@ -199,26 +199,36 @@ def test_nuclei_of_group_are_everything(z6):
     assert nuc.left == nuc.middle == nuc.right == nuc.nucleus == nuc.center == full
 
 
-def test_nuclei_brute_force_cross_check(t1):
-    nuc = nuclei(t1)
-    n = t1.order
-    t = t1.table
-    for a in range(n):
-        in_left = all(
-            t[t[a][x]][y] == t[a][t[x][y]] for x in range(n) for y in range(n)
-        )
-        in_mid = all(
-            t[t[x][a]][y] == t[x][t[a][y]] for x in range(n) for y in range(n)
-        )
-        in_right = all(
-            t[t[x][y]][a] == t[x][t[y][a]] for x in range(n) for y in range(n)
-        )
-        assert (a in nuc.left) == in_left
-        assert (a in nuc.middle) == in_mid
-        assert (a in nuc.right) == in_right
-        assert (a in nuc.nucleus) == (in_left and in_mid and in_right)
-    for a in nuc.center:
-        assert all(t[a][x] == t[x][a] for x in range(n))
+@pytest.mark.parametrize("loops", [
+    pytest.param((bol16(),), id="bol16"),
+    pytest.param(CORPUS5, id="corpus5"),
+    pytest.param((moufang12(),), id="moufang12"),
+    pytest.param((octonion_units(),), id="octonion_units"),
+    pytest.param((chein_a4(),), id="chein_a4"),
+    pytest.param((bol_extension16(),), id="bol_extension16"),
+])
+def test_nuclei_brute_force_cross_check(loops):
+    # the definitional scans, one generator per nucleus and the center
+    for L in loops:
+        nuc = nuclei(L)
+        n = L.order
+        t = L.table
+        for a in range(n):
+            in_left = all(
+                t[t[a][x]][y] == t[a][t[x][y]] for x in range(n) for y in range(n)
+            )
+            in_mid = all(
+                t[t[x][a]][y] == t[x][t[a][y]] for x in range(n) for y in range(n)
+            )
+            in_right = all(
+                t[t[x][y]][a] == t[x][t[y][a]] for x in range(n) for y in range(n)
+            )
+            commutes = all(t[a][x] == t[x][a] for x in range(n))
+            assert (a in nuc.left) == in_left
+            assert (a in nuc.middle) == in_mid
+            assert (a in nuc.right) == in_right
+            assert (a in nuc.nucleus) == (in_left and in_mid and in_right)
+            assert (a in nuc.center) == (in_left and in_mid and in_right and commutes)
 
 
 def test_moufang12_nucleus_is_trivial(t2):

@@ -18,9 +18,11 @@ from conftest import (
 )
 from loopkit import (
     CHECKS,
+    IdentityId,
     OrderExceedsCap,
     SweepSpec,
     enumerate_loops,
+    holds,
     render_sweep,
     run_sweep,
     validate_table,
@@ -188,23 +190,46 @@ def test_plan_runs_each_check_exactly_where_its_precondition_holds(monkeypatch):
     assert [c.check for c in res.cells] == list(checks) * 2
 
 
-def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
-    # at orders 4 and 5 every right Bol loop is a group, so those four
-    # flags hold on the same loops there.  These loops separate them:
-    # Bol 16.7.2.1 is right Bol only, M(S3,2) and the octonion units are
-    # RA2, a right Bol extension of order 16 (twice, the second relabelled)
-    # is SRAR but not Moufang, M(A4,2) is Moufang but not SRAR, and the
-    # order-5 loop is not right Bol.
-    ext = bol_extension16()
-    loops = (bol16(), moufang12(), octonion_units(), validate_table(NON_BOL_5_RAW),
-             ext, relabelled(ext, 1), chein_a4())
+def _flag_loops():
+    """Seven nonassociative loops that tell the four Bol-family flags apart.
 
+    At orders 4 and 5 every right Bol loop is a group, so the right_bol,
+    moufang, srar and ra2 flags hold on the same loops there.  These
+    separate them: Bol 16.7.2.1 is right Bol only, M(S3,2) and the
+    octonion units are RA2, a right Bol extension of order 16 (twice, the
+    second relabelled) is SRAR but not Moufang, M(A4,2) is Moufang but
+    not SRAR, and the order-5 loop is not right Bol.
+    """
+    ext = bol_extension16()
+    return (bol16(), moufang12(), octonion_units(), validate_table(NON_BOL_5_RAW),
+            ext, relabelled(ext, 1), chein_a4())
+
+
+# SHA-256 of each _flag_loops table, row-major, one byte per entry
+FLAG_LOOP_DIGESTS = (
+    "60bebe4754665b62f34b93c3169e72db788efe07e4afdbf115878afcc00f7590",
+    "c94a48a7744156fa99e3f8c4b16864cd20287eab79ae76db56b94a5957fa5a4b",
+    "9b95cc96c7b2aa3a32b19b742c759f0b31344278bcc1e60315c5eb8812c68a96",
+    "9074a057ec552057753f75a75b38eabc1c83801c6aed136ab2c2f29be923f3d4",
+    "f859097fe0e7253b1de50af842be38634f40cde9927b86bfc563dfe9645cb03d",
+    "b0178c711e321d6219b7a4e149654829431f401e8e1cbacf51f2e39a33f5592a",
+    "8997b856f516c15fe7c6b25957f8af091f271b354c8f49c77c5e6f5855991a8a",
+)
+
+
+def _sweep_over(monkeypatch, loops):
+    """Make each sweep part visit `loops` in place of its enumeration."""
     def visit_fixed(order, visit, part_index, part_count):
         for L in loops:
             visit(L)
         return len(loops)
 
     monkeypatch.setattr(sweeps, "enumerate_loops", visit_fixed)
+
+
+def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
+    loops = _flag_loops()
+    _sweep_over(monkeypatch, loops)
     flags = (None, *REQUIRES_FLAGS)
     calls = dict.fromkeys(flags, 0)
 
@@ -220,6 +245,26 @@ def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
     assert calls == {flag: sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
                      for flag in flags}
     assert calls == {None: 7, "right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
+
+
+def test_every_check_is_clean_on_the_nonassociative_loops(monkeypatch):
+    # the real checks, where their hypotheses hold on nonassociative loops:
+    # a check scoped by the wrong flag, or a ring comparator that asks for
+    # the wrong ring law (ring right Moufang in oracle_equiv_srar), reports
+    # a violation here.  odd_order_associative still sees only the non-Bol
+    # order-5 loop, so it stays vacuous until a corpus brings Glauberman
+    # loops of odd order.
+    loops = _flag_loops()
+    assert tuple(hashlib.sha256(bytes(v for row in L.table for v in row)).hexdigest()
+                 for L in loops) == FLAG_LOOP_DIGESTS
+    assert not any(holds(L, IdentityId.ASSOCIATIVE) for L in loops)
+    admitted = {flag: sum(getattr(LoopFacts(L), flag) for L in loops) for flag in REQUIRES_FLAGS}
+    assert admitted == {"right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
+    _sweep_over(monkeypatch, loops)
+    res = run_sweep(SweepSpec((5,), tuple(CHECKS)))
+    assert len(res.cells) == len(CHECKS) == 14
+    assert {(c.loops_scanned, c.violations) for c in res.cells} == {(len(loops), 0)}
+
 
 def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
     reads = []
