@@ -13,7 +13,7 @@ import itertools
 import sys
 from typing import Sequence
 
-from .core import ENUMERATION_CAP, LoopError, Witness, validate_table, enumerate_loops
+from .core import ENUMERATION_CAP, LoopError, Witness, _latin_loop, enumerate_loops
 from .catalog import (
     CatalogError,
     CatalogRecord,
@@ -130,9 +130,9 @@ def _cmd_validate(args) -> int:
     for path in args.files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for name, _line, grid in _iter_raw_records(fh):
+                for name, _line, table in _iter_raw_records(fh):
                     try:
-                        loop = validate_table(grid)
+                        loop = _latin_loop(table)
                         out.append(f"{name}: ok (order {loop.order})")
                     except LoopError as exc:
                         out.append(f"{name}: error: {exc}")

@@ -40,21 +40,22 @@ lemma.  Every scan reports the lexicographically first flagged tuple.
 
 LoopFacts caches a loop's identity scans as plain failure tuples, its
 SRAR and RA2 verdicts, extra flag, and the triple products with their
-D'/E'/F' code and mask sum, which coverage, the triple profile and both
-triple gaps reduce; it builds a Witness only when one is read.  is_srar,
-is_ra2, those triple functions, the lemma_* verifiers, thm_main_verify and
-gf2ring's oracle_equiv_* take a LoopFacts or a LoopTable, so a sweep or
-a classification passes its one LoopFacts through.  The kernel scans
-(identities.first_failure, first_quad_gap, quad_profile) take the bare
-table, and the cache calls them.  So does cor_odd_verify, which the
-order-7 tier calls once per loop and which decides through
-identities.holds.
+D'/E'/F' code counts and mask sum, which coverage, the triple profile
+and both triple gaps reduce; it builds a Witness only when one is read.
+is_srar, is_ra2, those triple functions, the lemma_* verifiers,
+thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts or a
+LoopTable, so a sweep or a classification passes its one LoopFacts
+through.  The kernel scans (identities.first_failure, first_quad_gap,
+quad_profile) take the bare table, and the cache calls them.  So does
+cor_odd_verify, which the order-7 tier calls once per loop and which
+decides through identities.holds.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import astuple, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -396,9 +397,14 @@ class LoopFacts:
         found = self._failure(ident)
         return None if found is None else Witness(ident.value, *found)
 
-    # (xy)z and x(yz) (see _triple_values) and their D'/E'/F' code
+    # (xy)z and x(yz) (see _triple_values), and how many triples have
+    # each D'/E'/F' code 0..7, which coverage and the profile both read
     triples = memo(lambda self: _triple_values(self.loop))
-    triple_code = memo(lambda self: _code(*self.triples, _TRIPLE_AXES))
+
+    @memo
+    def triple_counts(self) -> tuple[int, ...]:
+        code = _code(*self.triples, _TRIPLE_AXES)
+        return tuple(np.bincount(code.ravel(), minlength=8).tolist())
 
     @memo
     def triple_masks(self) -> np.ndarray:
@@ -455,17 +461,19 @@ def is_ra2(L: LoopFacts | LoopTable) -> tuple[bool, Witness | None]:
 
 
 def triple_coverage(L: LoopFacts | LoopTable) -> TripleCoverage:
-    """The four coverage flags: every triple's code meets D|E|F, D|E, D|F, E|F."""
-    code = LoopFacts.of(L).triple_code
+    """The four coverage flags: every triple's code meets D|E|F, D|E, D|F, E|F.
+
+    A flag holds when no triple has a code that misses its mask.
+    """
+    counts = LoopFacts.of(L).triple_counts
     masks = (_D | _E | _F, *_PAIRS)
-    return TripleCoverage(*(bool(np.all(code & mask)) for mask in masks))
+    return TripleCoverage(*(not any(counts[c] for c in range(8) if not c & m) for m in masks))
 
 
 def triple_profile(L: LoopFacts | LoopTable) -> TripleProfile:
     """Count the triples realizing each subset of {D',E',F'}."""
     f = LoopFacts.of(L)
-    counts = np.bincount(f.triple_code.ravel(), minlength=8)
-    return TripleProfile(_profile_dict(counts.tolist()), f.loop.order**3)
+    return TripleProfile(_profile_dict(f.triple_counts), f.loop.order**3)
 
 
 def quad_profile(L: LoopTable) -> QuadProfile:
@@ -477,7 +485,7 @@ def quad_profile(L: LoopTable) -> QuadProfile:
     return QuadProfile(_profile_dict(counts.tolist()), L.order**4)
 
 
-def _profile_dict(counts: list[int]) -> dict[str, int]:
+def _profile_dict(counts: Sequence[int]) -> dict[str, int]:
     # bit 1 = D, bit 2 = E, bit 4 = F; keys in canonical PROFILE_KEYS order
     by_code = {
         "none": counts[0], "D": counts[1], "E": counts[2], "DE": counts[3],

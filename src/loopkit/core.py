@@ -15,7 +15,6 @@ with a bitmask of the (column, value) pairs it occupies.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations
@@ -157,23 +156,35 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     """Check a 1-indexed square array and build a LoopTable from it.
 
     Raises Malformed, NotLatin, or NoIdentity; diagnostics use 1-indexed
-    rows, columns, and entries.  A table of plain ints whose every row
-    and column is the set 1..n passes in one set comparison per line;
-    any other input goes through _first_fault, which finds and words the
-    first fault cell by cell.
+    rows, columns, and entries.  This is the gate for outside input: a
+    table of plain ints with n rows of n entries goes on, 0-indexed, to
+    the Latin and identity check of _latin_loop; any other input goes
+    through _first_fault, which finds and words the first fault cell by
+    cell.
     """
     n = len(raw)
     if n == 0:
         raise Malformed("empty table")
-    labels = set(range(1, n + 1))
-    if not (
-        set(map(type, chain.from_iterable(raw))) == {int}
-        and all(len(row) == n and set(row) == labels for row in raw)
-        and all(set(col) == labels for col in zip(*raw))
-    ):
+    if set(map(type, chain.from_iterable(raw))) != {int} or any(len(row) != n for row in raw):
         _first_fault(raw, n)  # returns only on valid tables with int subclass entries
+    return _latin_loop(tuple(tuple([v - 1 for v in row]) for row in raw))
 
-    table = tuple(tuple([v - 1 for v in row]) for row in raw)
+
+def _latin_loop(table: tuple[tuple[int, ...], ...]) -> LoopTable:
+    """The LoopTable of n rows of n 0-indexed ints, raising like validate_table.
+
+    Every row and column that is the set 0..n-1 passes in one set
+    comparison; otherwise _first_fault words the first fault of the
+    1-indexed table (an entry out of range or a repeat).  The catalog
+    parser, whose rows are ints by construction, calls this directly.
+    """
+    n = len(table)
+    labels = set(range(n))
+    if not (
+        all(set(row) == labels for row in table)
+        and all(set(col) == labels for col in zip(*table))
+    ):
+        _first_fault([[v + 1 for v in row] for row in table], n)
     try:  # a Latin square has at most one identity row
         ident = table.index(tuple(range(n)))
     except ValueError:
@@ -376,5 +387,9 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # imported here: concurrent.futures.process adds 12-20 ms to the start
+    # of every command (python -X importtime), and --jobs 1 never needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // workers)))

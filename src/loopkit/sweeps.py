@@ -159,9 +159,11 @@ class SweepCheck:
 
 CHECKS: dict[str, SweepCheck] = {
     # the low-weight oracle decides any order; 6 keeps its cost out of the
-    # 16.9M-loop order-7 tier.  At order 6 its right Bol decision takes
-    # about 3.5 µs per loop and the whole cell about 12 µs per loop,
-    # enumeration and the pointwise SRAR criterion included (2-CPU Xeon)
+    # 16.9M-loop order-7 tier.  At order 6 its right Bol decision is about
+    # a quarter of the cell's time, enumeration and the pointwise SRAR
+    # criterion included: 1.9-3.2 against 7.5-12.2 µs per loop (medians
+    # of 7 passes over the 9 408 loops, in three runs on a 2-CPU Xeon
+    # whose speed varied from run to run)
     "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, 6),
     "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, 5),
     "alt_ring_equiv_moufang": SweepCheck(

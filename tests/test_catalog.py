@@ -3,9 +3,10 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loopkit import (
@@ -13,6 +14,7 @@ from loopkit import (
     CatalogRecord,
     DuplicateName,
     IdentityId,
+    LoopError,
     ParseError,
     UnsupportedFormat,
     ValidationError,
@@ -27,10 +29,17 @@ from loopkit import (
     survey,
     triple_coverage,
     triple_profile,
+    validate_table,
     write_report,
 )
-from loopkit import cli
-from loopkit.catalog import CSV_COLUMNS, classify_records, emit_record, rows_csv
+from loopkit import catalog, cli
+from loopkit.catalog import (
+    CSV_COLUMNS,
+    classify_records,
+    emit_record,
+    render_json_envelope,
+    rows_csv,
+)
 from loopkit.fixtures import BOL_16_NAME, MOUFANG_12_NAME, bol16, fixture_records, moufang12
 
 from conftest import CORPUS5, relabelled
@@ -107,6 +116,85 @@ def test_number_tokens_must_be_ascii_digits(token):
         parse_catalog(f"loop x\norder {token}\n1 2\n2 1\n")
     with pytest.raises(ParseError, match="line 3: non-integer table entry"):
         parse_catalog(f"loop x\norder 2\n1 {token}\n2 1\n")
+
+
+def _reference_record(rows: list[str]) -> CatalogRecord:
+    """Record 'x' of order 3 with these row lines (lines 3-5), read token
+    by token as the parser did before its token map: _ROW, int, then
+    validate_table."""
+    grid = []
+    for lineno, line in enumerate(rows, start=3):
+        s = line.strip()
+        if len(s.split()) != 3:
+            raise ParseError(lineno, f"expected 3 entries, got {len(s.split())}")
+        if not catalog._ROW.fullmatch(s):
+            raise ParseError(lineno, f"non-integer table entry in {s!r}")
+        grid.append([int(c) for c in s.split()])
+    try:
+        return CatalogRecord("x", validate_table(grid), 1)
+    except LoopError as exc:
+        raise ValidationError(f"loop 'x': {exc}") from exc
+
+
+def _outcome(read):
+    try:
+        return read()
+    except CatalogError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+# tokens the {"1": 0, "2": 1, "3": 2} map lacks; each takes the _ROW + int path
+@pytest.mark.parametrize("token", [
+    "01", "0", "00", "4", "+2", "\u0662", "2_0", "0" * 17 + "1",
+    pytest.param("1" * 18, id="18-digits"), pytest.param("1" * 19, id="19-digits"),
+])
+@pytest.mark.parametrize("row", [0, 2])
+def test_tokens_outside_the_map_read_as_before(token, row):
+    rows = ["1 2 3", "2 3 1", "3 1 2"]
+    cells = rows[row].split()
+    cells[1] = token  # in place of a 2 or a 1
+    rows[row] = " ".join(cells)
+    text = "loop x\norder 3\n" + "\n".join(rows) + "\n"
+    got = _outcome(lambda: parse_catalog(text)[0])
+    assert got == _outcome(lambda: _reference_record(rows))
+    if token in ("01", "0" * 17 + "1") and row == 2:
+        assert got == CatalogRecord("x", validate_table([[1, 2, 3], [2, 3, 1], [3, 1, 2]]), 1)
+
+
+def test_a_huge_order_allocates_nothing_of_its_size():
+    # the length check rejects the two-token row before any per-order
+    # token map is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="line 3: expected 999999999999 entries, got 2"):
+            parse_catalog("loop x\norder 999999999999\n1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# one grid per fault, each found by a different step of the check
+_FAULTY_GRIDS = {
+    "entry above n": [[1, 2], [2, 3]],
+    "entry 0": [[1, 2, 3], [2, 0, 1], [3, 1, 2]],
+    "huge entry": [[1, 2], [2, 10**17]],
+    "row repeat": [[1, 2], [2, 2]],
+    "column repeat": [[1, 2, 3], [2, 3, 1], [2, 1, 3]],
+    "no identity": [[1, 3, 2], [2, 1, 3], [3, 2, 1]],
+    "left identity only": [[1, 2, 3], [3, 1, 2], [2, 3, 1]],
+}
+
+
+@pytest.mark.parametrize("grid", _FAULTY_GRIDS.values(), ids=_FAULTY_GRIDS)
+def test_parser_and_public_gate_word_faults_alike(grid):
+    with pytest.raises(LoopError) as gate:
+        validate_table(grid)
+    text = f"loop g\norder {len(grid)}\n" + "\n".join(" ".join(map(str, r)) for r in grid)
+    with pytest.raises(ValidationError) as parsed:
+        parse_catalog(text)
+    assert type(parsed.value.__cause__) is type(gate.value)
+    assert str(parsed.value) == f"loop 'g': {gate.value}"
 
 
 # arbitrary lines mixed with catalog-shaped ones, so the fuzz reaches
@@ -257,6 +345,33 @@ def test_json_report_shape_and_determinism():
     assert rec["flags"]["right_bol"] is True and rec["flags"]["moufang"] is False
     assert sum(rec["triple_profile"].values()) == 16**3
     assert list(rec["triple_profile"]) == ["none", "D", "E", "F", "DE", "DF", "EF", "DEF"]
+
+
+# strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII text (surrogate pairs past the BMP)
+_JSON_STR = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\x00\x1f\n\t", "\x7f", "M(S3,2)", "é", "\u2028", "𝔽₂"]
+)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STR,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_STR, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(st.dictionaries(_JSON_STR, _JSON_VALUE, max_size=5), st.lists(_JSON_VALUE, max_size=5))
+@example({}, [])
+@example({"total": 1, "empty": {}, "none": []}, [{"a": True, "b": 1, "c": [False, 0, None]}])
+@example({"nested": {"d": {"e": [[], {}, [{}]]}}}, [[True, 1], {"1": 1, "true": True}])
+def test_json_envelope_matches_json_dumps(aggregates, records):
+    want = json.dumps({"aggregates": aggregates, "records": records}, indent=2) + "\n"
+    assert render_json_envelope(aggregates, records) == want.encode()
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: 2}, {"a": object()}, {1, 2}])
+def test_json_envelope_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        render_json_envelope({}, [value])
 
 
 def test_text_report_census_line():

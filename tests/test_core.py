@@ -1,5 +1,6 @@
 """loop-core: validation, nuclei, enumeration, the worker-process map."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -393,7 +394,9 @@ def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(core, "ProcessPoolExecutor", InlinePool)
+    # parallel_map imports the pool class from concurrent.futures only
+    # when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert core.parallel_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
     assert sizes == [3]
 
