@@ -90,7 +90,7 @@ from .catalog import (
     survey,
     write_report,
 )
-from .sweeps import CHECKS, SweepCell, SweepResult, SweepSpec, render_sweep, run_sweep
+from .sweeps import CHECKS, SweepCell, SweepResult, SweepSpec, render_sweep, run_sweep, sweep_plan
 from . import fixtures
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,7 +31,7 @@ from .catalog import (
 from .conditions import LoopFacts, quad_values
 from .gf2ring import OrderExceedsCap, RingIdentityId, low_weight_ring_check
 from .identities import IdentityId
-from .sweeps import CHECKS, SweepResult, SweepSpec, render_sweep, run_sweep
+from .sweeps import SweepResult, render_sweep, run_sweep, sweep_plan
 
 RING_IDENTITY_FLAGS = {
     "right-bol": RingIdentityId.RIGHT_BOL,
@@ -43,8 +43,6 @@ RING_IDENTITY_FLAGS = {
 FILTER_FLAGS = {"all": "all", "non-moufang-bol": "non_moufang_bol"}
 
 DEFAULT_SWEEP_ORDERS = (2, 3, 4, 5, 6)
-# combos gated behind --long: the order-6+ ring right Bol tier, all of order 7
-_LONG_RING_CHECKS = ("srar_ring_equiv",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,30 +207,13 @@ def _cmd_sweep(args) -> int:
     if 7 in orders and not args.long:
         print("order 7 requires --long", file=sys.stderr)
         return 3
-    combos: list[tuple[int, str]] = []
-    skipped: list[str] = []
-    for order in orders:
-        for name, check in CHECKS.items():
-            if order > check.max_order:
-                skipped.append(f"order={order} check={name} SKIPPED (capped at order {check.max_order})")
-            elif order >= 6 and name in _LONG_RING_CHECKS and not args.long:
-                skipped.append(f"order={order} check={name} SKIPPED (requires --long)")
-            else:
-                combos.append((order, name))
-
-    cells = []
-    for order in orders:
-        checks = tuple(name for o, name in combos if o == order)
-        if not checks:
-            continue
-        result = run_sweep(SweepSpec((order,), checks), jobs=args.jobs)
-        cells.extend(result.cells)
-    merged = SweepResult(tuple(cells))
-    payload = render_sweep(merged, args.format)
+    specs, skipped = sweep_plan(orders, args.long)
+    result = SweepResult(tuple(c for spec in specs for c in run_sweep(spec, args.jobs).cells))
+    payload = render_sweep(result, args.format)
     if args.format == "text" and skipped:
         payload += ("\n".join(skipped) + "\n").encode("utf-8")
     _out(payload)
-    return 2 if merged.total_violations() else 0
+    return 2 if result.total_violations() else 0
 
 
 def _cmd_enumerate(args) -> int:

@@ -47,8 +47,9 @@ thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts or a
 LoopTable, so a sweep or a classification passes its one LoopFacts
 through.  The kernel scans (identities.first_failure, first_quad_gap,
 quad_profile) take the bare table, and the cache calls them.  So does
-cor_odd_verify, which the order-7 tier calls once per loop and which
-decides through identities.holds.
+cor_odd_verify, which decides through identities.holds; the benchmark's
+order7-slice calls it once per loop, while the order-7 sweep decides
+odd_order_associative through LoopFacts.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class MainTheoremReport:
         )
 
 
-# all four checks, built once: the order-7 tier makes one per loop
+# all four checks, built once: cor_odd_verify and thm_main_verify return them per loop
 _IMPLICATIONS = {
     (h, c): ImplicationCheck(h, c, not h or c) for h in (False, True) for c in (False, True)
 }
@@ -579,10 +580,10 @@ def cor_odd_verify(L: LoopTable) -> ImplicationCheck:
     Only right Bol loops pay for more: the quadruple scan at odd order,
     then associativity.
 
-    No LoopFacts: the order-7 tier calls this once per loop, and deciding
-    through one took 3.8 against 1.5 µs per loop on order-7 enumeration
-    part 45 (medians of 9 interleaved passes on a 2-CPU Xeon,
-    enumeration excluded).
+    No LoopFacts: the benchmark's order7-slice calls this once per loop
+    (the order-7 sweep reads its LoopFacts instead), and deciding through
+    one took 3.8 against 1.5 µs per loop on order-7 enumeration part 45
+    (medians of 9 interleaved passes on a 2-CPU Xeon, enumeration excluded).
     """
     # read off _CHECKS per call, so wrappers put there see the scan
     if _CHECKS[_RIGHT_BOL](L) is not None:

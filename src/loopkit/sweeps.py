@@ -1,10 +1,12 @@
 """Exhaustive verification sweeps over all small loops.
 
-A sweep enumerates every normalized loop of the requested orders once
-and evaluates a battery of checks on each.  Every check verifies a
-proved statement, so any violation is build-breaking; the first
-violating loop's full table is captured for reproduction without
-re-enumeration.
+A sweep runs a battery of checks on each loop of a loop source, a
+callable that feeds its loops to a visitor and returns their count;
+run_sweep sources each part of an order from enumerate_loops.  Every
+check verifies a proved statement, so any violation is build-breaking;
+the first violating loop's full table is captured for reproduction
+without re-enumeration.  sweep_plan alone decides the cells of
+`loopkit sweep` and its SKIPPED lines.
 
 Results are independent of the worker count: parts partition the
 enumeration deterministically, counts add, and first violations merge by
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
 
 from .core import (
     ENUMERATION_CAP,
@@ -38,6 +41,7 @@ from .gf2ring import OrderExceedsCap, oracle_equiv_ra2, oracle_equiv_srar
 
 
 CheckFn = Callable[[LoopFacts], str | None]
+LoopSource = Callable[[Callable[[LoopTable], None]], int]
 
 
 def _check_srar_ring_equiv(f: LoopFacts) -> str | None:
@@ -218,6 +222,35 @@ class SweepSpec:
         for field, values in (("orders", self.orders), ("checks", self.checks)):
             if len(set(values)) < len(values):
                 raise ValueError(f"repeated {field}: {values}")
+        for order in self.orders:
+            if order < 2:
+                raise ValueError("order must be at least 2")
+            if order > ENUMERATION_CAP:
+                raise OrderExceedsCap(f"order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
+            for name in self.checks:
+                cap = CHECKS[name].max_order
+                if order > cap:
+                    raise OrderExceedsCap(f"check {name} is capped at order {cap}, got {order}")
+
+
+# the order-6+ ring right Bol tier, which a sweep runs only with --long
+_LONG_RING_CHECKS = ("srar_ring_equiv",)
+
+
+def sweep_plan(orders: Sequence[int], long: bool) -> tuple[tuple[SweepSpec, ...], tuple[str, ...]]:
+    """The per-order specs of `loopkit sweep` over orders, and its SKIPPED lines."""
+    specs, skipped = [], []
+    for order in orders:
+        checks = []
+        for name, check in CHECKS.items():
+            if order > check.max_order:
+                skipped.append(f"order={order} check={name} SKIPPED (capped at order {check.max_order})")
+            elif order >= 6 and name in _LONG_RING_CHECKS and not long:
+                skipped.append(f"order={order} check={name} SKIPPED (requires --long)")
+            else:
+                checks.append(name)
+        specs.append(SweepSpec((order,), tuple(checks)))
+    return tuple(specs), tuple(skipped)
 
 
 @dataclass(frozen=True)
@@ -248,9 +281,9 @@ class SweepResult:
         return sum(c.violations for c in self.cells)
 
 
-def _sweep_part(args: tuple[int, tuple[str, ...], int, int]):
-    """One enumeration part: returns (scanned, {check: [viol, first, time]})."""
-    order, checks, part_index, part_count = args
+def _sweep_part(args: tuple[LoopSource, tuple[str, ...]]):
+    """One source's loops: returns (scanned, {check: [viol, first, time]})."""
+    source, checks = args
     stats: dict[str, list] = {c: [0, None, 0.0] for c in checks}
     # The plan: the checks grouped by precondition, groups in order of
     # first appearance, request order inside each.  Built from CHECKS now,
@@ -282,26 +315,18 @@ def _sweep_part(args: tuple[int, tuple[str, ...], int, int]):
                     if st[1] is None:
                         st[1] = loop.raw_rows()
 
-    scanned = enumerate_loops(order, visit, part_index=part_index, part_count=part_count)
-    return scanned, stats
+    return source(visit), stats
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run every requested check over every loop of every requested order."""
-    for order in spec.orders:
-        if order > ENUMERATION_CAP:
-            raise OrderExceedsCap(f"order {order} exceeds the enumeration cap {ENUMERATION_CAP}")
-        for name in spec.checks:
-            if order > CHECKS[name].max_order:
-                raise OrderExceedsCap(
-                    f"check {name} is capped at order {CHECKS[name].max_order}, got {order}"
-                )
-
     cells: list[SweepCell] = []
     for order in spec.orders:
         # parts past the row-1 candidates (1, 1, 3, 11, 53, 309 at orders 2-7) are empty
         parts = min(max(jobs, 1), len(second_row_candidates(order)))
-        tasks = [(order, spec.checks, k, parts) for k in range(parts)]
+        # enumerate_loops is looked up per call, so a rebound sweeps.enumerate_loops runs
+        tasks = [(partial(enumerate_loops, order, part_index=k, part_count=parts), spec.checks)
+                 for k in range(parts)]
         results = parallel_map(_sweep_part, tasks, jobs)
         scanned = sum(r[0] for r in results)
         for name in spec.checks:

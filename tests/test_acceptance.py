@@ -245,11 +245,14 @@ def test_criterion_8_enumeration_counts():
 
 @long_tier
 def test_criterion_8_enumeration_count_order_7_long():
+    from functools import partial
+
     from loopkit.core import parallel_map
     from loopkit.sweeps import _sweep_part
 
-    # a sweep part with no checks only counts the loops it enumerates
-    parts = parallel_map(_sweep_part, [(7, (), k, 4) for k in range(4)], 4)
+    # a sweep part with no checks only counts the loops its source feeds it
+    sources = [partial(enumerate_loops, 7, part_index=k, part_count=4) for k in range(4)]
+    parts = parallel_map(_sweep_part, [(source, ()) for source in sources], 4)
     total = sum(scanned for scanned, _ in parts)
     assert total == 16942080
 

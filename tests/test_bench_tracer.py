@@ -42,3 +42,19 @@ def test_order7_part_pins_still_hold():
     for p in (0, 45):
         got = enumerate_loops(7, lambda L: None, part_index=p, part_count=parts)
         assert got == doc["counts"][p]
+
+
+def test_default_plan_matches_the_benchmark(monkeypatch):
+    # the sweep-default workload checks the report against its own copy of
+    # the default plan; drift between the two fails here, not in a bench run
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    orders = (2, 3, 4, 5, 6)
+    specs, skipped = sweeps.sweep_plan(orders, long=False)
+    cells, bench_skipped = workloads.sweep_cells(
+        orders, workloads.SWEEP_CHECKS, workloads.DEFAULT_SKIPS
+    )
+    assert [(o, c) for spec in specs for o in spec.orders for c in spec.checks] == cells
+    assert list(skipped) == bench_skipped

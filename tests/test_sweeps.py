@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-import loopkit.sweeps as sweeps
 from conftest import (
     CORPUS5,
     NON_BOL_5_RAW,
@@ -25,10 +24,11 @@ from loopkit import (
     holds,
     render_sweep,
     run_sweep,
+    sweep_plan,
     validate_table,
 )
 from loopkit.fixtures import bol16, moufang12
-from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult
+from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult, _sweep_part
 
 
 def cells_key(result):
@@ -127,6 +127,10 @@ def test_spec_validation():
         SweepSpec((4, 5, 4), ("lip_equiv",))
     with pytest.raises(ValueError, match="repeated checks"):
         SweepSpec((4,), ("lip_equiv", "moufang_implies_bol", "lip_equiv"))
+    # enumerate_loops starts at order 2; a spec says so before any sweep runs
+    for order in (1, 0):
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            SweepSpec((order,), ("lip_equiv",))
 
 
 def test_violation_capture_first_loop(monkeypatch):
@@ -217,19 +221,18 @@ FLAG_LOOP_DIGESTS = (
 )
 
 
-def _sweep_over(monkeypatch, loops):
-    """Make each sweep part visit `loops` in place of its enumeration."""
-    def visit_fixed(order, visit, part_index, part_count):
+def _sweep_over(loops, checks):
+    """Sweep one part whose loop source feeds it `loops`: (scanned, stats)."""
+    def source(visit):
         for L in loops:
             visit(L)
         return len(loops)
 
-    monkeypatch.setattr(sweeps, "enumerate_loops", visit_fixed)
+    return _sweep_part((source, checks))
 
 
 def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
     loops = _flag_loops()
-    _sweep_over(monkeypatch, loops)
     flags = (None, *REQUIRES_FLAGS)
     calls = dict.fromkeys(flags, 0)
 
@@ -240,14 +243,14 @@ def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
 
     for flag in flags:
         monkeypatch.setitem(CHECKS, f"counts_{flag}", SweepCheck(counting(flag), 7, requires=flag))
-    res = run_sweep(SweepSpec((5,), tuple(f"counts_{flag}" for flag in reversed(flags))))
-    assert {c.loops_scanned for c in res.cells} == {len(loops)}
+    scanned, _ = _sweep_over(loops, tuple(f"counts_{flag}" for flag in reversed(flags)))
+    assert scanned == len(loops)
     assert calls == {flag: sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
                      for flag in flags}
     assert calls == {None: 7, "right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
 
 
-def test_every_check_is_clean_on_the_nonassociative_loops(monkeypatch):
+def test_every_check_is_clean_on_the_nonassociative_loops():
     # the real checks, where their hypotheses hold on nonassociative loops:
     # a check scoped by the wrong flag, or a ring comparator that asks for
     # the wrong ring law (ring right Moufang in oracle_equiv_srar), reports
@@ -260,10 +263,9 @@ def test_every_check_is_clean_on_the_nonassociative_loops(monkeypatch):
     assert not any(holds(L, IdentityId.ASSOCIATIVE) for L in loops)
     admitted = {flag: sum(getattr(LoopFacts(L), flag) for L in loops) for flag in REQUIRES_FLAGS}
     assert admitted == {"right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
-    _sweep_over(monkeypatch, loops)
-    res = run_sweep(SweepSpec((5,), tuple(CHECKS)))
-    assert len(res.cells) == len(CHECKS) == 14
-    assert {(c.loops_scanned, c.violations) for c in res.cells} == {(len(loops), 0)}
+    scanned, stats = _sweep_over(loops, tuple(CHECKS))
+    assert len(stats) == len(CHECKS) == 14
+    assert (scanned, {violations for violations, _, _ in stats.values()}) == (len(loops), {0})
 
 
 def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
@@ -300,17 +302,43 @@ DEFAULT_SWEEP_DIGESTS = {
 
 
 def test_default_sweep_report_is_pinned():
-    cells = []
-    for order in (2, 3, 4, 5, 6):
-        checks = tuple(
-            name for name, c in CHECKS.items()
-            if order <= c.max_order and not (order == 6 and name == "srar_ring_equiv")
-        )
-        cells += run_sweep(SweepSpec((order,), checks)).cells
-    result = SweepResult(tuple(cells))
+    specs, _ = sweep_plan((2, 3, 4, 5, 6), long=False)
+    result = SweepResult(tuple(c for spec in specs for c in run_sweep(spec).cells))
     digests = {fmt: hashlib.sha256(render_sweep(result, fmt)).hexdigest()
                for fmt in DEFAULT_SWEEP_DIGESTS}
     assert digests == DEFAULT_SWEEP_DIGESTS
+
+
+def _plan_cells(orders, long):
+    specs, skipped = sweep_plan(orders, long)
+    assert all(len(spec.orders) == 1 for spec in specs)
+    return [(spec.orders[0], spec.checks) for spec in specs], list(skipped)
+
+
+def test_sweep_plan_pins_the_cells_and_skipped_lines():
+    # the plan alone, no sweep run: every check in CHECKS order, less the
+    # ring checks past their caps and, without --long, the order-6 ring
+    # right Bol tier
+    every = tuple(CHECKS)
+    without_ring = every[2:]
+    assert every[:2] == ("srar_ring_equiv", "alt_ring_equiv")
+    assert _plan_cells((2, 3, 4, 5, 6), long=False) == (
+        [(2, every), (3, every), (4, every), (5, every), (6, without_ring)],
+        ["order=6 check=srar_ring_equiv SKIPPED (requires --long)",
+         "order=6 check=alt_ring_equiv SKIPPED (capped at order 5)"],
+    )
+    assert _plan_cells((6,), long=True) == (
+        [(6, ("srar_ring_equiv", *without_ring))],
+        ["order=6 check=alt_ring_equiv SKIPPED (capped at order 5)"],
+    )
+    assert _plan_cells((7,), long=True) == (
+        [(7, without_ring)],
+        ["order=7 check=srar_ring_equiv SKIPPED (capped at order 6)",
+         "order=7 check=alt_ring_equiv SKIPPED (capped at order 5)"],
+    )
+    # --long lifts only the ring right Bol tier, and below order 6 it changes nothing
+    assert _plan_cells((7,), long=False) == _plan_cells((7,), long=True)
+    assert _plan_cells((2, 5), long=True) == _plan_cells((2, 5), long=False)
 
 
 def test_wall_time_charges_each_step_once():
