@@ -46,8 +46,11 @@ is_srar, is_ra2, those triple functions, the lemma_* verifiers,
 thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts or a
 LoopTable, so a sweep or a classification passes its one LoopFacts
 through.  The kernel scans (identities.first_failure, first_quad_gap,
-quad_profile) take the bare table, and the cache calls them.  So does
-cor_odd_verify, which decides through identities.holds; the benchmark's
+quad_profile) take the bare table.  LoopFacts is the identities.Products
+of its loop and hands itself to the first two, so its identity scans,
+triples and quadruple blocks read one intp table, one (xy)z and one
+x(yz); a call on a bare table builds its own.  cor_odd_verify takes the
+bare table too and decides through identities.holds; the benchmark's
 order7-slice calls it once per loop, while the order-7 sweep decides
 odd_order_associative through LoopFacts.
 """
@@ -61,7 +64,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LoopTable, LoopError, TheoremViolation, Witness, memo
-from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, first_failure, holds, is_extra
+from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, Products, first_failure, holds
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
@@ -296,22 +299,7 @@ def _values_at(*values: np.ndarray):
     return lambda at: tuple(int(v[at]) for v in values)
 
 
-def _tables(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
-    """The Cayley table as intp indices and as values in its smallest dtype.
-
-    Products compare fastest in the small dtype, and numpy gathers with
-    intp indices without casting them first.
-    """
-    return L.array.astype(np.intp), L.array
-
-
-def _triple_values(L: LoopTable) -> tuple[np.ndarray, np.ndarray]:
-    """(xy)z and x(yz), each indexed [x, y, z]."""
-    T, V = _tables(L)
-    return V[T], V.take(T, axis=1)
-
-
-def _quad_blocks(L: LoopTable, V: np.ndarray):
+def _quad_blocks(p: Products, V: np.ndarray):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
     They are gathered from V: the table's values, or those with trailing
@@ -319,9 +307,9 @@ def _quad_blocks(L: LoopTable, V: np.ndarray):
     elements, each of at most _BLOCK quadruples unless one n^3 slab is
     larger: a gap at x = 0 costs one slab, and a full scan about log n blocks.
     """
-    T = _tables(L)[0]
-    TT, VV = T[T], V[T]
-    n = L.order
+    T, TT = p.intp, p.xy_z  # (yz)w is TT[y, z, w]
+    VV = V[T]
+    n = p.loop.order
     cap = max(1, _BLOCK // n**3)
     x0 = 0
     while x0 < n:
@@ -330,20 +318,21 @@ def _quad_blocks(L: LoopTable, V: np.ndarray):
         x0 = x1
 
 
-def _first_quad(L: LoopTable, identity_id: str, V: np.ndarray, flags) -> Witness | None:
+def _first_quad(p: Products, identity_id: str, V: np.ndarray, flags) -> Witness | None:
     """First quadruple where flags(S, T) is set, S and T from V (see _quad_blocks)."""
-    values_at = lambda q: astuple(quad_values(L, *q))  # noqa: E731
-    for x0, s, t in _quad_blocks(L, V):
+    values_at = lambda q: astuple(quad_values(p.loop, *q))  # noqa: E731
+    for x0, s, t in _quad_blocks(p, V):
         w = _first_flagged(identity_id, flags(s, t), values_at, x0)
         if w is not None:
             return w
     return None
 
 
-def first_quad_gap(L: LoopTable) -> Witness | None:
-    """First quadruple whose D/E/F set is empty, scan order (x, y, z, w)."""
-    masks = _one_hot(L.order)[L.array]
-    return _first_quad(L, "def_coverage", masks, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
+def first_quad_gap(L: LoopTable, products: Products | None = None) -> Witness | None:
+    """First quadruple whose D/E/F set is empty, scan order (x, y, z, w), from products if given."""
+    p = Products(L) if products is None else products
+    masks = _one_hot(L.order)[p.intp]
+    return _first_quad(p, "def_coverage", masks, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
 
 
 def abc_gaps(L: LoopFacts | LoopTable) -> np.ndarray:
@@ -368,15 +357,21 @@ def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
     return _first_flagged("abc_coverage", abc_gaps(f), _values_at(p1, p2, p3, p4))
 
 
-class LoopFacts:
+# bound once, as identities._RIGHT_BOL is: a sweep reads these flags per loop
+_MOUFANG, _EXTRA, _ASSOCIATIVE = IdentityId.RIGHT_MOUFANG, IdentityId.EXTRA, IdentityId.ASSOCIATIVE
+
+
+class LoopFacts(Products):
     """The whole-loop facts of one loop, each computed at most once.
 
     The flags only test the scans' failure tuples for None; a Witness is
-    built when witness, srar_witness or ra2_witness is read.
+    built when witness, srar_witness or ra2_witness is read.  As the
+    Products of its loop it hands its product arrays to every numpy stage
+    it calls, so each is built once per loop, on first need.
     """
 
     def __init__(self, loop: LoopTable):
-        self.loop = loop
+        self.loop = loop  # all of Products.__init__, without super() on the sweeps' hot path
         self._failures: dict[IdentityId, Failure | None] = {}
 
     @classmethod
@@ -387,7 +382,7 @@ class LoopFacts:
     def _failure(self, ident: IdentityId) -> Failure | None:
         """first_failure on this loop, scanned once per identity."""
         if ident not in self._failures:
-            self._failures[ident] = first_failure(self.loop, ident)
+            self._failures[ident] = first_failure(self.loop, ident, self)
         return self._failures[ident]
 
     def holds(self, ident: IdentityId) -> bool:
@@ -398,9 +393,9 @@ class LoopFacts:
         found = self._failure(ident)
         return None if found is None else Witness(ident.value, *found)
 
-    # (xy)z and x(yz) (see _triple_values), and how many triples have
-    # each D'/E'/F' code 0..7, which coverage and the profile both read
-    triples = memo(lambda self: _triple_values(self.loop))
+    # (xy)z and x(yz), and how many triples have each D'/E'/F' code
+    # 0..7, which coverage and the profile both read
+    triples = memo(lambda self: (self.xy_z, self.x_yz))
 
     @memo
     def triple_counts(self) -> tuple[int, ...]:
@@ -415,7 +410,7 @@ class LoopFacts:
 
     # The condition halves of SRAR and RA2, read only where the identity
     # half holds, so that the flags and the witnesses share one scan.
-    _quad_gap = memo(lambda self: first_quad_gap(self.loop))
+    _quad_gap = memo(lambda self: first_quad_gap(self.loop, self))
     _coverage_gap = memo(lambda self: first_abc_gap(self) or first_triple_gap(self))
 
     @memo
@@ -432,12 +427,12 @@ class LoopFacts:
     # plain properties over the per-identity failures they made a sweep of
     # the non-ring checks over orders 2-6 about 12% slower (median of 7
     # alternating runs, 332-343 against 374-384 ms on a 2-CPU Xeon).
-    right_bol = memo(lambda self: self.holds(IdentityId.RIGHT_BOL))
-    moufang = memo(lambda self: self.holds(IdentityId.RIGHT_MOUFANG))
-    associative = memo(lambda self: self.holds(IdentityId.ASSOCIATIVE))
+    right_bol = memo(lambda self: self.holds(_RIGHT_BOL))
+    moufang = memo(lambda self: self.holds(_MOUFANG))
+    associative = memo(lambda self: self.holds(_ASSOCIATIVE))
     srar = memo(lambda self: self.right_bol and self._quad_gap is None)
     ra2 = memo(lambda self: self.moufang and self._coverage_gap is None)
-    extra = memo(lambda self: is_extra(self.loop))
+    extra = memo(lambda self: self.holds(_EXTRA))
     coverage = memo(lambda self: triple_coverage(self))
 
     @property
@@ -481,7 +476,7 @@ def quad_profile(L: LoopTable) -> QuadProfile:
     """Count the quadruples realizing each subset of {D,E,F}."""
     counts = sum(
         np.bincount(_code(s, t, _QUAD_AXES).ravel(), minlength=8)
-        for _, s, t in _quad_blocks(L, L.array)
+        for _, s, t in _quad_blocks(Products(L), L.array)
     )
     return QuadProfile(_profile_dict(counts.tolist()), L.order**4)
 
@@ -515,7 +510,7 @@ def lemma_allthree(L: LoopFacts | LoopTable) -> Witness | None:
     if not f.srar:
         raise NotSrar(f.srar_witness.describe())
     flags = lambda s, t: _SIZE_0_OR_2 >> _code(s, t, _QUAD_AXES) & 1  # noqa: E731
-    return _first_quad(f.loop, "quad_all_three_or_one", f.loop.array, flags)
+    return _first_quad(f, "quad_all_three_or_one", f.loop.array, flags)
 
 
 def lemma_lip_equiv(L: LoopFacts | LoopTable) -> Witness | None:

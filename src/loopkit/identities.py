@@ -28,12 +28,12 @@ giving its (lhs, rhs) at (x, y), which `_pairs` makes into the one
 early-exit scan.  The three-variable identities run on every loop of a
 sweep, so two hand-unrolled scans decide them: `_right_bol`, and
 `_right_product_law` for ((xy)z)u = x(y(zu)), which is right Moufang at
-u = y, extra at u = x and associativity at u = e.  On loops of order 8
-and up, a three-variable scan whose first x row holds hands its other
-rows to `_tail`, which evaluates the identity, written once in `_SIDES`
-as an (lhs, rhs) pair over a product, with numpy; the first mismatch in
-C order is the witness there too.  So no loop of order 7 or less, where
-nearly every scan stops in its first row, ever pays for numpy.  The
+u = y, extra at u = x and associativity at u = e.  From order 8, such
+a scan runs in Python only over the first y row of its first x; if that
+holds, `_numpy_scan` evaluates the identity, written once in `_SIDES`,
+over the whole domain from the loop's `Products` arrays.  The first
+mismatch in C order is the witness there too, since a skipped tuple
+never fails.  No loop of order 7 or less ever pays for numpy.  The
 comment above the scans has the numbers.
 """
 
@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LoopTable, Witness, nuclei
+from .core import LoopTable, Witness, memo, nuclei
 
 Failure = tuple[tuple[int, ...], int, int]  # a scan's (elements, lhs, rhs)
 
@@ -83,6 +83,23 @@ def _domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
     return tuple(rest if skip else range(n) for skip in _SKIPS_E.get(ident, (True, True)))
 
 
+class Products:
+    """One loop's arrays for the numpy stages, each built on first read.
+
+    intp is the table as intp indices (numpy casts any other index array
+    first); xy_z is (xy)z and x_yz is x(yz), indexed [x, y, z].
+    conditions.LoopFacts is a Products, so the stages it calls share them.
+    """
+
+    def __init__(self, loop: LoopTable):
+        self.loop = loop
+
+    intp = memo(lambda self: self.loop.array.astype(np.intp))
+    xy_z = memo(lambda self: self.intp[self.intp])
+    x_yz = memo(lambda self: self.intp.take(self.intp, axis=1))
+
+
+Scan = Callable[[LoopTable, Products | None], Failure | None]
 Sides = Callable[[int, int], tuple[int, int]]  # (x, y) -> (lhs, rhs)
 
 
@@ -94,8 +111,8 @@ def _pairs(ident: IdentityId):
     bound once here, as in _at, not read off IdentityId per call.
     """
 
-    def make(sides_of: Callable[[LoopTable], Sides]) -> Callable[[LoopTable], Failure | None]:
-        def scan(L: LoopTable) -> Failure | None:
+    def make(sides_of: Callable[[LoopTable], Sides]) -> Scan:
+        def scan(L: LoopTable, products: Products | None = None) -> Failure | None:
             xs, ys = _domains(L.order, L.identity, ident)
             sides = sides_of(L)
             for x in xs:
@@ -163,73 +180,92 @@ def _commutative(L: LoopTable) -> Sides:
 # generic scan over per-(x, y) rows and columns is 1.3-1.5x slower, plus
 # 1-2 µs per loop to build the column tuples.
 #
-# From _TAIL_ORDER on, a scan whose first row holds hands the other rows
-# to _tail.  On relabelled cyclic groups, where every scan runs to the
-# end, the numpy tail pays from order 7 for right Bol and right Moufang
-# and from order 8 for all four (µs per loop in the benchmark's reference
-# units, Python against tail: order 7 right Bol 33.7 against 29.1,
-# associative 19.7 against 23.6; order 8 right Bol 45.0 against 35.2,
-# associative 28.4 against 25.8; order 12 right Bol 144 against 65).  A
-# scan that fails early in its second row pays about 15 µs more in numpy
-# than in Python, and 96% of the order-6 loops (all of a sampled order-7
-# enumeration part) fail right Bol and associativity in their first row,
-# so below order 8 the Python scan stays the whole scan.  The tail takes
-# all its rows in one block up to _BLOCK tuples: on seeded relabellings
-# of both fixtures, blocks of 1, 2, 4, ... rows cost more on the scans
-# that hold (right Bol 11.4 against 6.8 ms per 80 loops) than they saved
-# on those that fail in row 2 (extra 3.3 against 3.6 ms).
+# From _TAIL_ORDER on, the Python scan stops after the first y row of the
+# first x (_python_domains), so no order <= 7 scan tests anything per row
+# (a per-row order test cost the order-6 right Bol scan 2-4%).  On
+# relabelled cyclic groups, where every scan runs to its end, µs per scan
+# on a 2-CPU Xeon, Python against numpy from built Products: order 8
+# right Bol 32 against 13, associative 27 against 5; order 16 right Bol
+# 251 against 26.  A scan failing in its first x row past its first y
+# pays more (on 40 relabellings of each fixture, medians of 2 µs against
+# 9 for associativity, 27-33 for right Moufang and extra), but the
+# benchmark's survey-relabelled pass went from 0.334 to 0.280 s (medians
+# of 20 alternating pairs).  Below order 8, 96% of the loops fail right
+# Bol and associativity in their first row, so numpy would not pay.  One
+# block takes up to _BLOCK tuples: blocks of 1, 2, 4, ... rows cost more
+# on the fixtures' scans that hold (right Bol 11.4 against 6.8 ms per 80
+# loops) than they saved on those failing in row 2 (extra 3.3 against
+# 3.6 ms).
 
 _TAIL_ORDER = 8
 _BLOCK = 1 << 16  # tuples per numpy block, at most
 
-# (lhs, rhs) of each three-variable identity over a product m, for _tail;
-# the unrolled scans below evaluate the same equations
+
+def _mul(p: Products, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab for index arrays a and b, by one flat gather: a quarter faster than intp[a, b]."""
+    return p.intp.take(a * p.loop.order + b)
+
+
+def _x_y_zx(p: Products, xs: slice, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x(y(zx)) over the x rows xs: x_yz at [x, y, zx], as one flat gather."""
+    n = p.loop.order
+    return p.x_yz.take((x * n + y) * n + p.intp.T[xs, None])
+
+
+# (lhs, rhs) of each three-variable identity over the x rows xs of a
+# Products p, indexed [x, y, z] with x = arange(n)[xs, None, None] and y =
+# arange(n)[:, None]; x times an [y, z] array w is intp[xs].take(w, axis=1).
+# Right Bol and right Moufang share ((xy)z)y.  The unrolled scans below
+# evaluate the same equations.
 _SIDES = {
-    IdentityId.RIGHT_BOL: lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
-    IdentityId.RIGHT_MOUFANG: lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
-    IdentityId.EXTRA: lambda m, x, y, z: (m(m(m(x, y), z), x), m(x, m(y, m(z, x)))),
-    IdentityId.ASSOCIATIVE: lambda m, x, y, z: (m(m(x, y), z), m(x, m(y, z))),
+    IdentityId.RIGHT_BOL: lambda p, xs, x, y: (
+        _mul(p, p.xy_z[xs], y), p.intp[xs].take(_mul(p, p.intp, y), axis=1)),
+    IdentityId.RIGHT_MOUFANG: lambda p, xs, x, y: (
+        _mul(p, p.xy_z[xs], y), p.intp[xs].take(_mul(p, y, p.intp.T), axis=1)),
+    IdentityId.EXTRA: lambda p, xs, x, y: (_mul(p, p.xy_z[xs], x), _x_y_zx(p, xs, x, y)),
+    IdentityId.ASSOCIATIVE: lambda p, xs, x, y: (p.xy_z[xs], p.x_yz[xs]),
 }
 
 
-@functools.cache
-def _grid(n: int, e: int, ident: IdentityId) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The domains of ident as arrays shaped to broadcast over [x, y, z]."""
-    xs, ys, zs = (np.array(d, dtype=np.intp) for d in _domains(n, e, ident))
-    for a in (xs, ys, zs):
-        a.flags.writeable = False  # shared by every caller through the cache
-    return xs[:, None, None], ys[:, None], zs
+def _numpy_scan(L: LoopTable, products: Products | None, ident: IdentityId) -> Failure | None:
+    """The first failing tuple of ident over all of L^3, read from products.
 
-
-def _tail(L: LoopTable, ident: IdentityId) -> Failure | None:
-    """The first failing tuple of ident past the first x of its domain.
-
-    The rows go to numpy in blocks of at most _BLOCK tuples, which at
+    The x rows go to numpy in blocks of at most _BLOCK tuples, which at
     order 16 is all of them at once.  The first mismatch in C order is
-    the witness, as in the Python scans.
+    the scan's witness, since no tuple the scan skips ever fails.
     """
-    xs, y, z = _grid(L.order, L.identity, ident)
-    T = L.array.astype(np.intp)  # numpy casts any other index array first
-    sides = _SIDES[ident]
-    rows = max(1, _BLOCK // (y.size * z.size))
-    for start in range(1, len(xs), rows):
-        x = xs[start:start + rows]
-        lhs, rhs = sides(lambda a, b: T[a, b], x, y, z)
+    p = Products(L) if products is None else products
+    n = L.order
+    a = np.arange(n)
+    rows = max(1, _BLOCK // n**2)
+    for x0 in range(0, n, rows):
+        xs = slice(x0, x0 + rows)
+        lhs, rhs = _SIDES[ident](p, xs, a[xs, None, None], a[:, None])
         bad = lhs != rhs
         k = int(bad.argmax())
         if bad.flat[k]:
-            i, j, l = np.unravel_index(k, bad.shape)
-            return ((int(x[i, 0, 0]), int(y[j, 0]), int(z[l])),
-                    int(lhs[i, j, l]), int(rhs[i, j, l]))
+            x, yz = divmod(k, n * n)
+            return (x0 + x, *divmod(yz, n)), int(lhs.flat[k]), int(rhs.flat[k])
     return None
 
 
 _RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as in _at
 
 
-def _right_bol(L: LoopTable) -> Failure | None:
+@functools.cache
+def _python_domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
+    """The part of ident's domain that its unrolled scan visits in Python.
+
+    Below _TAIL_ORDER that is all of it; from there on, the first y row
+    of the first x, one row of z, after which _numpy_scan takes over.
+    """
+    xs, ys, zs = _domains(n, e, ident)
+    return (xs, ys, zs) if n < _TAIL_ORDER else (xs[:1], ys[:1], zs)
+
+
+def _right_bol(L: LoopTable, products: Products | None = None) -> Failure | None:
     t = L.table
-    xs, ys, zs = _domains(L.order, L.identity, _RIGHT_BOL)
+    xs, ys, zs = _python_domains(L.order, L.identity, _RIGHT_BOL)
     for x in xs:
         tx = t[x]
         for y in ys:
@@ -240,18 +276,18 @@ def _right_bol(L: LoopTable) -> Failure | None:
                 rhs = tx[t[ty[z]][y]]
                 if lhs != rhs:
                     return (x, y, z), lhs, rhs
-        if L.order >= _TAIL_ORDER:
-            return _tail(L, _RIGHT_BOL)
-    return None
+    return None if L.order < _TAIL_ORDER else _numpy_scan(L, products, _RIGHT_BOL)
 
 
 # u of ((xy)z)u = x(y(zu)), as an index into (x, y, e)
 _U = {IdentityId.EXTRA: 0, IdentityId.RIGHT_MOUFANG: 1, IdentityId.ASSOCIATIVE: 2}
 
 
-def _right_product_law(L: LoopTable, ident: IdentityId) -> Failure | None:
+def _right_product_law(
+    L: LoopTable, ident: IdentityId, products: Products | None
+) -> Failure | None:
     t, e, k = L.table, L.identity, _U[ident]
-    xs, ys, zs = _domains(L.order, e, ident)
+    xs, ys, zs = _python_domains(L.order, e, ident)
     for x in xs:
         tx = t[x]
         for y in ys:
@@ -263,14 +299,12 @@ def _right_product_law(L: LoopTable, ident: IdentityId) -> Failure | None:
                 rhs = tx[ty[t[z][u]]]
                 if lhs != rhs:
                     return (x, y, z), lhs, rhs
-        if L.order >= _TAIL_ORDER:
-            return _tail(L, ident)
-    return None
+    return None if L.order < _TAIL_ORDER else _numpy_scan(L, products, ident)
 
 
-def _at(ident: IdentityId) -> Callable[[LoopTable], Failure | None]:
+def _at(ident: IdentityId) -> Scan:
     """_right_product_law with ident bound once, not read off IdentityId per call."""
-    return lambda L: _right_product_law(L, ident)
+    return lambda L, products=None: _right_product_law(L, ident, products)
 
 
 _right_moufang = _at(IdentityId.RIGHT_MOUFANG)
@@ -278,7 +312,7 @@ _extra = _at(IdentityId.EXTRA)
 _associative = _at(IdentityId.ASSOCIATIVE)
 
 
-_CHECKS: dict[IdentityId, Callable[[LoopTable], Failure | None]] = {
+_CHECKS: dict[IdentityId, Scan] = {
     IdentityId.RIGHT_BOL: _right_bol,
     IdentityId.RIGHT_MOUFANG: _right_moufang,
     IdentityId.FLEXIBLE: _flexible,
@@ -298,9 +332,11 @@ def check_identity(L: LoopTable, ident: IdentityId) -> Witness | None:
     return None if found is None else Witness(ident.value, *found)
 
 
-def first_failure(L: LoopTable, ident: IdentityId) -> Failure | None:
-    """check_identity's counterexample as a plain (elements, lhs, rhs) tuple."""
-    return _CHECKS[ident](L)
+def first_failure(
+    L: LoopTable, ident: IdentityId, products: Products | None = None
+) -> Failure | None:
+    """check_identity's counterexample as a plain tuple; numpy reads products, if given."""
+    return _CHECKS[ident](L, products)
 
 
 def holds(L: LoopTable, ident: IdentityId) -> bool:

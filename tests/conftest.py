@@ -159,9 +159,11 @@ def scan_counts(monkeypatch):
 
     Identity scans are counted per IdentityId value whether they are
     reached through identities._CHECKS or, inside identities.py, by their
-    module-level name; numpy tails of the three-variable scans as
-    "identity_tails" (identities._tail); triple-product builds as
-    "triple_products" (conditions._triple_values), quadruple scans as
+    module-level name; the numpy stages of the three-variable scans as
+    "numpy_scans" (identities._numpy_scan); product-cache builds as
+    "products" (the intp table of an identities.Products, which every
+    other cached array is built from); triple-product builds as
+    "triple_products" (LoopFacts.triples), quadruple scans as
     "quad_scans" (conditions._first_quad, one per scan whatever its
     number of x-blocks), and the ring oracle's basis scans and weight-2
     runs as "ring_basis_scans" and "ring_weight_two_runs"
@@ -185,8 +187,9 @@ def scan_counts(monkeypatch):
         monkeypatch.setitem(identities._CHECKS, ident, scan)
         monkeypatch.setattr(identities, f"_{ident.value}", scan)
     for module, attr, name in (
-        (identities, "_tail", "identity_tails"),
-        (conditions, "_triple_values", "triple_products"),
+        (identities, "_numpy_scan", "numpy_scans"),
+        (identities.Products.intp, "fn", "products"),
+        (conditions.LoopFacts.triples, "fn", "triple_products"),
         (conditions, "_first_quad", "quad_scans"),
         (gf2ring, "_basis_failure", "ring_basis_scans"),
         (gf2ring, "_weight_two_failure", "ring_weight_two_runs"),

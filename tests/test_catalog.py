@@ -390,14 +390,15 @@ def test_unsupported_format():
 
 
 def test_classify_loop_scans_each_identity_once(scan_counts):
-    # one LoopFacts per record: every scan once, and the triple products
-    # built once for coverage, RA2 and the profile.  Right Bol and right
-    # Moufang hold, so both pass their first row into a numpy tail; extra
-    # and associativity fail in their first row
+    # one LoopFacts per record: every scan once, one product cache, and
+    # the triple products built once for coverage, RA2 and the profile.
+    # Right Bol and right Moufang hold, and extra and associativity first
+    # fail at (1, 3, 6), past their first y row, so all four pass their
+    # first y row into the numpy stage
     classify_loop("x", moufang12())
     assert scan_counts == {
         "right_bol": 1, "right_moufang": 1, "extra": 1, "associative": 1,
-        "identity_tails": 2, "triple_products": 1, "quad_scans": 1,
+        "numpy_scans": 4, "products": 1, "triple_products": 1, "quad_scans": 1,
     }
 
 

@@ -46,6 +46,7 @@ from loopkit.conditions import (
 )
 from loopkit.core import Witness
 from loopkit.fixtures import bol16, cyclic_group, moufang12
+from loopkit.identities import Products
 
 from conftest import CORPUS5, octonion_units, relabelled
 
@@ -526,7 +527,7 @@ def test_srar_loop_has_no_gap_in_any_block(t2):
 def test_quad_blocks_double_up_to_the_cap(n, blocks):
     L = relabelled(cyclic_group(n), n)
     got = []
-    for x0, s, t in conditions._quad_blocks(L, L.array):
+    for x0, s, t in conditions._quad_blocks(Products(L), L.array):
         got.append((x0, len(s)))
         assert s.shape == t.shape == (len(s), n, n, n)
         for i, y, z, w in product((0, len(s) - 1), (0, n - 1), (1,), (0, n - 2)):
@@ -577,15 +578,24 @@ def test_cor_odd_verify_returns_one_shared_check_per_outcome(z5):
     assert set(seen) == {(False, False), (False, True), (True, True)}
 
 
+def test_extra_flag_and_witness_share_one_scan(scan_counts):
+    # the flag tests the failure that witness(EXTRA) explains, so reading
+    # both costs one extra scan per loop
+    for L in (moufang12(), bol16(), relabelled(cyclic_group(8), 0)):
+        f = LoopFacts(L)
+        assert f.extra is (f.witness(IdentityId.EXTRA) is None)
+    assert scan_counts["extra"] == 3
+
+
 def test_cor_odd_verify_scans_associativity_only_on_right_bol_loops(scan_counts):
     # every group is right Bol, so a loop failing right Bol is decided
     # (False, False) by its one scan; the 92 right Bol loops of orders
     # 2-6 (1 + 1 + 4 + 6 + 80) scan associativity, and the 7 of odd
-    # order scan quadruples first
+    # order scan quadruples first, each from a product cache of its own
     loops = []
     for n in range(2, 7):
         enumerate_loops(n, loops.append)
     for L in loops:
         cor_odd_verify(L)
     assert len(loops) == 9470
-    assert scan_counts == {"right_bol": 9470, "associative": 92, "quad_scans": 7}
+    assert scan_counts == {"right_bol": 9470, "associative": 92, "quad_scans": 7, "products": 7}

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from loopkit import (
     SweepSpec,
     Witness,
     check_identity,
+    classify_loop,
     cor_odd_verify,
     enumerate_loops,
     holds,
@@ -24,6 +26,7 @@ from loopkit import (
     validate_table,
 )
 from loopkit import identities
+from loopkit.conditions import LoopFacts
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
 from conftest import CORPUS5, relabelled
@@ -282,8 +285,8 @@ def _product(A: LoopTable, B: LoopTable) -> LoopTable:
 
 # products of the first five order-5 loops with Z2 and Z3 (orders 10 and
 # 15), and relabellings of them: on these each three-variable identity
-# first fails in the second x row of its scan on some loops and later on
-# others, so the numpy tail finds the witness
+# first fails in the first y row of its scan on some loops and in a
+# later x row on others
 TAIL_CORPUS = tuple(
     L
     for A in CORPUS5[6:11]
@@ -292,19 +295,66 @@ TAIL_CORPUS = tuple(
     for L in (P, relabelled(P, 0), relabelled(P, 1))
 )
 
+# an order-6 loop on which, times Z2, every three-variable identity first
+# fails in the first x row of its scan but past its first y row
+_FIRST_ROW_FAILS = validate_table([
+    (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5), (3, 5, 1, 6, 2, 4),
+    (4, 6, 5, 1, 3, 2), (5, 3, 6, 2, 4, 1), (6, 4, 2, 5, 1, 3),
+])
+
+# the hand-off corpus adds relabellings of that product and of both
+# fixtures, each with the identity moved off 0 (associativity fails past
+# the first y row on the Moufang ones)
+HANDOFF_CORPUS = TAIL_CORPUS + tuple(
+    _identity_moved(L, seed)
+    for L in (_product(cyclic_group(2), _FIRST_ROW_FAILS), bol16(), moufang12())
+    for seed in (1, 2, 3)
+)
+
 
 @pytest.mark.parametrize("ident", THREE_VARIABLE, ids=lambda i: i.value)
 def test_tail_witnesses_match_definitional_scan(ident):
-    rows = Counter()
-    for L in TAIL_CORPUS:
+    places = Counter()
+    for L in HANDOFF_CORPUS:
+        want = _first_failure(L, _definitions(L)[ident])
         w = check_identity(L, ident)
-        got = None if w is None else (w.elements, w.lhs, w.rhs)
-        assert got == _first_failure(L, _definitions(L)[ident]), L.raw_rows()
-        if w is not None:
-            xs = identities._domains(L.order, L.identity, ident)[0]
-            rows[min(xs.index(w.elements[0]), 2)] += 1
-    # failures in the first row (Python), the second and a later one (numpy)
-    assert rows[0] and rows[1] and rows[2], rows
+        assert (None if w is None else (w.elements, w.lhs, w.rhs)) == want, L.raw_rows()
+        w = LoopFacts(L).witness(ident)
+        assert (None if w is None else (w.elements, w.lhs, w.rhs)) == want, L.raw_rows()
+        if want is not None:
+            xs, ys, _ = identities._domains(L.order, L.identity, ident)
+            (x, y, _), _, _ = want
+            places[0 if (x, y) == (xs[0], ys[0]) else 1 if x == xs[0] else 2] += 1
+    # first failures in the first y row (Python), later in the first x
+    # row and in a later x row (both numpy)
+    assert places[0] and places[1] and places[2], places
+
+
+# relabelled M(S3,2) x Z2 and Bol 16.7.2.1 x Z2, pinned: their
+# classification rows and three-variable witnesses
+PINNED_PRODUCTS = {
+    "M(S3,2)xZ2": (
+        (24, True, True, True, True, False, False, True, False, False, False,
+         {"none": 0, "D": 2592, "E": 2592, "F": 3456, "DE": 0, "DF": 0, "EF": 0, "DEF": 5184}),
+        (None, None, ((6, 1, 2), 18, 19), ((1, 2, 3), 11, 7)),
+    ),
+    "Bol16xZ2": (
+        (32, True, False, False, False, False, False, True, False, False, False,
+         {"none": 0, "D": 6144, "E": 6144, "F": 4608, "DE": 0, "DF": 0, "EF": 0, "DEF": 15872}),
+        (None, ((0, 0, 1), 16, 24), ((0, 0, 1), 16, 24), ((0, 0, 1), 1, 28)),
+    ),
+}
+
+
+def test_larger_loops_keep_their_rows_and_witnesses():
+    for (name, (row, witnesses)), source in zip(PINNED_PRODUCTS.items(), (moufang12(), bol16())):
+        L = _identity_moved(_product(source, cyclic_group(2)), 0)
+        assert astuple(classify_loop(name, L)) == (name, *row)
+        got = tuple(
+            None if w is None else (w.elements, w.lhs, w.rhs)
+            for w in (check_identity(L, ident) for ident in THREE_VARIABLE)
+        )
+        assert got == witnesses, name
 
 
 def test_tail_blocks_keep_the_first_witness():
@@ -320,13 +370,13 @@ def test_tail_blocks_keep_the_first_witness():
 
 def test_numpy_tails_start_at_order_8(scan_counts):
     # relabelled groups hold every identity, so each scan passes its
-    # first row; below order 8 the rest stays in Python as well
+    # first y row; below order 8 the rest stays in Python as well
     for n in range(2, 8):
         for seed in range(3):
             L = relabelled(cyclic_group(n), seed)
             for ident in THREE_VARIABLE:
                 assert check_identity(L, ident) is None
-    assert scan_counts["identity_tails"] == 0
+    assert scan_counts["numpy_scans"] == 0
     for ident in THREE_VARIABLE:
         assert check_identity(relabelled(cyclic_group(8), 0), ident) is None
-    assert scan_counts["identity_tails"] == 4
+    assert scan_counts["numpy_scans"] == 4

@@ -5,6 +5,7 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -20,6 +21,7 @@ from loopkit import (
     IdentityId,
     OrderExceedsCap,
     SweepSpec,
+    classify_loop,
     enumerate_loops,
     holds,
     render_sweep,
@@ -66,12 +68,13 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     # of inverse, inside identities.py.  The 6 Moufang loops are groups,
     # so alt_ring_equiv_moufang decides both ring alternative laws on
     # each, and each law passes the basis stage into the weight-2 stage.
-    # No scan of an order-5 loop reaches a numpy identity tail.
-    assert scan_counts["identity_tails"] == 0
+    # No scan of an order-5 loop reaches a numpy identity stage; the
+    # product cache is built once per Bol loop, for its triples and quads.
+    assert scan_counts["numpy_scans"] == 0
     assert scan_counts == {
         "right_bol": 56, "right_moufang": 56, "extra": 56, "associative": 6,
         "right_alternative": 6, "rip": 6 + 6, "lip": 6, "commutative": 6,
-        "triple_products": 6, "quad_scans": 12,
+        "products": 6, "triple_products": 6, "quad_scans": 12,
         "ring_basis_scans": 6 * 2, "ring_weight_two_runs": 6 * 2,
     }
 
@@ -80,11 +83,30 @@ def test_ring_sweep_reaches_weight_two_only_past_the_basis_stage(scan_counts):
     run_sweep(SweepSpec((5,), ("srar_ring_equiv",)))
     # ring right Bol is scanned on basis tuples for all 56 loops; only the
     # 6 right Bol loops, whose rings hold there, run the weight-2 stage.
-    # The pointwise side scans right Bol, then quadruples on the Bol loops.
+    # The pointwise side scans right Bol, then quadruples on the Bol
+    # loops, each from one product cache.
     assert scan_counts == {
         "ring_basis_scans": 56, "ring_weight_two_runs": 6,
-        "right_bol": 56, "quad_scans": 6,
+        "right_bol": 56, "quad_scans": 6, "products": 6,
     }
+
+
+def test_product_cache_is_built_once_per_loop_and_only_on_need(scan_counts):
+    # from order 8 every numpy stage of a classification reads the one
+    # product cache of its LoopFacts, which never lands on the table
+    loops = [relabelled(L, seed) for L in (moufang12(), bol16()) for seed in range(3)]
+    for L in loops:
+        classify_loop("x", L)
+        assert not [k for k, v in vars(L).items() if np.size(v) >= L.order**3], L.raw_rows()
+    assert scan_counts["numpy_scans"] > 0
+    assert scan_counts["products"] == len(loops)
+    # the order-6 sweep checks on non-Bol loops read no product array
+    order6 = []
+    enumerate_loops(6, order6.append, part_index=0, part_count=64)
+    non_bol = [L for L in order6 if not holds(L, IdentityId.RIGHT_BOL)]
+    scanned, _ = _sweep_over(non_bol, ORDER6_CHECKS)
+    assert scanned == len(non_bol) > 100
+    assert scan_counts["products"] == len(loops)
 
 
 def test_order2_all_checks():
