@@ -16,6 +16,7 @@ from .core import (
     NoIdentity,
     NotLatin,
     Nucleus,
+    OrderExceedsCap,
     OrderTooLarge,
     TheoremViolation,
     Witness,
@@ -60,7 +61,6 @@ from .conditions import (
 from .gf2ring import (
     Gf2Elem,
     LengthMismatch,
-    OrderExceedsCap,
     RingIdentityId,
     RingWitness,
     basis,

@@ -13,7 +13,7 @@ import itertools
 import sys
 from typing import Sequence
 
-from .core import ENUMERATION_CAP, LoopError, Witness, _latin_loop, enumerate_loops
+from .core import ENUMERATION_CAP, LoopError, OrderExceedsCap, Witness, _latin_loop, enumerate_loops
 from .catalog import (
     CatalogError,
     CatalogRecord,
@@ -29,7 +29,7 @@ from .catalog import (
     write_report,
 )
 from .conditions import LoopFacts, quad_values
-from .gf2ring import OrderExceedsCap, RingIdentityId, low_weight_ring_check
+from .gf2ring import RingIdentityId, low_weight_ring_check
 from .identities import IdentityId
 from .sweeps import SweepResult, render_sweep, run_sweep, sweep_plan
 
@@ -113,29 +113,39 @@ def _load_records(paths: Sequence[str]) -> list[CatalogRecord]:
     records: list[CatalogRecord] = []
     names: set[str] = set()
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for rec in parse_catalog(fh):
-                if rec.name in names:
-                    raise CatalogError(f"{path}: duplicate loop name {rec.name!r} across inputs")
-                names.add(rec.name)
-                records.append(rec)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                parsed = parse_catalog(fh)
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{path}: {exc}") from None
+        for rec in parsed:
+            if rec.name in names:
+                raise CatalogError(f"{path}: duplicate loop name {rec.name!r} across inputs")
+            names.add(rec.name)
+            records.append(rec)
     return records
 
 
 def _cmd_validate(args) -> int:
     status = 0
     out = []
+    names: set[str] = set()
     for path in args.files:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 for name, _line, table in _iter_raw_records(fh):
+                    if name in names:
+                        out.append(f"{name}: error: duplicate loop name {name!r}")
+                        status = 1
+                        continue
+                    names.add(name)
                     try:
                         loop = _latin_loop(table)
                         out.append(f"{name}: ok (order {loop.order})")
                     except LoopError as exc:
                         out.append(f"{name}: error: {exc}")
                         status = 1
-        except (CatalogError, OSError) as exc:
+        except (CatalogError, OSError, UnicodeDecodeError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             status = 1
     if out:

@@ -62,8 +62,13 @@ class NoIdentity(LoopError):
     """No element acts as a two-sided identity."""
 
 
-class OrderTooLarge(LoopError):
-    """Requested enumeration order exceeds ENUMERATION_CAP."""
+class OrderExceedsCap(LoopError):
+    """A requested order is over a cap: ENUMERATION_CAP for enumeration
+    and sweeps, a sweep check's max_order, or a ring scan's cap."""
+
+
+# the same class under its other public name
+OrderTooLarge = OrderExceedsCap
 
 
 class TheoremViolation(LoopError):
@@ -304,7 +309,7 @@ def enumerate_loops(
     directly.  Returns the number of loops visited.
     """
     if n > ENUMERATION_CAP:
-        raise OrderTooLarge(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
+        raise OrderExceedsCap(f"order {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     if n < 2:
         raise ValueError("order must be at least 2")
     if part_count < 1 or not 0 <= part_index < part_count:

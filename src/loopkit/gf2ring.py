@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LoopError, LoopTable
+from .core import LoopError, LoopTable, OrderExceedsCap
 from .conditions import LoopFacts, abc_gaps
 
 TWO_VAR_CAP = 8
@@ -48,10 +48,6 @@ _SLAB_ENTRIES = 1 << 16
 
 class LengthMismatch(LoopError):
     """Ring elements must match the loop's order."""
-
-
-class OrderExceedsCap(LoopError):
-    """Loop order is over the cap for the requested ring scan."""
 
 
 class RingIdentityId(Enum):

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .core import (
     ENUMERATION_CAP,
     LoopTable,
+    OrderExceedsCap,
     TheoremViolation,
     enumerate_loops,
     parallel_map,
@@ -37,7 +38,7 @@ from .conditions import (
     lemma_lip_equiv,
     thm_main_verify,
 )
-from .gf2ring import OrderExceedsCap, oracle_equiv_ra2, oracle_equiv_srar
+from .gf2ring import oracle_equiv_ra2, oracle_equiv_srar
 
 
 CheckFn = Callable[[LoopFacts], str | None]
@@ -108,13 +109,13 @@ def _check_odd_order_associative(f: LoopFacts) -> str | None:
 
 
 def _check_ra2_implies_srar(f: LoopFacts) -> str | None:
-    if f.ra2 and not f.srar:
+    if not f.srar:
         return "RA2 loop is not SRAR"
     return None
 
 
 def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
-    if f.moufang and not f.right_bol:
+    if not f.right_bol:
         return "Moufang loop is not right Bol"
     return None
 
@@ -151,9 +152,12 @@ REQUIRES_FLAGS = ("right_bol", "moufang", "srar", "ra2", "odd_order")
 @dataclass(frozen=True)
 class SweepCheck:
     fn: CheckFn
-    max_order: int
+    # the largest order fn runs at.  Only a check capped below
+    # ENUMERATION_CAP states one; SweepSpec rejects orders past that cap.
+    max_order: int = ENUMERATION_CAP
     # a LoopFacts flag (one of REQUIRES_FLAGS) that must hold for fn to
-    # run; the check holds vacuously elsewhere
+    # run: the check's hypothesis, so fn tests only the conclusion.  The
+    # check holds vacuously elsewhere.
     requires: str | None = None
 
     def __post_init__(self) -> None:
@@ -168,43 +172,25 @@ CHECKS: dict[str, SweepCheck] = {
     # criterion included: 1.9-3.2 against 7.5-12.2 µs per loop (medians
     # of 7 passes over the 9 408 loops, in three runs on a 2-CPU Xeon
     # whose speed varied from run to run)
-    "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, 6),
-    "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, 5),
-    "alt_ring_equiv_moufang": SweepCheck(
-        _check_alt_ring_equiv, ENUMERATION_CAP, requires="moufang"
-    ),
+    "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, max_order=6),
+    "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, max_order=5),
+    "alt_ring_equiv_moufang": SweepCheck(_check_alt_ring_equiv, requires="moufang"),
     # cannot fail: any two of D/E/F force the third and SRAR rules out
     # the empty set (see lemma_allthree).  The triple (x, y, z) is the
     # quadruple (x, y, z, e), so this also covers the triple form.
-    "quad_all_three_or_one": SweepCheck(
-        _check_quad_all_three_or_one, ENUMERATION_CAP, requires="srar"
-    ),
-    "lip_equiv": SweepCheck(_check_lip_equiv, ENUMERATION_CAP, requires="right_bol"),
-    "commute_or_lip_moufang": SweepCheck(
-        _check_commute_or_lip_moufang, ENUMERATION_CAP, requires="right_bol"
-    ),
+    "quad_all_three_or_one": SweepCheck(_check_quad_all_three_or_one, requires="srar"),
+    "lip_equiv": SweepCheck(_check_lip_equiv, requires="right_bol"),
+    "commute_or_lip_moufang": SweepCheck(_check_commute_or_lip_moufang, requires="right_bol"),
     "pair_coverage_implications": SweepCheck(
-        _check_pair_coverage_implications, ENUMERATION_CAP, requires="right_bol"
+        _check_pair_coverage_implications, requires="right_bol"
     ),
-    "pair_coverage_ra2": SweepCheck(
-        _check_pair_coverage_ra2, ENUMERATION_CAP, requires="right_bol"
-    ),
-    "odd_order_associative": SweepCheck(
-        _check_odd_order_associative, ENUMERATION_CAP, requires="odd_order"
-    ),
-    "ra2_implies_srar": SweepCheck(_check_ra2_implies_srar, ENUMERATION_CAP, requires="ra2"),
-    "moufang_implies_bol": SweepCheck(
-        _check_moufang_implies_bol, ENUMERATION_CAP, requires="moufang"
-    ),
-    "bol_implies_ralt_rip": SweepCheck(
-        _check_bol_implies_ralt_rip, ENUMERATION_CAP, requires="right_bol"
-    ),
-    "bol_lip_implies_moufang": SweepCheck(
-        _check_bol_lip_implies_moufang, ENUMERATION_CAP, requires="right_bol"
-    ),
-    "extra_iff_moufang_squares_nucleus": SweepCheck(
-        _check_extra_iff_moufang_squares_nucleus, ENUMERATION_CAP
-    ),
+    "pair_coverage_ra2": SweepCheck(_check_pair_coverage_ra2, requires="right_bol"),
+    "odd_order_associative": SweepCheck(_check_odd_order_associative, requires="odd_order"),
+    "ra2_implies_srar": SweepCheck(_check_ra2_implies_srar, requires="ra2"),
+    "moufang_implies_bol": SweepCheck(_check_moufang_implies_bol, requires="moufang"),
+    "bol_implies_ralt_rip": SweepCheck(_check_bol_implies_ralt_rip, requires="right_bol"),
+    "bol_lip_implies_moufang": SweepCheck(_check_bol_lip_implies_moufang, requires="right_bol"),
+    "extra_iff_moufang_squares_nucleus": SweepCheck(_check_extra_iff_moufang_squares_nucleus),
 }
 
 

@@ -452,3 +452,41 @@ def test_survey_output_is_pinned(relabelled_catalog, capsysbinary, jobs):
         assert cli.main(["survey", "--format", fmt, "--jobs", jobs, relabelled_catalog]) == 0
         digests[fmt] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     assert digests == SURVEY_DIGESTS
+
+
+# SHA-256 of `loopkit classify --format F` over the same catalog (text
+# with --witnesses), the same at every --jobs
+CLASSIFY_DIGESTS = {
+    "json": "651f4cae0669c97a66fb19626cd22807b31202e4a6282a31ab32dee32e0af99f",
+    "csv": "fae50a589d818f7b2a48e60604bfb92074a48e1c1094562065df89eb25b7b5d1",
+    "text": "4b453be30f28496c800fe6d246cc532e484965099a818f68f55fc23a26d63fb4",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_output_is_pinned(relabelled_catalog, capsysbinary, jobs):
+    digests = {}
+    for fmt in CLASSIFY_DIGESTS:
+        witnesses = ["--witnesses"] if fmt == "text" else []
+        argv = ["classify", "--format", fmt, "--jobs", jobs, *witnesses, relabelled_catalog]
+        assert cli.main(argv) == 0
+        digests[fmt] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    assert digests == CLASSIFY_DIGESTS
+
+
+# (exit code, SHA-256 of stdout) of `loopkit ring-check --identity I` over
+# the same catalog
+RING_CHECK_DIGESTS = {
+    "left-alt": (2, "a50b40f84293ded40651891306576227b5691de31a31f99107d26c899bbcd5ee"),
+    "right-alt": (0, "80286702de5af11a198ee9353d388332e52f48874aaf3a54b5564bc6d3265975"),
+    "right-bol": (2, "9c71632c76cc9c9bfee76c39dcda03bb878c4e9072ef0b2d1b75df9190298c6b"),
+    "right-moufang": (2, "0edf3402a09f6ee238ab5b3b16ff759bb82bdd34cf649cb28e7cb56e8be888b1"),
+}
+
+
+def test_ring_check_output_is_pinned(relabelled_catalog, capsysbinary):
+    results = {}
+    for flag in RING_CHECK_DIGESTS:
+        code = cli.main(["ring-check", "--identity", flag, relabelled_catalog])
+        results[flag] = (code, hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
+    assert results == RING_CHECK_DIGESTS

@@ -60,6 +60,49 @@ def test_validate_missing_file():
     assert "no/such/file.loops" in r.stderr
 
 
+def test_validate_rejects_a_name_repeated_in_one_file(tmp_path):
+    path = tmp_path / "a.loops"
+    path.write_text("loop a\norder 2\n1 2\n2 1\n\nloop a\norder 1\n1\n")
+    r = run_cli("validate", str(path))
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["a: ok (order 2)", "a: error: duplicate loop name 'a'"]
+
+
+def test_validate_rejects_a_name_repeated_across_files(tmp_path):
+    path = tmp_path / "a.loops"
+    path.write_text("loop a\norder 2\n1 2\n2 1\n")
+    r = run_cli("validate", str(path), str(path))
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["a: ok (order 2)", "a: error: duplicate loop name 'a'"]
+
+
+def _good_bad_good(tmp_path):
+    paths = [tmp_path / name for name in ("good.loops", "bad.loops", "good2.loops")]
+    paths[0].write_text("loop a\norder 1\n1\n")
+    paths[1].write_bytes(b"loop b\n\xff\n")
+    paths[2].write_text("loop c\norder 1\n1\n")
+    return [str(p) for p in paths]
+
+
+def test_validate_reports_an_undecodable_file_and_goes_on(tmp_path):
+    paths = _good_bad_good(tmp_path)
+    r = run_cli("validate", *paths)
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["a: ok (order 1)", "c: ok (order 1)"]
+    assert r.stderr.startswith(f"{paths[1]}: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "command", [["classify"], ["survey"], ["ring-check", "--identity", "right-bol"]]
+)
+def test_undecodable_input_is_named(tmp_path, command):
+    paths = _good_bad_good(tmp_path)
+    r = run_cli(*command, *paths)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"error: {paths[1]}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_classify_text_flags():
     r = run_cli("classify", FIXTURES)
     assert r.returncode == 0

@@ -28,7 +28,7 @@ from loopkit import (
     second_row_candidates,
     validate_table,
 )
-from loopkit import cli, core
+from loopkit import cli, core, gf2ring
 from loopkit.conditions import LoopFacts
 from loopkit.core import memo
 from loopkit.fixtures import BOL_16_RAW, MOUFANG_12_RAW, bol16, cyclic_group, moufang12
@@ -374,6 +374,12 @@ def test_enumeration_caps_and_bad_args():
         enumerate_loops(1, lambda L: None)
     with pytest.raises(ValueError):
         enumerate_loops(4, lambda L: None, part_index=3, part_count=3)
+
+
+def test_one_class_for_every_cap():
+    assert OrderTooLarge is core.OrderExceedsCap is gf2ring.OrderExceedsCap
+    with pytest.raises(core.OrderExceedsCap, match="order 8 exceeds the enumeration cap 7"):
+        SweepSpec((8,), ("lip_equiv",))
 
 
 def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
