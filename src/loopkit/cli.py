@@ -116,7 +116,7 @@ def _load_records(paths: Sequence[str]) -> list[CatalogRecord]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parsed = parse_catalog(fh)
-        except UnicodeDecodeError as exc:
+        except (CatalogError, UnicodeDecodeError) as exc:
             raise CatalogError(f"{path}: {exc}") from None
         for rec in parsed:
             if rec.name in names:

@@ -160,32 +160,20 @@ def quad_values(L: LoopTable, x: int, y: int, z: int, w: int) -> QuadValues:
     return QuadValues(s_, t_, u_, v_)
 
 
+def _letters(a: int, b: int, c: int, d: int, letters: str) -> frozenset[str]:
+    """The three letters for a=b and c=d, a=d and b=c, a=c and b=d: those that hold."""
+    found = (a == b and c == d, a == d and b == c, a == c and b == d)
+    return frozenset(letter for letter, ok in zip(letters, found) if ok)
+
+
 def quad_conditions(L: LoopTable, x: int, y: int, z: int, w: int) -> frozenset[str]:
     q = quad_values(L, x, y, z, w)
-    out = []
-    if q.s == q.t and q.u == q.v:
-        out.append("D")
-    if q.s == q.v and q.t == q.u:
-        out.append("E")
-    if q.s == q.u and q.t == q.v:
-        out.append("F")
-    return frozenset(out)
+    return _letters(q.s, q.t, q.u, q.v, "DEF")
 
 
 def triple_conditions(L: LoopTable, x: int, y: int, z: int) -> frozenset[str]:
     t = L.table
-    a = t[t[x][y]][z]
-    b = t[x][t[y][z]]
-    c = t[t[x][z]][y]
-    d = t[x][t[z][y]]
-    out = []
-    if a == b and c == d:
-        out.append("D")
-    if a == d and c == b:
-        out.append("E")
-    if a == c and b == d:
-        out.append("F")
-    return frozenset(out)
+    return _letters(t[t[x][y]][z], t[x][t[y][z]], t[t[x][z]][y], t[x][t[z][y]], "DEF")
 
 
 def abc_conditions(
@@ -197,26 +185,9 @@ def abc_conditions(
     """
     t = L.table
     p1 = t[t[x][y]][z]
-    p2 = t[t[y][x]][z]
     p3 = t[x][t[y][z]]
-    p4 = t[y][t[x][z]]
-    plain = []
-    if p1 == p3 and p2 == p4:
-        plain.append("A")
-    if p1 == p4 and p3 == p2:
-        plain.append("B")
-    if p1 == p2 and p3 == p4:
-        plain.append("C")
-    c = t[t[x][z]][y]
-    d = t[x][t[z][y]]
-    starred = []
-    if p1 == p3 and c == d:
-        starred.append("A")
-    if p1 == d and p3 == c:
-        starred.append("B")
-    if p1 == c and p3 == d:
-        starred.append("C")
-    return frozenset(plain), frozenset(starred)
+    plain = _letters(p1, p3, t[t[y][x]][z], t[y][t[x][z]], "ABC")
+    return plain, _letters(p1, p3, t[t[x][z]][y], t[x][t[z][y]], "ABC")
 
 
 def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:

@@ -59,14 +59,6 @@ class RingIdentityId(Enum):
     RIGHT_MOUFANG = "ring_right_moufang"
 
 
-_NVARS = {
-    RingIdentityId.RIGHT_ALTERNATIVE: 2,
-    RingIdentityId.LEFT_ALTERNATIVE: 2,
-    RingIdentityId.RIGHT_BOL: 3,
-    RingIdentityId.RIGHT_MOUFANG: 3,
-}
-
-
 @dataclass(frozen=True)
 class Gf2Elem:
     """A loop-algebra element over GF(2): a bit mask of basis loop elements."""
@@ -186,7 +178,7 @@ def ring_identity_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | No
     allocated, past TWO_VAR_CAP or THREE_VAR_CAP.
     """
     n = L.order
-    cap = TWO_VAR_CAP if _NVARS[ident] == 2 else THREE_VAR_CAP
+    cap = TWO_VAR_CAP if len(_BASIS_SKIPS_E[ident]) == 2 else THREE_VAR_CAP
     if n > cap:
         raise OrderExceedsCap(f"order {n} exceeds cap {cap} for {ident.value}")
     P = product_table(L)
@@ -233,9 +225,10 @@ _SIDES = {
         lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
 }
 
-# Per variable of each ring law: True where stage 1 skips the basis tuples
-# with that variable at the identity element e, which the unit law alone
-# decides (the unit lemma in low_weight_ring_check's docstring).
+# Per variable of each ring law, so its length is the law's arity: True
+# where stage 1 skips the basis tuples with that variable at the identity
+# element e, which the unit law alone decides (the unit lemma in
+# low_weight_ring_check's docstring).
 _BASIS_SKIPS_E: dict[RingIdentityId, tuple[bool, ...]] = {
     RingIdentityId.RIGHT_ALTERNATIVE: (True, True),
     RingIdentityId.LEFT_ALTERNATIVE: (True, True),
@@ -325,7 +318,7 @@ def _basis_domains(n: int, e: int, ident: RingIdentityId) -> tuple[Sequence[int]
 def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
     """Stage 1: masks of the first failing basis tuple, then of both sides."""
     t, domains = L.table, _basis_domains(L.order, L.identity, ident)
-    if _NVARS[ident] == 2:
+    if len(domains) == 2:
         (xs, ys), sides, m = domains, _SIDES[ident], L.mul
         for x in xs:
             for y in ys:
@@ -383,7 +376,7 @@ def _low_weight_plan(n: int, ident: RingIdentityId):
     one = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
     if n < 2:
         return one, ()
-    k = _NVARS[ident]
+    k = len(_BASIS_SKIPS_E[ident])
     weight_two = np.tril_indices(n, -1)  # (b, a) with a < b, ascending mask order
     squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
     cands = [weight_two if j == squared else (np.arange(n),) for j in range(k)]

@@ -2,11 +2,13 @@
 
 A sweep runs a battery of checks on each loop of a loop source, a
 callable that feeds its loops to a visitor and returns their count;
-run_sweep sources each part of an order from enumerate_loops.  Every
-check verifies a proved statement, so any violation is build-breaking;
-the first violating loop's full table is captured for reproduction
-without re-enumeration.  sweep_plan alone decides the cells of
-`loopkit sweep` and its SKIPPED lines.
+run_sweep sources each part of an order from enumerate_loops.  Each
+check is one CHECKS entry: a function that returns the loop's violation
+of a proved statement, or a falsy value where the loop satisfies it,
+and the LoopFacts flag that is the statement's hypothesis.  Any
+violation is build-breaking; the first violating loop's full table is
+captured for reproduction without re-enumeration.  sweep_plan alone
+decides the cells of `loopkit sweep` and its SKIPPED lines.
 
 Results are independent of the worker count: parts partition the
 enumeration deterministically, counts add, and first violations merge by
@@ -41,107 +43,17 @@ from .conditions import (
 from .gf2ring import oracle_equiv_ra2, oracle_equiv_srar
 
 
-CheckFn = Callable[[LoopFacts], str | None]
+# the loop's violation of the check's statement, falsy where it holds: the
+# verifier's Witness or TheoremViolation where it gives one, else True
+CheckFn = Callable[[LoopFacts], object]
 LoopSource = Callable[[Callable[[LoopTable], None]], int]
 
 
-def _check_srar_ring_equiv(f: LoopFacts) -> str | None:
-    if not oracle_equiv_srar(f):
-        return "ring right Bol (low-weight oracle) disagrees with the pointwise SRAR criterion"
-    return None
-
-
-def _check_alt_ring_equiv(f: LoopFacts) -> str | None:
-    # Both half-equivalences.  On arbitrary loops only an empirical fact,
-    # and only up to order 5: at order 6 there are non-Moufang loops with
-    # full coverage that fail a pointwise alternative law, which breaks
-    # the ring law on a basis element.  On Moufang loops it is a theorem,
-    # and agreement of both halves is "alternative ring iff RA2" (RA2 is
-    # Moufang plus both coverages), so alt_ring_equiv_moufang reuses it.
-    if not oracle_equiv_ra2(f):
-        return "ring alternative laws disagree with the pointwise coverage conditions"
-    return None
-
-
-def _check_quad_all_three_or_one(f: LoopFacts) -> str | None:
-    w = lemma_allthree(f)
-    if w is not None:
-        return f"quadruple condition set of size 0 or 2: {w.describe()}"
-    return None
-
-
-def _check_lip_equiv(f: LoopFacts) -> str | None:
-    w = lemma_lip_equiv(f)
-    if w is not None:
-        return w.describe()
-    return None
-
-
-def _check_commute_or_lip_moufang(f: LoopFacts) -> str | None:
+def _commute_or_lip_moufang(f: LoopFacts) -> TheoremViolation | None:
     try:
         lemma_key_mfg(f)
     except TheoremViolation as exc:
-        return str(exc)
-    return None
-
-
-def _check_pair_coverage_implications(f: LoopFacts) -> str | None:
-    report = thm_main_verify(f)
-    if not report.all_ok():
-        return f"pair-coverage implication failed: {report}"
-    return None
-
-
-def _check_pair_coverage_ra2(f: LoopFacts) -> str | None:
-    cov = f.coverage
-    if (cov.de_everywhere or cov.df_everywhere or cov.ef_everywhere) and not f.ra2:
-        return "pair coverage holds on a Bol loop that is not RA2"
-    return None
-
-
-def _check_odd_order_associative(f: LoopFacts) -> str | None:
-    # cor_odd_verify on the cached facts: odd order is the precondition,
-    # and associativity is read only on SRAR loops, much as cor_odd_verify
-    # scans it only on right Bol loops
-    if f.srar and not f.associative:
-        return "odd-order SRAR loop is not associative"
-    return None
-
-
-def _check_ra2_implies_srar(f: LoopFacts) -> str | None:
-    if not f.srar:
-        return "RA2 loop is not SRAR"
-    return None
-
-
-def _check_moufang_implies_bol(f: LoopFacts) -> str | None:
-    if not f.right_bol:
-        return "Moufang loop is not right Bol"
-    return None
-
-
-def _check_bol_implies_ralt_rip(f: LoopFacts) -> str | None:
-    # witness() builds a Witness only for a law that fails
-    w = f.witness(IdentityId.RIGHT_ALTERNATIVE)
-    if w is not None:
-        return f"right Bol loop fails right alternative: {w.describe()}"
-    w = f.witness(IdentityId.RIP)
-    if w is not None:
-        return f"right Bol loop fails RIP: {w.describe()}"
-    return None
-
-
-def _check_bol_lip_implies_moufang(f: LoopFacts) -> str | None:
-    if f.holds(IdentityId.LIP) and not f.moufang:
-        return "right Bol loop with LIP is not Moufang"
-    return None
-
-
-def _check_extra_iff_moufang_squares_nucleus(f: LoopFacts) -> str | None:
-    ext = f.extra
-    rhs = f.moufang and squares_in_nucleus(f.loop)
-    if ext != rhs:
-        return f"extra={ext} but (Moufang and squares-in-nucleus)={rhs}"
+        return exc
     return None
 
 
@@ -165,6 +77,9 @@ class SweepCheck:
             raise ValueError(f"unknown precondition {self.requires!r}")
 
 
+# Each verifier is looked up in this module's globals when a check runs
+# (lambda f: lemma_allthree(f), never the function object itself), so a
+# rebound sweeps.<verifier> is the one a sweep calls.
 CHECKS: dict[str, SweepCheck] = {
     # the low-weight oracle decides any order; 6 keeps its cost out of the
     # 16.9M-loop order-7 tier.  At order 6 its right Bol decision is about
@@ -172,25 +87,48 @@ CHECKS: dict[str, SweepCheck] = {
     # criterion included: 1.9-3.2 against 7.5-12.2 µs per loop (medians
     # of 7 passes over the 9 408 loops, in three runs on a 2-CPU Xeon
     # whose speed varied from run to run)
-    "srar_ring_equiv": SweepCheck(_check_srar_ring_equiv, max_order=6),
-    "alt_ring_equiv": SweepCheck(_check_alt_ring_equiv, max_order=5),
-    "alt_ring_equiv_moufang": SweepCheck(_check_alt_ring_equiv, requires="moufang"),
+    "srar_ring_equiv": SweepCheck(lambda f: not oracle_equiv_srar(f), max_order=6),
+    # Both halves of the alternative-ring equivalence.  On arbitrary loops
+    # only an empirical fact, and only up to order 5: at order 6 there are
+    # non-Moufang loops with full coverage that fail a pointwise
+    # alternative law, which breaks the ring law on a basis element.  On
+    # Moufang loops it is a theorem: an alternative ring iff RA2 (RA2 is
+    # Moufang plus both coverages).
+    "alt_ring_equiv": SweepCheck(lambda f: not oracle_equiv_ra2(f), max_order=5),
+    "alt_ring_equiv_moufang": SweepCheck(lambda f: not oracle_equiv_ra2(f), requires="moufang"),
     # cannot fail: any two of D/E/F force the third and SRAR rules out
     # the empty set (see lemma_allthree).  The triple (x, y, z) is the
     # quadruple (x, y, z, e), so this also covers the triple form.
-    "quad_all_three_or_one": SweepCheck(_check_quad_all_three_or_one, requires="srar"),
-    "lip_equiv": SweepCheck(_check_lip_equiv, requires="right_bol"),
-    "commute_or_lip_moufang": SweepCheck(_check_commute_or_lip_moufang, requires="right_bol"),
+    "quad_all_three_or_one": SweepCheck(lambda f: lemma_allthree(f), requires="srar"),
+    "lip_equiv": SweepCheck(lambda f: lemma_lip_equiv(f), requires="right_bol"),
+    "commute_or_lip_moufang": SweepCheck(_commute_or_lip_moufang, requires="right_bol"),
     "pair_coverage_implications": SweepCheck(
-        _check_pair_coverage_implications, requires="right_bol"
+        lambda f: not thm_main_verify(f).all_ok(), requires="right_bol"
     ),
-    "pair_coverage_ra2": SweepCheck(_check_pair_coverage_ra2, requires="right_bol"),
-    "odd_order_associative": SweepCheck(_check_odd_order_associative, requires="odd_order"),
-    "ra2_implies_srar": SweepCheck(_check_ra2_implies_srar, requires="ra2"),
-    "moufang_implies_bol": SweepCheck(_check_moufang_implies_bol, requires="moufang"),
-    "bol_implies_ralt_rip": SweepCheck(_check_bol_implies_ralt_rip, requires="right_bol"),
-    "bol_lip_implies_moufang": SweepCheck(_check_bol_lip_implies_moufang, requires="right_bol"),
-    "extra_iff_moufang_squares_nucleus": SweepCheck(_check_extra_iff_moufang_squares_nucleus),
+    # coverage first: ra2 builds a Witness for a coverage gap
+    "pair_coverage_ra2": SweepCheck(
+        lambda f: (f.coverage.de_everywhere or f.coverage.df_everywhere
+                   or f.coverage.ef_everywhere) and not f.ra2,
+        requires="right_bol",
+    ),
+    # cor_odd_verify on the cached facts: odd order is the precondition,
+    # and associativity is read only on SRAR loops, much as cor_odd_verify
+    # scans it only on right Bol loops
+    "odd_order_associative": SweepCheck(
+        lambda f: f.srar and not f.associative, requires="odd_order"
+    ),
+    "ra2_implies_srar": SweepCheck(lambda f: not f.srar, requires="ra2"),
+    "moufang_implies_bol": SweepCheck(lambda f: not f.right_bol, requires="moufang"),
+    "bol_implies_ralt_rip": SweepCheck(
+        lambda f: f.witness(IdentityId.RIGHT_ALTERNATIVE) or f.witness(IdentityId.RIP),
+        requires="right_bol",
+    ),
+    "bol_lip_implies_moufang": SweepCheck(
+        lambda f: f.holds(IdentityId.LIP) and not f.moufang, requires="right_bol"
+    ),
+    "extra_iff_moufang_squares_nucleus": SweepCheck(
+        lambda f: f.extra != (f.moufang and squares_in_nucleus(f.loop))
+    ),
 }
 
 
@@ -292,11 +230,11 @@ def _sweep_part(args: tuple[LoopSource, tuple[str, ...]]):
                 t0 = t1
                 continue
             for fn, st in group:
-                detail = fn(facts)
+                violation = fn(facts)
                 t1 = clock()
                 st[2] += t1 - t0
                 t0 = t1
-                if detail is not None:
+                if violation:
                     st[0] += 1
                     if st[1] is None:
                         st[1] = loop.raw_rows()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loopkit import parse_catalog, ring_identity_check
+from loopkit import cli, parse_catalog, ring_identity_check
 from loopkit.catalog import emit_record
 from loopkit.cli import RING_IDENTITY_FLAGS
 from loopkit.fixtures import cyclic_group
@@ -101,6 +101,30 @@ def test_undecodable_input_is_named(tmp_path, command):
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith(f"error: {paths[1]}: 'utf-8' codec can't decode byte 0xff")
+
+
+# a fault in the second of two files, and the message after its path
+CATALOG_FAULTS = {
+    "trunc.loops": ("loop b\norder 2\n1 2\n",
+                    "line 3: unexpected end of file, expected a table row of 2 entries"),
+    "bad.loops": ("loop b\norder 2\n1 2\n1 2\n", "loop 'b': column 1 repeats entry 1"),
+    "dup.loops": ("loop b\norder 1\n1\n\nloop b\norder 1\n1\n", "duplicate loop name 'b'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CATALOG_FAULTS))
+@pytest.mark.parametrize(
+    "command", [["classify"], ["survey"], ["ring-check", "--identity", "right-bol"]]
+)
+def test_catalog_faults_are_named(tmp_path, capsys, command, fault):
+    text, message = CATALOG_FAULTS[fault]
+    good, bad = tmp_path / "a.loops", tmp_path / fault
+    good.write_text("loop a\norder 1\n1\n")
+    bad.write_text(text)
+    assert cli.main([*command, str(good), str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_classify_text_flags():

@@ -21,15 +21,17 @@ from loopkit import (
     IdentityId,
     OrderExceedsCap,
     SweepSpec,
+    TripleCoverage,
     classify_loop,
     enumerate_loops,
     holds,
     render_sweep,
     run_sweep,
     sweep_plan,
+    sweeps,
     validate_table,
 )
-from loopkit.fixtures import bol16, moufang12
+from loopkit.fixtures import bol16, cyclic_group, moufang12
 from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult, _sweep_part
 
 
@@ -403,3 +405,85 @@ def test_scanned_counts_match_enumeration():
     res = run_sweep(SweepSpec((3, 4), ("moufang_implies_bol",)))
     by_order = {c.order: c.loops_scanned for c in res.cells}
     assert by_order == {3: 1, 4: 4}
+
+
+# an order-6 loop whose ring alternative laws disagree with its pointwise
+# coverage, which the order-5 cap of alt_ring_equiv keeps out of the sweep
+ALT_RING_MISMATCH_6_RAW = (
+    (1, 2, 3, 4, 5, 6),
+    (2, 1, 4, 3, 6, 5),
+    (3, 4, 5, 6, 2, 1),
+    (4, 6, 2, 5, 1, 3),
+    (5, 3, 6, 1, 4, 2),
+    (6, 5, 1, 2, 3, 4),
+)
+
+
+def _facts(loop, failures=None, **flags):
+    """LoopFacts of loop with memoised flags, and identity scans, preset."""
+    facts = LoopFacts(loop)
+    facts.__dict__.update(flags)
+    facts._failures.update(failures or {})
+    return facts
+
+
+# per check, facts on which its statement is false, in each check's
+# hypothesis where it has one
+FALSIFIED = {
+    "srar_ring_equiv": lambda: _facts(cyclic_group(2), srar=False),
+    "alt_ring_equiv": lambda: LoopFacts(validate_table(ALT_RING_MISMATCH_6_RAW)),
+    "alt_ring_equiv_moufang": lambda: _facts(
+        cyclic_group(4), coverage=TripleCoverage(False, False, False, False)
+    ),
+    "lip_equiv": lambda: _facts(validate_table(NON_BOL_5_RAW), right_bol=True),
+    "commute_or_lip_moufang": lambda: _facts(cyclic_group(3), moufang=False),
+    "pair_coverage_implications": lambda: _facts(cyclic_group(3), associative=False),
+    "pair_coverage_ra2": lambda: _facts(cyclic_group(3), ra2=False),
+    "odd_order_associative": lambda: _facts(cyclic_group(3), srar=True, associative=False),
+    "ra2_implies_srar": lambda: _facts(cyclic_group(3), srar=False),
+    "moufang_implies_bol": lambda: _facts(cyclic_group(3), right_bol=False),
+    "bol_implies_ralt_rip": lambda: _facts(
+        cyclic_group(3), {IdentityId.RIGHT_ALTERNATIVE: ((1, 1), 2, 0)}
+    ),
+    "bol_lip_implies_moufang": lambda: _facts(cyclic_group(3), moufang=False),
+    "extra_iff_moufang_squares_nucleus": lambda: _facts(
+        cyclic_group(3), extra=True, moufang=False
+    ),
+}
+
+
+# quad_all_three_or_one alone cannot fail (see lemma_allthree)
+@pytest.mark.parametrize("name", [c for c in CHECKS if c != "quad_all_three_or_one"])
+def test_every_check_can_fire(name):
+    facts = FALSIFIED[name]()
+    check = CHECKS[name]
+    assert check.requires is None or getattr(facts, check.requires)
+    assert check.fn(facts)
+
+
+# the verifiers bench/tracing.py counts by rebinding them on loopkit.sweeps
+SWEEP_VERIFIERS = (
+    "oracle_equiv_srar", "oracle_equiv_ra2", "lemma_allthree", "lemma_lip_equiv",
+    "lemma_key_mfg", "thm_main_verify", "squares_in_nucleus",
+)
+
+
+def test_sweep_calls_each_verifier_through_the_sweeps_module(monkeypatch):
+    calls = dict.fromkeys(SWEEP_VERIFIERS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in SWEEP_VERIFIERS:
+        monkeypatch.setattr(sweeps, name, counted(name, getattr(sweeps, name)))
+    res = run_sweep(SweepSpec((5,), tuple(CHECKS)))
+    assert res.total_violations() == 0
+    # 56 loops, 6 of them right Bol groups
+    assert calls == {
+        "oracle_equiv_srar": 56, "oracle_equiv_ra2": 56 + 6, "lemma_allthree": 6,
+        "lemma_lip_equiv": 6, "lemma_key_mfg": 6, "thm_main_verify": 6,
+        "squares_in_nucleus": 6,
+    }
