@@ -28,10 +28,11 @@ The per-tuple functions (quad_values, quad_conditions, triple_conditions,
 abc_conditions) are the definitional reference.  The whole-loop scans
 evaluate the same bracketings with numpy over product arrays built from
 the Cayley table: n^3 arrays for triples, and for quadruples blocks of
-1, 1, 2, 4, ... first elements x, one n^3 slab each, with at most 2^16
-quadruples per block unless one slab is larger.  So memory stays O(n^3),
-a loop with a gap at x = 0 pays for one slab, and a loop with no gap
-pays for about log n blocks instead of n slabs.  Every coverage gap is
+first elements x, one n^3 slab each.  The first block holds the slabs
+that fit in 2^12 quadruples (all of n^4 to order 8), then blocks double
+up to 2^16 quadruples; every block holds at least one slab.  So memory
+stays O(n^3), a loop of order 8 or less pays for one block, and a loop
+with no gap for about log n blocks.  Every coverage gap is
 decided in characteristic 2: the four bracketings pair up into D, E or
 F (A, B or C) exactly when their sum in F_2[L] is 0, so _parity_gaps
 compares one-hot masks.  The full D/E/F code (_code) is built only for
@@ -40,31 +41,32 @@ lemma.  Every scan reports the lexicographically first flagged tuple.
 
 LoopFacts caches a loop's identity scans as plain failure tuples, its
 SRAR and RA2 verdicts, extra flag, and the triple products with their
-D'/E'/F' code counts and mask sum, which coverage, the triple profile
-and both triple gaps reduce; it builds a Witness only when one is read.
-is_srar, is_ra2, those triple functions, the lemma_* verifiers,
-thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts or a
-LoopTable, so a sweep or a classification passes its one LoopFacts
-through.  The kernel scans (identities.first_failure, first_quad_gap,
-quad_profile) take the bare table.  LoopFacts is the identities.Products
-of its loop and hands itself to the first two, so its identity scans,
-triples and quadruple blocks read one intp table, one (xy)z and one
-x(yz); a call on a bare table builds its own.  cor_odd_verify takes the
-bare table too and decides through identities.holds; the benchmark's
-order7-slice calls it once per loop, while the order-7 sweep decides
-odd_order_associative through LoopFacts.
+D'/E'/F' code counts, mask sum and A/B/C gaps, which coverage, the
+triple profile and both triple gaps reduce; it builds a Witness only
+when one is read.  is_srar, is_ra2, those triple functions, the lemma_*
+verifiers, thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts
+or a LoopTable, so a sweep or a classification passes its one LoopFacts
+through.  The kernel scans (the identities._CHECKS entries,
+first_quad_gap, quad_profile) take the bare table.  LoopFacts is the
+Products of its loop and hands itself to the first two, so its identity
+scans, triples and quadruple blocks read one intp table, one (xy)z and
+one x(yz); a call on a bare table builds its own.  cor_odd_verify takes
+the bare table too and decides through identities.holds; the
+benchmark's order7-slice calls it once per loop, while the order-7
+sweep decides odd_order_associative through LoopFacts.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .core import LoopTable, LoopError, TheoremViolation, Witness, memo
-from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, Products, first_failure, holds
+from .core import LoopTable, LoopError, TheoremViolation, Witness, memo, read_only
+from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, Products, holds
 
 COND_LETTERS = ("D", "E", "F")
 PROFILE_KEYS = ("none", "D", "E", "F", "DE", "DF", "EF", "DEF")
@@ -223,15 +225,14 @@ _ABC_AXES = (1, 0, 2)
 _QUAD_AXES = (0, 3, 2, 1)
 
 _BLOCK = 1 << 16  # quadruples per block, at most
+_FIRST_BLOCK = 1 << 12  # quadruples in the first block, as x rows allow
 
 
 @functools.cache
 def _one_hot(n: int) -> np.ndarray:
     """H[v] has only bit v set, in ceil(n/64) uint64 words: row v of the identity, packed."""
     eye = np.eye(n, 64 * -(-n // 64), dtype=bool)
-    H = np.packbits(eye, axis=1, bitorder="little").view(np.uint64)
-    H.flags.writeable = False  # shared by every caller through the cache
-    return H
+    return read_only(np.packbits(eye, axis=1, bitorder="little").view(np.uint64))
 
 
 def _parity_gaps(g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -274,24 +275,29 @@ def _quad_blocks(p: Products, V: np.ndarray):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
     They are gathered from V: the table's values, or those with trailing
-    axes such as one-hot masks.  Blocks double, 1, 1, 2, 4, ... first
-    elements, each of at most _BLOCK quadruples unless one n^3 slab is
-    larger: a gap at x = 0 costs one slab, and a full scan about log n blocks.
+    axes such as one-hot masks.  The first block takes the x rows that fit
+    in _FIRST_BLOCK quadruples, at least one: all of them up to order 8,
+    two at order 12, one from order 16.  Then blocks double, each of at
+    most _BLOCK quadruples unless one n^3 slab is larger.  So a gap at
+    x = 0 costs one small block, and a full scan about log n blocks.
     """
     T, TT = p.intp, p.xy_z  # (yz)w is TT[y, z, w]
     VV = V[T]
     n = p.loop.order
-    cap = max(1, _BLOCK // n**3)
+    first, cap = max(1, _FIRST_BLOCK // n**3), max(1, _BLOCK // n**3)
     x0 = 0
     while x0 < n:
-        x1 = min(x0 + min(max(x0, 1), cap), n)
+        x1 = min(x0 + min(max(x0, first), cap), n)
         yield x0, VV[T[x0:x1]], V[x0:x1].take(TT, axis=1)
         x0 = x1
 
 
+_QUAD_FIELDS = attrgetter("s", "t", "u", "v")  # a plain tuple of QuadValues' fields
+
+
 def _first_quad(p: Products, identity_id: str, V: np.ndarray, flags) -> Witness | None:
     """First quadruple where flags(S, T) is set, S and T from V (see _quad_blocks)."""
-    values_at = lambda q: astuple(quad_values(p.loop, *q))  # noqa: E731
+    values_at = lambda q: _QUAD_FIELDS(quad_values(p.loop, *q))  # noqa: E731
     for x0, s, t in _quad_blocks(p, V):
         w = _first_flagged(identity_id, flags(s, t), values_at, x0)
         if w is not None:
@@ -307,8 +313,8 @@ def first_quad_gap(L: LoopTable, products: Products | None = None) -> Witness | 
 
 
 def abc_gaps(L: LoopFacts | LoopTable) -> np.ndarray:
-    """Flags of the triples whose {A,B,C} set is empty, indexed [x, y, z]."""
-    return _parity_gaps(LoopFacts.of(L).triple_masks, _ABC_AXES)
+    """Flags of the triples whose {A,B,C} set is empty, indexed [x, y, z] (read-only)."""
+    return LoopFacts.of(L)._abc_gaps
 
 
 def first_triple_gap(L: LoopFacts | LoopTable) -> Witness | None:
@@ -351,9 +357,9 @@ class LoopFacts(Products):
         return L if isinstance(L, LoopFacts) else cls(L)
 
     def _failure(self, ident: IdentityId) -> Failure | None:
-        """first_failure on this loop, scanned once per identity."""
+        """The _CHECKS scan's failure tuple on this loop, scanned once per identity."""
         if ident not in self._failures:
-            self._failures[ident] = first_failure(self.loop, ident, self)
+            self._failures[ident] = _CHECKS[ident](self.loop, self)
         return self._failures[ident]
 
     def holds(self, ident: IdentityId) -> bool:
@@ -379,6 +385,9 @@ class LoopFacts(Products):
         H = _one_hot(self.loop.order)
         return H[self.triples[0]] ^ H[self.triples[1]]
 
+    # abc_gaps, built once: oracle_equiv_ra2 and first_abc_gap both read it
+    _abc_gaps = memo(lambda self: read_only(_parity_gaps(self.triple_masks, _ABC_AXES)))
+
     # The condition halves of SRAR and RA2, read only where the identity
     # half holds, so that the flags and the witnesses share one scan.
     _quad_gap = memo(lambda self: first_quad_gap(self.loop, self))
@@ -394,16 +403,16 @@ class LoopFacts(Products):
         """The first failure of right Moufang, then A/B/C, then D'/E'/F' coverage."""
         return self.witness(IdentityId.RIGHT_MOUFANG) or self._coverage_gap
 
-    # The flags are memos too: the sweep reads them on every loop, and as
-    # plain properties over the per-identity failures they made a sweep of
-    # the non-ring checks over orders 2-6 about 12% slower (median of 7
-    # alternating runs, 332-343 against 374-384 ms on a 2-CPU Xeon).
-    right_bol = memo(lambda self: self.holds(_RIGHT_BOL))
-    moufang = memo(lambda self: self.holds(_MOUFANG))
-    associative = memo(lambda self: self.holds(_ASSOCIATIVE))
+    # The flags are memos too, and call _failure, not holds: the sweep
+    # reads them on every loop, and as plain properties they made a sweep
+    # of the non-ring checks over orders 2-6 about 12% slower (median of
+    # 7 alternating runs, 332-343 against 374-384 ms on a 2-CPU Xeon).
+    right_bol = memo(lambda self: self._failure(_RIGHT_BOL) is None)
+    moufang = memo(lambda self: self._failure(_MOUFANG) is None)
+    associative = memo(lambda self: self._failure(_ASSOCIATIVE) is None)
     srar = memo(lambda self: self.right_bol and self._quad_gap is None)
     ra2 = memo(lambda self: self.moufang and self._coverage_gap is None)
-    extra = memo(lambda self: self.holds(_EXTRA))
+    extra = memo(lambda self: self._failure(_EXTRA) is None)
     coverage = memo(lambda self: triple_coverage(self))
 
     @property

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LoopError, LoopTable, OrderExceedsCap
+from .core import LoopError, LoopTable, OrderExceedsCap, read_only
 from .conditions import LoopFacts, abc_gaps
 
 TWO_VAR_CAP = 8
@@ -319,10 +319,12 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
     """Stage 1: masks of the first failing basis tuple, then of both sides."""
     t, domains = L.table, _basis_domains(L.order, L.identity, ident)
     if len(domains) == 2:
-        (xs, ys), sides, m = domains, _SIDES[ident], L.mul
+        (xs, ys), left = domains, ident is RingIdentityId.LEFT_ALTERNATIVE
         for x in xs:
+            tx = t[x]
             for y in ys:
-                lhs, rhs = sides(m, x, y)
+                # (x*y)*y against x*(y*y), or (x*x)*y against x*(x*y) for left
+                lhs, rhs = (t[tx[x]][y], tx[tx[y]]) if left else (t[tx[y]][y], tx[t[y][y]])
                 if lhs != rhs:
                     return 1 << x, 1 << y, 1 << lhs, 1 << rhs
         return None
@@ -342,24 +344,25 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
 
 
 def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
-    """Stage 2: the same with the squared variable at weight 2, in numpy slabs."""
+    """Stage 2: the same with the squared variable at weight 2, in numpy slabs.
+
+    A ring element is one index array whose axis 0 runs over its terms, so
+    a product is one gather over all pairs of terms and a side one XOR.
+    """
     T = L.array.astype(np.intp)  # its entries index T and the masks again
-    one, slabs = _low_weight_plan(L.order, ident)
 
     def m(u, v):
-        # a ring element is a tuple of index arrays, the sum of its one-hots
-        return tuple(T[a, b] for a in u for b in v)
+        uv = T[u[:, None], v[None, :]]
+        return uv.reshape(-1, *uv.shape[2:])
 
-    def masks(terms):
-        return functools.reduce(np.bitwise_xor, (one[t] for t in terms))
-
+    one, slabs = _low_weight_plan(L.order, ident)
     for cands, start, grid in slabs:
-        lhs, rhs = (masks(side) for side in _SIDES[ident](m, *grid))
+        lhs, rhs = (np.bitwise_xor.reduce(one[side], axis=0) for side in _SIDES[ident](m, *grid))
         bad = lhs != rhs
         if bad.any():
             at = np.unravel_index(int(bad.argmax()), bad.shape)
             pos = (start + int(at[0]), *(int(i) for i in at[1:]))
-            masks_at = (sum(1 << int(t[p]) for t in c) for c, p in zip(cands, pos))
+            masks_at = (sum(1 << int(t) for t in c[:, p]) for c, p in zip(cands, pos))
             return *masks_at, int(lhs[at]), int(rhs[at])
     return None
 
@@ -368,28 +371,27 @@ def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] 
 def _low_weight_plan(n: int, ident: RingIdentityId):
     """The one-hot masks, and the stage-2 test set as slabs in scan order.
 
-    Each slab is (cands, start, grid): cands[j] holds variable j's
-    candidates as one index array per term, and grid is the slab of
-    candidates from `start` on along x, with variable j on axis j.
-    Below order 2 there is no element of weight 2, so there are no slabs.
+    Each slab is (cands, start, grid).  cands[j] holds variable j's
+    candidates as one index array, [term, candidate]; grid[j] is the
+    slab of them from `start` on along x, [term, ...] with the candidate
+    on axis 1 + j, so each variable's terms stay on axis 0.  Every array
+    is read-only, since the cache shares it.  Below order 2 there is no
+    element of weight 2, so there are no slabs.
     """
-    one = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+    one = read_only(np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)))
     if n < 2:
         return one, ()
     k = len(_BASIS_SKIPS_E[ident])
-    weight_two = np.tril_indices(n, -1)  # (b, a) with a < b, ascending mask order
+    weight_two = np.stack(np.tril_indices(n, -1))  # (b, a) with a < b, ascending mask order
     squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
-    cands = [weight_two if j == squared else (np.arange(n),) for j in range(k)]
-    step = max(1, _SLAB_ENTRIES // math.prod(len(c[0]) for c in cands[1:]))
+    cands = [read_only(weight_two if j == squared else np.arange(n)[None]) for j in range(k)]
+    step = max(1, _SLAB_ENTRIES // math.prod(c.shape[1] for c in cands[1:]))
     slabs = []
-    for start in range(0, len(cands[0][0]), step):
+    for start in range(0, cands[0].shape[1], step):
         grid = [
-            tuple(
-                (t[start:start + step] if j == 0 else t).reshape(
-                    [-1 if i == j else 1 for i in range(k)]
-                )
-                for t in c
-            )
+            read_only((c[:, start:start + step] if j == 0 else c).reshape(
+                len(c), *[-1 if i == j else 1 for i in range(k)]
+            ))
             for j, c in enumerate(cands)
         ]
         slabs.append((cands, start, grid))

@@ -20,15 +20,16 @@ so the first failing tuple in full lexicographic order is still the one
 it returns, and results are deterministic across runs and partitions.
 Scans decide without explaining: each returns that tuple as a plain
 (elements, lhs, rhs) tuple, or None.  check_identity is the one route
-that wraps it in a Witness; first_failure hands it on bare, to caches
-such as conditions.LoopFacts that explain only on request.  holds,
+that wraps it in a Witness; caches such as conditions.LoopFacts call the
+_CHECKS entries directly and explain only on request.  holds,
 is_moufang and is_extra only test for None, so deciding a loop builds
 no Witness.  A two-variable identity is written once, as a function
 giving its (lhs, rhs) at (x, y), which `_pairs` makes into the one
 early-exit scan.  The three-variable identities run on every loop of a
 sweep, so two hand-unrolled scans decide them: `_right_bol`, and
 `_right_product_law` for ((xy)z)u = x(y(zu)), which is right Moufang at
-u = y, extra at u = x and associativity at u = e.  From order 8, such
+u = y, extra at u = x and associativity at u = e, each bound by a
+functools.partial (no lambda `_at` in between).  From order 8, such
 a scan runs in Python only over the first y row of its first x; if that
 holds, `_numpy_scan` evaluates the identity, written once in `_SIDES`,
 over the whole domain from the loop's `Products` arrays.  The first
@@ -108,7 +109,7 @@ def _pairs(ident: IdentityId):
 
     sides_of(L) gives the identity's (lhs, rhs) at (x, y) on L; the scan
     returns the first (x, y) in C order where they differ.  ident is
-    bound once here, as in _at, not read off IdentityId per call.
+    bound once here, not read off IdentityId per call.
     """
 
     def make(sides_of: Callable[[LoopTable], Sides]) -> Scan:
@@ -171,8 +172,8 @@ def _commutative(L: LoopTable) -> Sides:
 # decide the four three-variable identities.  Right Bol's inner bracket
 # (yz)y is not of the form y(zu), so it keeps its own scan; the other
 # three share one, and _U picks their u from (x, y, e) once per (x, y)
-# pair.  Its entry points bind their IdentityId once (_at): reading an
-# enum member costs about 0.2 µs on Python 3.11, a fifth of a short scan.
+# pair.  A functools.partial binds each entry point's IdentityId once, in
+# C: an enum member read costs about 0.2 µs on Python 3.11.
 # Right Bol takes 1.0-1.9 µs per order-6 loop.  Measured dead ends (2-CPU
 # Xeon): one per-tuple lambda scan for all four laws adds 0.7-0.9 µs per
 # loop per identity, about +15% on the benchmark's sweep-default pass and
@@ -249,7 +250,7 @@ def _numpy_scan(L: LoopTable, products: Products | None, ident: IdentityId) -> F
     return None
 
 
-_RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as in _at
+_RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as the partials below bind theirs
 
 
 @functools.cache
@@ -284,7 +285,7 @@ _U = {IdentityId.EXTRA: 0, IdentityId.RIGHT_MOUFANG: 1, IdentityId.ASSOCIATIVE: 
 
 
 def _right_product_law(
-    L: LoopTable, ident: IdentityId, products: Products | None
+    ident: IdentityId, L: LoopTable, products: Products | None = None
 ) -> Failure | None:
     t, e, k = L.table, L.identity, _U[ident]
     xs, ys, zs = _python_domains(L.order, e, ident)
@@ -302,14 +303,9 @@ def _right_product_law(
     return None if L.order < _TAIL_ORDER else _numpy_scan(L, products, ident)
 
 
-def _at(ident: IdentityId) -> Scan:
-    """_right_product_law with ident bound once, not read off IdentityId per call."""
-    return lambda L, products=None: _right_product_law(L, ident, products)
-
-
-_right_moufang = _at(IdentityId.RIGHT_MOUFANG)
-_extra = _at(IdentityId.EXTRA)
-_associative = _at(IdentityId.ASSOCIATIVE)
+_right_moufang = functools.partial(_right_product_law, IdentityId.RIGHT_MOUFANG)
+_extra = functools.partial(_right_product_law, IdentityId.EXTRA)
+_associative = functools.partial(_right_product_law, IdentityId.ASSOCIATIVE)
 
 
 _CHECKS: dict[IdentityId, Scan] = {
@@ -330,13 +326,6 @@ def check_identity(L: LoopTable, ident: IdentityId) -> Witness | None:
     """Return None when the identity holds, else the first counterexample."""
     found = _CHECKS[ident](L)
     return None if found is None else Witness(ident.value, *found)
-
-
-def first_failure(
-    L: LoopTable, ident: IdentityId, products: Products | None = None
-) -> Failure | None:
-    """check_identity's counterexample as a plain tuple; numpy reads products, if given."""
-    return _CHECKS[ident](L, products)
 
 
 def holds(L: LoopTable, ident: IdentityId) -> bool:

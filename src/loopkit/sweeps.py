@@ -82,11 +82,7 @@ class SweepCheck:
 # rebound sweeps.<verifier> is the one a sweep calls.
 CHECKS: dict[str, SweepCheck] = {
     # the low-weight oracle decides any order; 6 keeps its cost out of the
-    # 16.9M-loop order-7 tier.  At order 6 its right Bol decision is about
-    # a quarter of the cell's time, enumeration and the pointwise SRAR
-    # criterion included: 1.9-3.2 against 7.5-12.2 µs per loop (medians
-    # of 7 passes over the 9 408 loops, in three runs on a 2-CPU Xeon
-    # whose speed varied from run to run)
+    # 16.9M-loop order-7 tier
     "srar_ring_equiv": SweepCheck(lambda f: not oracle_equiv_srar(f), max_order=6),
     # Both halves of the alternative-ring equivalence.  On arbitrary loops
     # only an empirical fact, and only up to order 5: at order 6 there are

@@ -165,7 +165,8 @@ def scan_counts(monkeypatch):
     other cached array is built from); triple-product builds as
     "triple_products" (LoopFacts.triples), quadruple scans as
     "quad_scans" (conditions._first_quad, one per scan whatever its
-    number of x-blocks), and the ring oracle's basis scans and weight-2
+    number of x-blocks), A/B/C parity-gap builds as "abc_gaps"
+    (LoopFacts._abc_gaps), and the ring oracle's basis scans and weight-2
     runs as "ring_basis_scans" and "ring_weight_two_runs"
     (gf2ring._basis_failure and gf2ring._weight_two_failure).
     """
@@ -190,6 +191,7 @@ def scan_counts(monkeypatch):
         (identities, "_numpy_scan", "numpy_scans"),
         (identities.Products.intp, "fn", "products"),
         (conditions.LoopFacts.triples, "fn", "triple_products"),
+        (conditions.LoopFacts._abc_gaps, "fn", "abc_gaps"),
         (conditions, "_first_quad", "quad_scans"),
         (gf2ring, "_basis_failure", "ring_basis_scans"),
         (gf2ring, "_weight_two_failure", "ring_weight_two_runs"),

@@ -391,7 +391,8 @@ def test_unsupported_format():
 
 def test_classify_loop_scans_each_identity_once(scan_counts):
     # one LoopFacts per record: every scan once, one product cache, and
-    # the triple products built once for coverage, RA2 and the profile.
+    # the triple products built once for coverage, RA2 and the profile,
+    # and RA2's A/B/C parity gaps once.
     # Right Bol and right Moufang hold, and extra and associativity first
     # fail at (1, 3, 6), past their first y row, so all four pass their
     # first y row into the numpy stage
@@ -399,6 +400,7 @@ def test_classify_loop_scans_each_identity_once(scan_counts):
     assert scan_counts == {
         "right_bol": 1, "right_moufang": 1, "extra": 1, "associative": 1,
         "numpy_scans": 4, "products": 1, "triple_products": 1, "quad_scans": 1,
+        "abc_gaps": 1,
     }
 
 

@@ -48,7 +48,7 @@ from loopkit.core import Witness
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 from loopkit.identities import Products
 
-from conftest import CORPUS5, octonion_units, relabelled
+from conftest import CORPUS5, chein_a4, octonion_units, relabelled
 
 # machine-verified ground truth for the order-12 Moufang fixture: the
 # printed table yields products (11,12,11,12) at (2,5,9), the F' pattern
@@ -515,14 +515,19 @@ def test_srar_loop_has_no_gap_in_any_block(t2):
         assert lemma_allthree(L) is None
 
 
+# The first block takes the x rows that fit in 2^12 quadruples, at least
+# one, so up to order 8 one block holds all of n^4; then blocks double.
 @pytest.mark.parametrize("n, blocks", [
-    (2, [(0, 1), (1, 1)]),
-    (12, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 4)]),
+    (2, [(0, 2)]),
+    # 2^12 // 12^3 = 2 first elements, then 2, 4 and the last 4
+    (12, [(0, 2), (2, 2), (4, 4), (8, 4)]),
     (16, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 8)]),
     # 24^3 = 13 824, so at most 4 first elements fit in 2^16 quadruples
     (24, [(0, 1), (1, 1), (2, 2), (4, 4), (8, 4), (12, 4), (16, 4), (20, 4)]),
     # one slab of 41^3 is already over 2^16: one first element per block
     (41, [(x, 1) for x in range(41)]),
+    (6, [(0, 6)]),
+    (8, [(0, 8)]),
 ])
 def test_quad_blocks_double_up_to_the_cap(n, blocks):
     L = relabelled(cyclic_group(n), n)
@@ -534,6 +539,39 @@ def test_quad_blocks_double_up_to_the_cap(n, blocks):
             q = quad_values(L, x0 + i, y, z, w)
             assert (s[i, y, z, w], t[i, y, z, w]) == (q.s, q.t)
     assert got == blocks
+
+
+def _central_extension(base: LoopTable, m: int, f) -> LoopTable:
+    """(g, a)(h, b) = (gh, a + b + f[g][h] mod m), element g + |base| a."""
+    k = base.order
+    return validate_table([
+        [base.table[i % k][j % k] + k * ((i // k + j // k + f[i % k][j % k]) % m) + 1
+         for j in range(k * m)]
+        for i in range(k * m)
+    ])
+
+
+# Extensions of Z4 with nonassociative cocycles, so each has a quadruple
+# gap, and seeds of `relabelled` that put its first gap at x.  Order 8
+# is one block, whose rows the old schedule split at x = 1, 2 and 4;
+# order 12's blocks start at x = 0, 2, 4 and 8, so x = 1 and 3 end one
+# and x = 2 and 4 start the next.
+_GAP_EXTENSIONS = {
+    8: (2, ((0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1))),
+    12: (3, ((0, 0, 0, 0), (0, 0, 2, 0), (0, 2, 2, 2), (0, 0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("n, seed, x", [
+    (8, 0, 1), (8, 3, 2), (8, 36, 4),
+    (12, 1, 1), (12, 9, 2), (12, 11, 3), (12, 38, 4),
+])
+def test_quad_gap_witness_at_orders_8_and_12(n, seed, x):
+    m, f = _GAP_EXTENSIONS[n]
+    L = relabelled(_central_extension(cyclic_group(4), m, f), seed)
+    w = first_quad_gap(L)
+    assert L.order == n and w.elements[0] == x
+    assert w == _first_empty_quad(L)
 
 
 @given(st.permutations(list(range(12))))
@@ -585,6 +623,19 @@ def test_extra_flag_and_witness_share_one_scan(scan_counts):
         f = LoopFacts(L)
         assert f.extra is (f.witness(IdentityId.EXTRA) is None)
     assert scan_counts["extra"] == 3
+
+
+def test_ra2_oracle_and_verdict_share_one_abc_gap_build(scan_counts):
+    # on a Moufang loop oracle_equiv_ra2 reads the A/B/C parity gaps and
+    # is_ra2 reads them again for its coverage gap, RA2 or not (M(A4, 2)
+    # is Moufang but not RA2): one build per LoopFacts
+    loops = ((moufang12(), True), (chein_a4(), False), (cyclic_group(6), True))
+    for built, (L, ra2) in enumerate(loops, 1):
+        f = LoopFacts(L)
+        assert oracle_equiv_ra2(f)
+        assert scan_counts["abc_gaps"] == built
+        assert is_ra2(f)[0] is ra2
+        assert scan_counts["abc_gaps"] == built
 
 
 def test_cor_odd_verify_scans_associativity_only_on_right_bol_loops(scan_counts):

@@ -450,6 +450,18 @@ def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
             assert masks == sorted(set(masks))
 
 
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_plan_arrays_are_read_only(ident):
+    # the plan is cached per order: a caller writing into it would
+    # corrupt every later oracle call at that order
+    one, slabs = gf2ring._low_weight_plan(5, ident)
+    arrays = [one] + [a for cands, _, grid in slabs for a in (*cands, *grid)]
+    assert len(arrays) > 1
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1
+
+
 def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
     import loopkit.conditions as conditions
     import loopkit.identities as identities

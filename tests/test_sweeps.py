@@ -69,14 +69,15 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     # all-three-or-one lemma).  The 6 further RIP scans are LIP's choice
     # of inverse, inside identities.py.  The 6 Moufang loops are groups,
     # so alt_ring_equiv_moufang decides both ring alternative laws on
-    # each, and each law passes the basis stage into the weight-2 stage.
-    # No scan of an order-5 loop reaches a numpy identity stage; the
+    # each, and each law passes the basis stage into the weight-2 stage;
+    # that oracle and the ra2 flag share one build of the A/B/C parity
+    # gaps.  No scan of an order-5 loop reaches a numpy identity stage; the
     # product cache is built once per Bol loop, for its triples and quads.
     assert scan_counts["numpy_scans"] == 0
     assert scan_counts == {
         "right_bol": 56, "right_moufang": 56, "extra": 56, "associative": 6,
         "right_alternative": 6, "rip": 6 + 6, "lip": 6, "commutative": 6,
-        "products": 6, "triple_products": 6, "quad_scans": 12,
+        "products": 6, "triple_products": 6, "quad_scans": 12, "abc_gaps": 6,
         "ring_basis_scans": 6 * 2, "ring_weight_two_runs": 6 * 2,
     }
 
