@@ -27,15 +27,12 @@ the same letters for the primed conditions) or "A","B","C".
 The per-tuple functions (quad_values, quad_conditions, triple_conditions,
 abc_conditions) are the definitional reference.  The whole-loop scans
 evaluate the same bracketings with numpy over product arrays built from
-the Cayley table: n^3 arrays for triples, and for quadruples blocks of
-first elements x, one n^3 slab each.  The first block holds the slabs
-that fit in 2^12 quadruples (all of n^4 to order 8), then blocks double
-up to 2^16 quadruples; every block holds at least one slab.  So memory
-stays O(n^3), a loop of order 8 or less pays for one block, and a loop
-with no gap for about log n blocks.  Every coverage gap is
-decided in characteristic 2: the four bracketings pair up into D, E or
-F (A, B or C) exactly when their sum in F_2[L] is 0, so _parity_gaps
-compares one-hot masks.  The full D/E/F code (_code) is built only for
+the Cayley table: n^3 arrays for triples, and for quadruples the
+blocks of first elements x that core.x_blocks cuts, one n^3 slab per
+x, so memory stays O(n^3).  Every coverage gap is decided in
+characteristic 2: the four bracketings pair up into D, E or F (A, B or
+C) exactly when their sum in F_2[L] is 0, so _parity_gaps compares
+one-hot masks.  The full D/E/F code (_code) is built only for
 the triple profile, pair coverage, quad_profile and the all-three-or-one
 lemma.  Every scan reports the lexicographically first flagged tuple.
 
@@ -66,6 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LoopTable, LoopError, TheoremViolation, Witness, memo, read_only
+from .core import first_set, x_blocks
 from .identities import _CHECKS, _RIGHT_BOL, Failure, IdentityId, Products, holds
 
 COND_LETTERS = ("D", "E", "F")
@@ -224,9 +222,6 @@ _TRIPLE_AXES = (0, 2, 1)
 _ABC_AXES = (1, 0, 2)
 _QUAD_AXES = (0, 3, 2, 1)
 
-_BLOCK = 1 << 16  # quadruples per block, at most
-_FIRST_BLOCK = 1 << 12  # quadruples in the first block, as x rows allow
-
 
 @functools.cache
 def _one_hot(n: int) -> np.ndarray:
@@ -258,11 +253,10 @@ def _first_flagged(
     x0 is added to the first element; lhs and rhs are the first unequal
     pair of values_at(elements), in the order it lists them.
     """
-    k = int(flagged.argmax())
-    if not flagged.flat[k]:
+    at = first_set(flagged)
+    if at is None:
         return None
-    at = np.unravel_index(k, flagged.shape)
-    elements = (x0 + int(at[0]), *(int(i) for i in at[1:]))
+    elements = (x0 + at[0], *at[1:])
     return Witness(identity_id, elements, *_first_diff(values_at(elements)))
 
 
@@ -275,21 +269,13 @@ def _quad_blocks(p: Products, V: np.ndarray):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
     They are gathered from V: the table's values, or those with trailing
-    axes such as one-hot masks.  The first block takes the x rows that fit
-    in _FIRST_BLOCK quadruples, at least one: all of them up to order 8,
-    two at order 12, one from order 16.  Then blocks double, each of at
-    most _BLOCK quadruples unless one n^3 slab is larger.  So a gap at
-    x = 0 costs one small block, and a full scan about log n blocks.
+    axes such as one-hot masks, in the core.x_blocks of n^3 quadruples per x.
     """
     T, TT = p.intp, p.xy_z  # (yz)w is TT[y, z, w]
     VV = V[T]
     n = p.loop.order
-    first, cap = max(1, _FIRST_BLOCK // n**3), max(1, _BLOCK // n**3)
-    x0 = 0
-    while x0 < n:
-        x1 = min(x0 + min(max(x0, first), cap), n)
-        yield x0, VV[T[x0:x1]], V[x0:x1].take(TT, axis=1)
-        x0 = x1
+    for xs in x_blocks(n, n**3):
+        yield xs.start, VV[T[xs]], V[xs].take(TT, axis=1)
 
 
 _QUAD_FIELDS = attrgetter("s", "t", "u", "v")  # a plain tuple of QuadValues' fields

@@ -1,5 +1,5 @@
-"""Cayley-table loops: validation, nuclei, exhaustive enumeration, and
-the worker-process map that sweeps and surveys share.
+"""Cayley-table loops: validation, nuclei, exhaustive enumeration, the
+numpy scans' shared helpers, and the process map of sweeps and surveys.
 
 A loop of order n is stored as an n x n table over the element indices
 0..n-1 whose rows and columns are permutations (a Latin square) and which
@@ -15,10 +15,12 @@ with a bitmask of the (column, value) pairs it occupies.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -50,6 +52,46 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: an array that a cache shares with every caller."""
     a.flags.writeable = False
     return a
+
+
+FIRST_BLOCK = 1 << 12  # entries in a scan's first x-block, as x rows allow
+BLOCK = 1 << 16  # entries in any later x-block, at most
+
+
+def x_blocks(n: int, per_x: int) -> Iterator[slice]:
+    """The blocks of a numpy scan over n first elements x, per_x entries per x.
+
+    The first takes the x rows that fit in FIRST_BLOCK entries, at least
+    one; then blocks double, each of at most BLOCK entries unless one x
+    row is larger.  So a failure at the first x costs one small block.
+    """
+    size, cap = FIRST_BLOCK // per_x or 1, BLOCK // per_x or 1
+    x0 = 0
+    while x0 < n:
+        yield slice(x0, min(x0 + size, n))
+        x0 += size
+        size = min(x0, cap)  # as large as all blocks before; BLOCK >= FIRST_BLOCK
+
+
+def first_set(flags: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first set entry of flags in C order, or None: on an
+    array indexed by the scanned elements, the first flagged tuple."""
+    k = int(flags.argmax())
+    if not flags.flat[k]:
+        return None
+    at = ()
+    for size in reversed(flags.shape):  # np.unravel_index took 2 µs more (2-CPU Xeon)
+        k, i = divmod(k, size)
+        at = (i, *at)
+    return at
+
+
+@cache
+def scan_domains(n: int, e: int, skips: tuple[bool, ...]) -> tuple[Sequence[int], ...]:
+    """Per variable, the elements a scan visits on order n with identity e:
+    all but e where skips marks that the law alone decides it at e."""
+    rest = tuple(v for v in range(n) if v != e)
+    return tuple(rest if skip else range(n) for skip in skips)
 
 
 class LoopError(Exception):
@@ -169,12 +211,15 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     table of plain ints with n rows of n entries goes on, 0-indexed, to
     the Latin and identity check of _latin_loop; any other input goes
     through _first_fault, which finds and words the first fault cell by
-    cell.
+    cell, a row that is not a sequence of entries included.
     """
+    if not isinstance(raw, Sized):
+        raise Malformed(f"expected a table as a sequence of rows, got {raw!r}")
     n = len(raw)
     if n == 0:
         raise Malformed("empty table")
-    if set(map(type, chain.from_iterable(raw))) != {int} or any(len(row) != n for row in raw):
+    rows_ok = all(isinstance(row, Sized) and len(row) == n for row in raw)
+    if not rows_ok or set(map(type, chain.from_iterable(raw))) != {int}:
         _first_fault(raw, n)  # returns only on valid tables with int subclass entries
     return _latin_loop(tuple(tuple([v - 1 for v in row]) for row in raw))
 
@@ -210,6 +255,8 @@ def _first_fault(raw: Sequence[Sequence[int]], n: int) -> None:
     rows, then repeats within columns.
     """
     for i, row in enumerate(raw):
+        if not isinstance(row, Sized):
+            raise Malformed(f"row {i + 1} is {row!r}, expected a sequence of entries")
         if len(row) != n:
             raise Malformed(f"row {i + 1} has {len(row)} entries, expected {n}")
         for v in row:
@@ -390,10 +437,11 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]
     """fn over tasks in input order, in `jobs` worker processes.
 
     fn must be a picklable module-level function.  No more workers than
-    tasks are started, and each takes one contiguous chunk of the tasks;
-    with jobs <= 1, or a single task, the map runs in this process.
+    tasks or usable CPUs are started, and each takes one contiguous chunk
+    of the tasks; with jobs <= 1, or a single task, the map runs in this
+    process.
     """
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here: concurrent.futures.process adds 12-20 ms to the start
@@ -402,3 +450,10 @@ def parallel_map(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=-(-len(tasks) // workers)))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells; else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

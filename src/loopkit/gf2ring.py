@@ -7,12 +7,13 @@ distributive laws, so the coefficient of g in a*b is the parity of the
 number of pairs (i in a, j in b) with i*j = g.
 
 Two oracles decide the four ring identities.  Both compute only ring
-products of GF(2) vectors from the Cayley table, so they are independent
-of the pointwise criteria they cross-check.
+products of GF(2) vectors from the Cayley table and share only core's
+neutral scan helpers, so they are independent of the pointwise criteria
+they cross-check.
 
 - low_weight_ring_check scans the basis tuples the unit law leaves open
   early-exit on the Cayley table, then the weight-2 tuples in numpy
-  slabs; the degree and unit lemmas in its docstring show this is
+  blocks; the degree and unit lemmas in its docstring show this is
   enough.  With no product table it runs up to order 64; `loopkit
   ring-check`, oracle_equiv_srar and oracle_equiv_ra2 use it.
 - ring_identity_check enumerates every tuple of ring elements (masks
@@ -31,19 +32,18 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .core import LoopError, LoopTable, OrderExceedsCap, read_only
+from .core import first_set, scan_domains, x_blocks
 from .conditions import LoopFacts, abc_gaps
+from .identities import IdentityId
 
 TWO_VAR_CAP = 8
 THREE_VAR_CAP = 6
 # The low-weight oracle holds ring elements as uint64 masks.
 LOW_WEIGHT_CAP = 64
-# Grid points per low-weight slab, so its memory stays bounded at any order.
-_SLAB_ENTRIES = 1 << 16
 
 
 class LengthMismatch(LoopError):
@@ -202,8 +202,8 @@ def ring_identity_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | No
             return P[P[P[x]], Y[:, None]], P[x][q]  # ((x*y)*z)*y, x*q[y,z]
     for x in range(N):
         lhs, rhs = sides(x)
-        if not np.array_equal(lhs, rhs):
-            at = np.unravel_index(int((lhs != rhs).argmax()), lhs.shape)
+        at = first_set(lhs != rhs)
+        if at is not None:
             return RingWitness(
                 ident.value,
                 tuple(Gf2Elem(n, int(v)) for v in (x, *at)),
@@ -308,16 +308,9 @@ def _low_weight_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] 
     return _basis_failure(L, ident) or _weight_two_failure(L, ident)
 
 
-@functools.cache
-def _basis_domains(n: int, e: int, ident: RingIdentityId) -> tuple[Sequence[int], ...]:
-    """Per variable of ident, the basis elements stage 1 visits on order n with identity e."""
-    rest = tuple(v for v in range(n) if v != e)
-    return tuple(rest if skip else range(n) for skip in _BASIS_SKIPS_E[ident])
-
-
 def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
     """Stage 1: masks of the first failing basis tuple, then of both sides."""
-    t, domains = L.table, _basis_domains(L.order, L.identity, ident)
+    t, domains = L.table, scan_domains(L.order, L.identity, _BASIS_SKIPS_E[ident])
     if len(domains) == 2:
         (xs, ys), left = domains, ident is RingIdentityId.LEFT_ALTERNATIVE
         for x in xs:
@@ -344,24 +337,26 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
 
 
 def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
-    """Stage 2: the same with the squared variable at weight 2, in numpy slabs.
+    """Stage 2: the same with the squared variable at weight 2, in core.x_blocks.
 
     A ring element is one index array whose axis 0 runs over its terms, so
     a product is one gather over all pairs of terms and a side one XOR.
     """
+    if L.order < 2:  # no element of weight 2
+        return None
     T = L.array.astype(np.intp)  # its entries index T and the masks again
 
     def m(u, v):
         uv = T[u[:, None], v[None, :]]
         return uv.reshape(-1, *uv.shape[2:])
 
-    one, slabs = _low_weight_plan(L.order, ident)
-    for cands, start, grid in slabs:
-        lhs, rhs = (np.bitwise_xor.reduce(one[side], axis=0) for side in _SIDES[ident](m, *grid))
-        bad = lhs != rhs
-        if bad.any():
-            at = np.unravel_index(int(bad.argmax()), bad.shape)
-            pos = (start + int(at[0]), *(int(i) for i in at[1:]))
+    one, cands, (gx, *grid) = _low_weight_plan(L.order, ident)
+    for xs in x_blocks(cands[0].shape[1], math.prod(c.shape[1] for c in cands[1:])):
+        sides = _SIDES[ident](m, gx[:, xs], *grid)
+        lhs, rhs = (np.bitwise_xor.reduce(one[side], axis=0) for side in sides)
+        at = first_set(lhs != rhs)
+        if at is not None:
+            pos = (xs.start + at[0], *at[1:])
             masks_at = (sum(1 << int(t) for t in c[:, p]) for c, p in zip(cands, pos))
             return *masks_at, int(lhs[at]), int(rhs[at])
     return None
@@ -369,33 +364,24 @@ def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] 
 
 @functools.cache
 def _low_weight_plan(n: int, ident: RingIdentityId):
-    """The one-hot masks, and the stage-2 test set as slabs in scan order.
+    """The one-hot masks, and the stage-2 test set, as (one, cands, grid).
 
-    Each slab is (cands, start, grid).  cands[j] holds variable j's
-    candidates as one index array, [term, candidate]; grid[j] is the
-    slab of them from `start` on along x, [term, ...] with the candidate
-    on axis 1 + j, so each variable's terms stay on axis 0.  Every array
-    is read-only, since the cache shares it.  Below order 2 there is no
-    element of weight 2, so there are no slabs.
+    cands[j] holds variable j's candidates in scan order as one index
+    array, [term, candidate]; grid[j] is the same array shaped [term,
+    ...] with the candidate on axis 1 + j, so each variable's terms stay
+    on axis 0.  Every array is read-only, since the cache shares it.
+    Below order 2 the weight-2 candidates are empty.
     """
     one = read_only(np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)))
-    if n < 2:
-        return one, ()
     k = len(_BASIS_SKIPS_E[ident])
     weight_two = np.stack(np.tril_indices(n, -1))  # (b, a) with a < b, ascending mask order
     squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
-    cands = [read_only(weight_two if j == squared else np.arange(n)[None]) for j in range(k)]
-    step = max(1, _SLAB_ENTRIES // math.prod(c.shape[1] for c in cands[1:]))
-    slabs = []
-    for start in range(0, cands[0].shape[1], step):
-        grid = [
-            read_only((c[:, start:start + step] if j == 0 else c).reshape(
-                len(c), *[-1 if i == j else 1 for i in range(k)]
-            ))
-            for j, c in enumerate(cands)
-        ]
-        slabs.append((cands, start, grid))
-    return one, tuple(slabs)
+    cands = tuple(read_only(weight_two if j == squared else np.arange(n)[None]) for j in range(k))
+    grid = tuple(
+        read_only(c.reshape(len(c), *[-1 if i == j else 1 for i in range(k)]))
+        for j, c in enumerate(cands)
+    )
+    return one, cands, grid
 
 
 def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
@@ -412,19 +398,30 @@ def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
 def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     """Do both halves of the alternative-ring equivalence agree?
 
-    Pointwise {A,B,C} coverage of every triple against the ring left
-    alternative law, and pointwise starred coverage against the ring
-    right alternative law; each ring side comes from the low-weight
-    oracle, the pointwise sides from the triple products' mask parity
-    and D'/E'/F' code, tested without building a Witness.  Agreement is
-    a theorem for Moufang loops and holds empirically for every loop of
-    order <= 5; some non-Moufang loops of order 6 have full coverage yet
-    fail a pointwise alternative law, hence the ring law, so a False
-    return on such input is data, not a bug.
+    The ring right alternative law against the pointwise law (xy)y =
+    x(yy) plus D'/E'/F' coverage of every triple, and the ring left
+    alternative law against (xx)y = x(xy) plus {A,B,C} coverage.  Each
+    ring side comes from the low-weight oracle, the pointwise sides from
+    the identity scans and the triple products' mask parity and D'/E'/F'
+    code, tested without building a Witness.
+
+    Both are equivalences on every loop, so a False return means an
+    implementation bug.  Proof by polarization: (ab)b + a(bb) is linear
+    in a, so take a = e_x; for b the sum of e_y over a set S it is the
+    sum over y, z in S of e_(xy)z + e_x(yz).  The terms with y = z give
+    e_(xy)y + e_x(yy), and each unordered pair y != z gives e_(xy)z +
+    e_x(yz) + e_(xz)y + e_x(zy), which is 0 in characteristic 2 exactly
+    when the four products pair up: D', E' or F' at (x, y, z).  By the degree
+    lemma (low_weight_ring_check) the law holds iff it holds at |S| <= 2,
+    that is iff (xy)y = x(yy) everywhere and every triple with y != z is
+    covered.  At y = z, F' holds trivially, so coverage of all triples is
+    the same condition and alone misses the pointwise law.  The left law
+    is the mirror image: terms with x = y give (xx)z = x(xz), pairs
+    x != y give A, B or C at (x, y, z), and C holds trivially at x = y.
     """
     f = LoopFacts.of(L)
     left_ring = _low_weight_failure(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
-    if left_ring != (not abc_gaps(f).any()):
+    if left_ring != (f.holds(IdentityId.LEFT_ALTERNATIVE) and not abc_gaps(f).any()):
         return False
     right_ring = _low_weight_failure(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
-    return right_ring == f.coverage.def_everywhere
+    return right_ring == (f.holds(IdentityId.RIGHT_ALTERNATIVE) and f.coverage.def_everywhere)

@@ -32,10 +32,10 @@ u = y, extra at u = x and associativity at u = e, each bound by a
 functools.partial (no lambda `_at` in between).  From order 8, such
 a scan runs in Python only over the first y row of its first x; if that
 holds, `_numpy_scan` evaluates the identity, written once in `_SIDES`,
-over the whole domain from the loop's `Products` arrays.  The first
-mismatch in C order is the witness there too, since a skipped tuple
-never fails.  No loop of order 7 or less ever pays for numpy.  The
-comment above the scans has the numbers.
+over the whole domain from the loop's `Products` arrays, in
+core.x_blocks.  The first mismatch in C order is the witness there too,
+since a skipped tuple never fails.  No loop of order 7 or less ever
+pays for numpy.  The comment above the scans has the numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LoopTable, Witness, memo, nuclei
+from .core import LoopTable, Witness, first_set, memo, nuclei, scan_domains, x_blocks
 
 Failure = tuple[tuple[int, ...], int, int]  # a scan's (elements, lhs, rhs)
 
@@ -77,13 +77,6 @@ _SKIPS_E: dict[IdentityId, tuple[bool, ...]] = {
 }
 
 
-@functools.cache
-def _domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], ...]:
-    """Per variable of ident, the elements its scan visits on order n with identity e."""
-    rest = tuple(v for v in range(n) if v != e)
-    return tuple(rest if skip else range(n) for skip in _SKIPS_E.get(ident, (True, True)))
-
-
 class Products:
     """One loop's arrays for the numpy stages, each built on first read.
 
@@ -108,13 +101,14 @@ def _pairs(ident: IdentityId):
     """Make sides_of into the early-exit scan of a two-variable identity.
 
     sides_of(L) gives the identity's (lhs, rhs) at (x, y) on L; the scan
-    returns the first (x, y) in C order where they differ.  ident is
-    bound once here, not read off IdentityId per call.
+    returns the first (x, y) in C order where they differ.  ident's skips
+    are bound once here, not read off _SKIPS_E per call.
     """
+    skips = _SKIPS_E.get(ident, (True, True))
 
     def make(sides_of: Callable[[LoopTable], Sides]) -> Scan:
         def scan(L: LoopTable, products: Products | None = None) -> Failure | None:
-            xs, ys = _domains(L.order, L.identity, ident)
+            xs, ys = scan_domains(L.order, L.identity, skips)
             sides = sides_of(L)
             for x in xs:
                 for y in ys:
@@ -192,14 +186,13 @@ def _commutative(L: LoopTable) -> Sides:
 # 9 for associativity, 27-33 for right Moufang and extra), but the
 # benchmark's survey-relabelled pass went from 0.334 to 0.280 s (medians
 # of 20 alternating pairs).  Below order 8, 96% of the loops fail right
-# Bol and associativity in their first row, so numpy would not pay.  One
-# block takes up to _BLOCK tuples: blocks of 1, 2, 4, ... rows cost more
-# on the fixtures' scans that hold (right Bol 11.4 against 6.8 ms per 80
-# loops) than they saved on those failing in row 2 (extra 3.3 against
-# 3.6 ms).
+# Bol and associativity in their first row, so numpy would not pay.  The
+# x rows go to numpy in core.x_blocks, whose first block holds all of n^3
+# up to order 16: blocks of 1, 2, 4, ... rows cost more on the fixtures'
+# scans that hold (right Bol 11.4 against 6.8 ms per 80 loops) than they
+# saved on those failing in row 2 (extra 3.3 against 3.6 ms).
 
 _TAIL_ORDER = 8
-_BLOCK = 1 << 16  # tuples per numpy block, at most
 
 
 def _mul(p: Products, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,22 +224,18 @@ _SIDES = {
 def _numpy_scan(L: LoopTable, products: Products | None, ident: IdentityId) -> Failure | None:
     """The first failing tuple of ident over all of L^3, read from products.
 
-    The x rows go to numpy in blocks of at most _BLOCK tuples, which at
-    order 16 is all of them at once.  The first mismatch in C order is
-    the scan's witness, since no tuple the scan skips ever fails.
+    The x rows go to numpy in core.x_blocks, which up to order 16 is all
+    of them at once.  The first mismatch in C order is the scan's
+    witness, since no tuple the scan skips ever fails.
     """
     p = Products(L) if products is None else products
     n = L.order
     a = np.arange(n)
-    rows = max(1, _BLOCK // n**2)
-    for x0 in range(0, n, rows):
-        xs = slice(x0, x0 + rows)
+    for xs in x_blocks(n, n * n):
         lhs, rhs = _SIDES[ident](p, xs, a[xs, None, None], a[:, None])
-        bad = lhs != rhs
-        k = int(bad.argmax())
-        if bad.flat[k]:
-            x, yz = divmod(k, n * n)
-            return (x0 + x, *divmod(yz, n)), int(lhs.flat[k]), int(rhs.flat[k])
+        at = first_set(lhs != rhs)
+        if at is not None:
+            return (xs.start + at[0], *at[1:]), int(lhs[at]), int(rhs[at])
     return None
 
 
@@ -260,7 +249,7 @@ def _python_domains(n: int, e: int, ident: IdentityId) -> tuple[Sequence[int], .
     Below _TAIL_ORDER that is all of it; from there on, the first y row
     of the first x, one row of z, after which _numpy_scan takes over.
     """
-    xs, ys, zs = _domains(n, e, ident)
+    xs, ys, zs = scan_domains(n, e, _SKIPS_E[ident])
     return (xs, ys, zs) if n < _TAIL_ORDER else (xs[:1], ys[:1], zs)
 
 

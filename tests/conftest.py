@@ -39,6 +39,15 @@ def relabelled(L, seed):
     return validate_table(raw)
 
 
+def direct_product(A, B):
+    """The direct product A x B, with (a, b) labelled a * |B| + b."""
+    m = B.order
+    return validate_table([
+        [A.table[a][c] * m + B.table[b][d] + 1 for c in range(A.order) for d in range(m)]
+        for a in range(A.order) for b in range(m)
+    ])
+
+
 def octonion_units():
     """The 16 units +-e_i of the octonions, by Cayley-Dickson doubling."""
 

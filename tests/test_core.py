@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -83,6 +84,19 @@ def test_malformed_inputs():
         validate_table([[1, 3], [3, 1]])
     with pytest.raises(Malformed):
         validate_table([[1, "2"], [2, 1]])
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([1, 2], "row 1 is 1, expected a sequence of entries"),
+    ([[1, 2], 5], "row 2 is 5, expected a sequence of entries"),
+    ([None], "row 1 is None, expected a sequence of entries"),
+    (None, "expected a table as a sequence of rows, got None"),
+])
+def test_non_row_input_is_malformed(raw, message):
+    # validate_table is the gate for outside input, so no shape of it may
+    # get past as a TypeError
+    with pytest.raises(Malformed, match=f"^{message}$"):
+        validate_table(raw)
 
 
 def test_booleans_are_not_table_entries():
@@ -382,7 +396,9 @@ def test_one_class_for_every_cap():
         SweepSpec((8,), ("lip_equiv",))
 
 
-def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool parallel_map starts, none of them real."""
     sizes = []
 
     class InlinePool:
@@ -403,6 +419,18 @@ def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
     # parallel_map imports the pool class from concurrent.futures only
     # when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    """Make this process see `count` usable CPUs, with or without sched_getaffinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, pool_sizes, capsys):
+    sizes = pool_sizes
+    _usable_cpus(monkeypatch, 64)  # more than any task count below
     assert core.parallel_map(abs, [-1, 2, -3], 5000) == [1, 2, 3]
     assert sizes == [3]
 
@@ -424,6 +452,17 @@ def test_worker_pool_is_bounded_by_the_task_count(monkeypatch, capsys):
     wide_out = capsys.readouterr().out
     assert cli.main(["classify", tables]) == 0
     assert capsys.readouterr().out == wide_out
+
+
+def test_worker_pool_is_bounded_by_the_usable_cpus(monkeypatch, pool_sizes):
+    # output does not depend on --jobs, so a large value only costs
+    # processes: no more are started than the machine can run at once
+    _usable_cpus(monkeypatch, 2)
+    tasks = list(range(-300, 300))
+    assert core.parallel_map(abs, tasks, 1000) == [abs(t) for t in tasks]
+    assert pool_sizes == [2]
+    assert core.parallel_map(abs, tasks, 1) == [abs(t) for t in tasks]
+    assert pool_sizes == [2]  # jobs=1 runs in this process
 
 
 def _fields(obj) -> tuple:

@@ -24,10 +24,17 @@ from loopkit import (
     validate_table,
     zero,
 )
-from loopkit import gf2ring
+from loopkit import core, gf2ring, identities
+from loopkit.conditions import LoopFacts, abc_gaps, first_quad_gap
+from loopkit.core import x_blocks
 from loopkit.fixtures import bol16, cyclic_group, moufang12
+from loopkit.identities import IdentityId, check_identity
 
-from conftest import CORPUS5, NON_BOL_5_RAW, relabelled
+from conftest import CORPUS5, NON_BOL_5_RAW, direct_product, relabelled
+
+THREE_VARIABLE = (
+    IdentityId.RIGHT_BOL, IdentityId.RIGHT_MOUFANG, IdentityId.EXTRA, IdentityId.ASSOCIATIVE,
+)
 
 masks6 = st.integers(0, 63)
 
@@ -230,7 +237,8 @@ def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
 def test_ring_oracles_on_the_order_1_loop():
     one = validate_table([[1]])
     for ident in RingIdentityId:
-        assert gf2ring._low_weight_plan(1, ident)[1] == ()  # no element of weight 2
+        _, cands, _ = gf2ring._low_weight_plan(1, ident)
+        assert min(c.shape[1] for c in cands) == 0  # no element of weight 2
         assert low_weight_ring_check(one, ident) is None
         assert ring_identity_check(one, ident) is None
     assert oracle_equiv_srar(one)
@@ -389,7 +397,7 @@ def test_basis_stage_skips_exactly_the_unit_law_tuples(monkeypatch, ident):
     # every law holds in a group ring, so the basis scan runs to its end;
     # record each tuple it visits through its per-variable domains
     skips, count = _UNIT_SKIPS[ident]
-    real = gf2ring._basis_domains
+    real = gf2ring.scan_domains
     visited, current = [], [None] * len(skips)
 
     class Recorded:
@@ -404,8 +412,8 @@ def test_basis_stage_skips_exactly_the_unit_law_tuples(monkeypatch, ident):
                 yield v
 
     monkeypatch.setattr(
-        gf2ring, "_basis_domains",
-        lambda n, e, i: tuple(Recorded(j, d) for j, d in enumerate(real(n, e, i))),
+        gf2ring, "scan_domains",
+        lambda n, e, s: tuple(Recorded(j, d) for j, d in enumerate(real(n, e, s))),
     )
     for n, seed in ((4, 1), (5, 1), (6, 2), (7, 4)):
         L = relabelled(cyclic_group(n), seed)
@@ -421,18 +429,48 @@ def test_basis_stage_skips_exactly_the_unit_law_tuples(monkeypatch, ident):
 
 
 def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
-    # one x per slab: the slab offsets must give back the same witnesses
-    from loopkit import gf2ring
+    # every numpy scan cuts its first variable by core.x_blocks.  The
+    # benchmark's orders scan in one block: the three-variable tails at
+    # orders 8-16 and ring stage 2 at orders 2-8 (relabelled groups, on
+    # which every scan runs to its end)
+    layouts = []
 
-    corpus = (*CORPUS5, bol16())
-    whole = [low_weight_ring_check(L, i) for L in corpus for i in RingIdentityId]
-    monkeypatch.setattr(gf2ring, "_SLAB_ENTRIES", 1)
-    gf2ring._low_weight_plan.cache_clear()
-    try:
-        sliced = [low_weight_ring_check(L, i) for L in corpus for i in RingIdentityId]
-    finally:
-        gf2ring._low_weight_plan.cache_clear()
-    assert sliced == whole
+    def recorded(n, per_x):
+        layouts.append(list(x_blocks(n, per_x)))
+        return iter(layouts[-1])
+
+    monkeypatch.setattr(identities, "x_blocks", recorded)
+    monkeypatch.setattr(gf2ring, "x_blocks", recorded)
+    for n in range(8, 17):
+        for ident in THREE_VARIABLE:
+            assert check_identity(relabelled(cyclic_group(n), n), ident) is None
+    assert len(layouts) == 9 * 4
+    for n in range(2, 9):
+        for ident in RingIdentityId:
+            assert low_weight_ring_check(relabelled(cyclic_group(n), n), ident) is None
+    assert len(layouts) == 9 * 4 + 7 * 4
+    assert all(len(blocks) == 1 for blocks in layouts)
+    monkeypatch.undo()
+
+    # one x per block: the block offsets must give back the witnesses of
+    # the default schedule, in every scan that cuts blocks
+    tails = [direct_product(A, cyclic_group(m)) for A, m in ((CORPUS5[8], 16), (bol16(), 2))]
+    gaps = [relabelled(bol16(), seed) for seed in (0, 1, 13, 151, 454)]
+    corpus = (*CORPUS5, bol16(), moufang12())
+
+    def witnesses():
+        return (
+            [check_identity(L, ident) for L in tails for ident in THREE_VARIABLE],
+            [first_quad_gap(L) for L in gaps],
+            [low_weight_ring_check(L, ident) for L in corpus for ident in RingIdentityId],
+        )
+
+    whole = witnesses()
+    monkeypatch.setattr(core, "FIRST_BLOCK", 1)
+    monkeypatch.setattr(core, "BLOCK", 1)
+    assert [(s.start, s.stop) for s in x_blocks(3, 5)] == [(0, 1), (1, 2), (2, 3)]
+    assert witnesses() == whole
+    assert all(whole[0][:4]) and all(whole[1])  # the order-80 tails and the gaps fail
 
 
 @pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
@@ -440,9 +478,9 @@ def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
     # the weight-2 stage must visit its pairs by ascending mask, the order
     # the brute-force scan would meet them in; no fixture pins this alone
     for n in (2, 3, 5, 8):
-        _, slabs = gf2ring._low_weight_plan(n, ident)
-        pairs = [c for cands, _, _ in slabs for c in cands if len(c) == 2]
-        assert len(pairs) == len(slabs) > 0  # the basis stage has no slabs
+        _, cands, _ = gf2ring._low_weight_plan(n, ident)
+        pairs = [c for c in cands if len(c) == 2]
+        assert len(pairs) == 1  # the squared variable; every other is basis
         for b, a in pairs:
             masks = [(1 << int(u)) | (1 << int(v)) for u, v in zip(b, a)]
             assert all(bin(m).count("1") == 2 for m in masks)
@@ -454,8 +492,8 @@ def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
 def test_low_weight_plan_arrays_are_read_only(ident):
     # the plan is cached per order: a caller writing into it would
     # corrupt every later oracle call at that order
-    one, slabs = gf2ring._low_weight_plan(5, ident)
-    arrays = [one] + [a for cands, _, grid in slabs for a in (*cands, *grid)]
+    one, cands, grid = gf2ring._low_weight_plan(5, ident)
+    arrays = [one, *cands, *grid]
     assert len(arrays) > 1
     for a in arrays:
         with pytest.raises(ValueError):
@@ -503,6 +541,26 @@ def test_low_weight_oracle_order_cap():
     with pytest.raises(OrderExceedsCap, match="64-bit masks"):
         low_weight_ring_check(cyclic_group(65), RingIdentityId.RIGHT_ALTERNATIVE)
     assert low_weight_ring_check(cyclic_group(64), RingIdentityId.RIGHT_ALTERNATIVE) is None
+
+
+def test_alternative_ring_comparator_is_exact_up_to_order_6():
+    # each ring alternative law is its pointwise law plus coverage: on 60
+    # loops of order 6 the A/B/C coverage holds and left alternativity
+    # fails, on 60 others D'/E'/F' coverage holds and right alternativity
+    # fails, and the ring oracle rejects all 120
+    loops = []
+    for n in range(2, 7):
+        enumerate_loops(n, loops.append)
+    facts = [LoopFacts(L) for L in loops]
+    assert len(facts) == 9470
+    assert all(oracle_equiv_ra2(f) for f in facts)
+    left = [f for f in facts if not abc_gaps(f).any() and not f.holds(IdentityId.LEFT_ALTERNATIVE)]
+    right = [
+        f for f in facts
+        if f.coverage.def_everywhere and not f.holds(IdentityId.RIGHT_ALTERNATIVE)
+    ]
+    assert len(left) == len(right) == 60
+    assert {f.loop.order for f in left + right} == {6}
 
 
 def test_right_but_not_left_alternative_rings_up_to_order_6():

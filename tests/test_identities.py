@@ -25,11 +25,11 @@ from loopkit import (
     squares_in_nucleus,
     validate_table,
 )
-from loopkit import identities
+from loopkit import core, identities
 from loopkit.conditions import LoopFacts
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 
-from conftest import CORPUS5, relabelled
+from conftest import CORPUS5, direct_product, relabelled
 
 
 def s3_table():
@@ -251,6 +251,11 @@ def test_deciding_builds_no_witness(monkeypatch):
     assert len(built) == failures > 0
 
 
+def _domains(L: LoopTable, ident: IdentityId):
+    """Per variable, the elements ident's scan visits on L."""
+    return core.scan_domains(L.order, L.identity, identities._SKIPS_E.get(ident, (True, True)))
+
+
 @pytest.mark.parametrize("ident", list(IdentityId), ids=lambda i: i.value)
 def test_skipped_tuples_hold_by_definition(ident):
     # every tuple a scan leaves out must satisfy the defining equation on
@@ -260,7 +265,7 @@ def test_skipped_tuples_hold_by_definition(ident):
     for L in MOVED_CORPUS:
         assert L.identity != 0
         definition = _definitions(L)[ident]
-        scanned = set(itertools.product(*identities._domains(L.order, L.identity, ident)))
+        scanned = set(itertools.product(*_domains(L, ident)))
         for tup in itertools.product(range(L.order), repeat=definition.__code__.co_argcount):
             if tup not in scanned:
                 skipped_any = True
@@ -274,15 +279,6 @@ THREE_VARIABLE = (
 )
 
 
-def _product(A: LoopTable, B: LoopTable) -> LoopTable:
-    """The direct product A x B, with (a, b) labelled a * |B| + b."""
-    m = B.order
-    return validate_table([
-        [A.table[a][c] * m + B.table[b][d] + 1 for c in range(A.order) for d in range(m)]
-        for a in range(A.order) for b in range(m)
-    ])
-
-
 # products of the first five order-5 loops with Z2 and Z3 (orders 10 and
 # 15), and relabellings of them: on these each three-variable identity
 # first fails in the first y row of its scan on some loops and in a
@@ -291,7 +287,7 @@ TAIL_CORPUS = tuple(
     L
     for A in CORPUS5[6:11]
     for Z in (cyclic_group(2), cyclic_group(3))
-    for P in (_product(A, Z), _product(Z, A))
+    for P in (direct_product(A, Z), direct_product(Z, A))
     for L in (P, relabelled(P, 0), relabelled(P, 1))
 )
 
@@ -307,7 +303,7 @@ _FIRST_ROW_FAILS = validate_table([
 # the first y row on the Moufang ones)
 HANDOFF_CORPUS = TAIL_CORPUS + tuple(
     _identity_moved(L, seed)
-    for L in (_product(cyclic_group(2), _FIRST_ROW_FAILS), bol16(), moufang12())
+    for L in (direct_product(cyclic_group(2), _FIRST_ROW_FAILS), bol16(), moufang12())
     for seed in (1, 2, 3)
 )
 
@@ -322,7 +318,7 @@ def test_tail_witnesses_match_definitional_scan(ident):
         w = LoopFacts(L).witness(ident)
         assert (None if w is None else (w.elements, w.lhs, w.rhs)) == want, L.raw_rows()
         if want is not None:
-            xs, ys, _ = identities._domains(L.order, L.identity, ident)
+            xs, ys, _ = _domains(L, ident)
             (x, y, _), _, _ = want
             places[0 if (x, y) == (xs[0], ys[0]) else 1 if x == xs[0] else 2] += 1
     # first failures in the first y row (Python), later in the first x
@@ -348,7 +344,7 @@ PINNED_PRODUCTS = {
 
 def test_larger_loops_keep_their_rows_and_witnesses():
     for (name, (row, witnesses)), source in zip(PINNED_PRODUCTS.items(), (moufang12(), bol16())):
-        L = _identity_moved(_product(source, cyclic_group(2)), 0)
+        L = _identity_moved(direct_product(source, cyclic_group(2)), 0)
         assert astuple(classify_loop(name, L)) == (name, *row)
         got = tuple(
             None if w is None else (w.elements, w.lhs, w.rhs)
@@ -358,13 +354,14 @@ def test_larger_loops_keep_their_rows_and_witnesses():
 
 
 def test_tail_blocks_keep_the_first_witness():
-    # at order 80 a numpy block holds 10 x rows; on this product every
-    # three-variable identity first fails at x = 16, in the second block
-    L = _product(CORPUS5[8], cyclic_group(16))
+    # at order 80 the numpy blocks hold 1, 1, 2, 4, 8 and then at most 10
+    # x rows; on this product every three-variable identity first fails
+    # at x = 16, past the first 10 rows
+    L = direct_product(CORPUS5[8], cyclic_group(16))
     for ident in THREE_VARIABLE:
-        xs, ys, zs = identities._domains(L.order, L.identity, ident)
+        xs, ys, zs = _domains(L, ident)
         w = check_identity(L, ident)
-        assert xs.index(w.elements[0]) > identities._BLOCK // (len(ys) * len(zs))
+        assert xs.index(w.elements[0]) > core.BLOCK // (len(ys) * len(zs))
         assert (w.elements, w.lhs, w.rhs) == _first_failure(L, _definitions(L)[ident])
 
 
