@@ -20,6 +20,7 @@ from collections.abc import Sized
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations
+from numbers import Integral
 from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -180,10 +181,6 @@ class Witness:
     lhs: int
     rhs: int
 
-    def __init__(self, identity_id: str, elements: tuple[int, ...], lhs: int, rhs: int):
-        d = self.__dict__  # as in LoopTable
-        d["identity_id"], d["elements"], d["lhs"], d["rhs"] = identity_id, elements, lhs, rhs
-
     def one_indexed(self) -> tuple[int, ...]:
         return tuple(x + 1 for x in self.elements)
 
@@ -211,16 +208,20 @@ def validate_table(raw: Sequence[Sequence[int]]) -> LoopTable:
     table of plain ints with n rows of n entries goes on, 0-indexed, to
     the Latin and identity check of _latin_loop; any other input goes
     through _first_fault, which finds and words the first fault cell by
-    cell, a row that is not a sequence of entries included.
+    cell, a row that is not a sequence of entries included.  Integral
+    entries of other types, such as those of a numpy integer array, pass
+    it and are stored as int; bool and float entries do not.
     """
-    if not isinstance(raw, Sized):
-        raise Malformed(f"expected a table as a sequence of rows, got {raw!r}")
-    n = len(raw)
+    try:  # not isinstance(raw, Sized): a 0-d numpy array is Sized but has no len
+        n = len(raw)
+    except TypeError:
+        raise Malformed(f"expected a table as a sequence of rows, got {raw!r}") from None
     if n == 0:
         raise Malformed("empty table")
     rows_ok = all(isinstance(row, Sized) and len(row) == n for row in raw)
     if not rows_ok or set(map(type, chain.from_iterable(raw))) != {int}:
-        _first_fault(raw, n)  # returns only on valid tables with int subclass entries
+        _first_fault(raw, n)  # returns only on valid tables of integral entries
+        raw = [[int(v) for v in row] for row in raw]
     return _latin_loop(tuple(tuple([v - 1 for v in row]) for row in raw))
 
 
@@ -260,7 +261,7 @@ def _first_fault(raw: Sequence[Sequence[int]], n: int) -> None:
         if len(row) != n:
             raise Malformed(f"row {i + 1} has {len(row)} entries, expected {n}")
         for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+            if not isinstance(v, Integral) or isinstance(v, bool) or not 1 <= v <= n:
                 raise Malformed(f"row {i + 1} contains {v!r}, expected an integer in 1..{n}")
     for i, row in enumerate(raw):
         seen: set[int] = set()

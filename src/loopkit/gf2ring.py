@@ -107,12 +107,6 @@ class RingWitness:
     lhs: Gf2Elem
     rhs: Gf2Elem
 
-    def __init__(
-        self, identity_id: str, elements: tuple[Gf2Elem, ...], lhs: Gf2Elem, rhs: Gf2Elem
-    ):
-        d = self.__dict__  # as in core.LoopTable
-        d["identity_id"], d["elements"], d["lhs"], d["rhs"] = identity_id, elements, lhs, rhs
-
     def describe(self) -> str:
         names = "xyz"
         parts = " ".join(f"{names[i]}={e.describe()}" for i, e in enumerate(self.elements))

@@ -10,7 +10,7 @@ equation:
     right_alternative  (xy)y    = x(yy)
     left_alternative   (xx)y    = x(xy)
     rip                (xy)y'   = x         (y' the right inverse)
-    lip                x'(xy)   = y         (x' two-sided when RIP holds)
+    lip                x'(xy)   = y         (x' the left inverse; two-sided under RIP)
     extra              [(xy)z]x = x[y(zx)]
     commutative        xy       = yx
     associative        (xy)z    = x(yz)
@@ -23,19 +23,20 @@ Scans decide without explaining: each returns that tuple as a plain
 that wraps it in a Witness; caches such as conditions.LoopFacts call the
 _CHECKS entries directly and explain only on request.  holds,
 is_moufang and is_extra only test for None, so deciding a loop builds
-no Witness.  A two-variable identity is written once, as a function
-giving its (lhs, rhs) at (x, y), which `_pairs` makes into the one
-early-exit scan.  The three-variable identities run on every loop of a
-sweep, so two hand-unrolled scans decide them: `_right_bol`, and
-`_right_product_law` for ((xy)z)u = x(y(zu)), which is right Moufang at
-u = y, extra at u = x and associativity at u = e, each bound by a
-functools.partial (no lambda `_at` in between).  From order 8, such
-a scan runs in Python only over the first y row of its first x; if that
-holds, `_numpy_scan` evaluates the identity, written once in `_SIDES`,
-over the whole domain from the loop's `Products` arrays, in
-core.x_blocks.  The first mismatch in C order is the witness there too,
-since a skipped tuple never fails.  No loop of order 7 or less ever
-pays for numpy.  The comment above the scans has the numbers.
+no Witness.  Each _CHECKS entry is one of three scans, bound to its
+identity by a functools.partial where it serves more than one.  The
+two-variable identities are each one `_PAIR_SIDES` entry, giving its
+(lhs, rhs) at (x, y), which `_pair_law` scans with an early exit.  The
+three-variable identities run on every loop of a sweep, so two
+hand-unrolled scans decide them: `_right_bol`, and `_right_product_law`
+for ((xy)z)u = x(y(zu)), which is right Moufang at u = y, extra at
+u = x and associativity at u = e.  From order 8, such a scan runs in
+Python only over the first y row of its first x; if that holds,
+`_numpy_scan` evaluates the identity, written once in `_SIDES`, over
+the whole domain from the loop's `Products` arrays, in core.x_blocks.
+The first mismatch in C order is the witness there too, since a skipped
+tuple never fails.  No loop of order 7 or less ever pays for numpy.
+The comment above the scans has the numbers.
 """
 
 from __future__ import annotations
@@ -94,72 +95,33 @@ class Products:
 
 
 Scan = Callable[[LoopTable, Products | None], Failure | None]
-Sides = Callable[[int, int], tuple[int, int]]  # (x, y) -> (lhs, rhs)
+
+_LIP = IdentityId.LIP  # bound once, as _RIGHT_BOL is below
+
+# (lhs, rhs) of each two-variable identity at (x, y), from the table t and
+# an inverse map i: in LIP x' is the left inverse, elsewhere i is the
+# right one, which RIP reads and the other four ignore.
+_PAIR_SIDES = {
+    IdentityId.FLEXIBLE: lambda t, i, y, z: (t[t[y][z]][y], t[y][t[z][y]]),
+    IdentityId.RIGHT_ALTERNATIVE: lambda t, i, x, y: (t[t[x][y]][y], t[x][t[y][y]]),
+    IdentityId.LEFT_ALTERNATIVE: lambda t, i, x, y: (t[t[x][x]][y], t[x][t[x][y]]),
+    IdentityId.RIP: lambda t, i, x, y: (t[t[x][y]][i[y]], x),
+    IdentityId.LIP: lambda t, i, x, y: (t[i[x]][t[x][y]], y),
+    IdentityId.COMMUTATIVE: lambda t, i, x, y: (t[x][y], t[y][x]),
+}
 
 
-def _pairs(ident: IdentityId):
-    """Make sides_of into the early-exit scan of a two-variable identity.
-
-    sides_of(L) gives the identity's (lhs, rhs) at (x, y) on L; the scan
-    returns the first (x, y) in C order where they differ.  ident's skips
-    are bound once here, not read off _SKIPS_E per call.
-    """
-    skips = _SKIPS_E.get(ident, (True, True))
-
-    def make(sides_of: Callable[[LoopTable], Sides]) -> Scan:
-        def scan(L: LoopTable, products: Products | None = None) -> Failure | None:
-            xs, ys = scan_domains(L.order, L.identity, skips)
-            sides = sides_of(L)
-            for x in xs:
-                for y in ys:
-                    lhs, rhs = sides(x, y)
-                    if lhs != rhs:
-                        return (x, y), lhs, rhs
-            return None
-
-        return scan
-
-    return make
-
-
-@_pairs(IdentityId.FLEXIBLE)
-def _flexible(L: LoopTable) -> Sides:
-    t = L.table
-    return lambda y, z: (t[t[y][z]][y], t[y][t[z][y]])
-
-
-@_pairs(IdentityId.RIGHT_ALTERNATIVE)
-def _right_alternative(L: LoopTable) -> Sides:
-    t = L.table
-    return lambda x, y: (t[t[x][y]][y], t[x][t[y][y]])
-
-
-@_pairs(IdentityId.LEFT_ALTERNATIVE)
-def _left_alternative(L: LoopTable) -> Sides:
-    t = L.table
-    return lambda x, y: (t[t[x][x]][y], t[x][t[x][y]])
-
-
-@_pairs(IdentityId.RIP)
-def _rip(L: LoopTable) -> Sides:
-    t, rinv = L.table, L.rinv
-    return lambda x, y: (t[t[x][y]][rinv[y]], x)
-
-
-@_pairs(IdentityId.LIP)
-def _lip(L: LoopTable) -> Sides:
-    # x' means the right inverse when RIP holds (then inverses are
-    # two-sided); otherwise the equation is read literally with the left
-    # inverse, so the check is total on arbitrary loops.
-    inv = L.rinv if _rip(L) is None else L.linv
-    t = L.table
-    return lambda x, y: (t[inv[x]][t[x][y]], y)
-
-
-@_pairs(IdentityId.COMMUTATIVE)
-def _commutative(L: LoopTable) -> Sides:
-    t = L.table
-    return lambda x, y: (t[x][y], t[y][x])
+def _pair_law(ident: IdentityId, L: LoopTable, products: Products | None = None) -> Failure | None:
+    """The first (x, y) in C order where ident's two sides differ on L."""
+    sides, t = _PAIR_SIDES[ident], L.table
+    i = L.linv if ident is _LIP else L.rinv
+    xs, ys = scan_domains(L.order, L.identity, (True, True))
+    for x in xs:
+        for y in ys:
+            lhs, rhs = sides(t, i, x, y)
+            if lhs != rhs:
+                return (x, y), lhs, rhs
+    return None
 
 
 # Two unrolled scans, with the row lookups hoisted out of the inner loop,
@@ -239,7 +201,7 @@ def _numpy_scan(L: LoopTable, products: Products | None, ident: IdentityId) -> F
     return None
 
 
-_RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as the partials below bind theirs
+_RIGHT_BOL = IdentityId.RIGHT_BOL  # bound once, as the _CHECKS partials bind theirs
 
 
 @functools.cache
@@ -292,22 +254,10 @@ def _right_product_law(
     return None if L.order < _TAIL_ORDER else _numpy_scan(L, products, ident)
 
 
-_right_moufang = functools.partial(_right_product_law, IdentityId.RIGHT_MOUFANG)
-_extra = functools.partial(_right_product_law, IdentityId.EXTRA)
-_associative = functools.partial(_right_product_law, IdentityId.ASSOCIATIVE)
-
-
 _CHECKS: dict[IdentityId, Scan] = {
     IdentityId.RIGHT_BOL: _right_bol,
-    IdentityId.RIGHT_MOUFANG: _right_moufang,
-    IdentityId.FLEXIBLE: _flexible,
-    IdentityId.RIGHT_ALTERNATIVE: _right_alternative,
-    IdentityId.LEFT_ALTERNATIVE: _left_alternative,
-    IdentityId.RIP: _rip,
-    IdentityId.LIP: _lip,
-    IdentityId.EXTRA: _extra,
-    IdentityId.COMMUTATIVE: _commutative,
-    IdentityId.ASSOCIATIVE: _associative,
+    **{ident: functools.partial(_right_product_law, ident) for ident in _U},
+    **{ident: functools.partial(_pair_law, ident) for ident in _PAIR_SIDES},
 }
 
 
@@ -322,7 +272,7 @@ def holds(L: LoopTable, ident: IdentityId) -> bool:
 
 
 def is_moufang(L: LoopTable) -> bool:
-    return _right_moufang(L) is None
+    return holds(L, IdentityId.RIGHT_MOUFANG)
 
 
 def squares_in_nucleus(L: LoopTable) -> bool:
@@ -336,4 +286,4 @@ def is_extra(L: LoopTable) -> bool:
     The extra <=> Moufang + squares-in-nucleus characterization is checked
     once, by the extra_iff_moufang_squares_nucleus sweep check.
     """
-    return _extra(L) is None
+    return holds(L, IdentityId.EXTRA)

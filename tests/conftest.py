@@ -167,8 +167,9 @@ def scan_counts(monkeypatch):
     """A Counter of every identity scan, condition build and ring oracle stage.
 
     Identity scans are counted per IdentityId value whether they are
-    reached through identities._CHECKS or, inside identities.py, by their
-    module-level name; the numpy stages of the three-variable scans as
+    reached through identities._CHECKS or, inside identities.py, by the
+    name of one of its three scans (_right_bol, _right_product_law and
+    _pair_law); the numpy stages of the three-variable scans as
     "numpy_scans" (identities._numpy_scan); product-cache builds as
     "products" (the intp table of an identities.Products, which every
     other cached array is built from); triple-product builds as
@@ -182,7 +183,6 @@ def scan_counts(monkeypatch):
     import loopkit.conditions as conditions
     import loopkit.gf2ring as gf2ring
     import loopkit.identities as identities
-    from loopkit import IdentityId
 
     calls = Counter()
 
@@ -192,10 +192,17 @@ def scan_counts(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for ident in IdentityId:
-        scan = counted(ident.value, identities._CHECKS[ident])
-        monkeypatch.setitem(identities._CHECKS, ident, scan)
-        monkeypatch.setattr(identities, f"_{ident.value}", scan)
+    def counted_law(law):  # a scan bound per identity, counted under it
+        def wrapper(ident, *args):
+            calls[ident.value] += 1
+            return law(ident, *args)
+        return wrapper
+
+    for ident, scan in list(identities._CHECKS.items()):
+        monkeypatch.setitem(identities._CHECKS, ident, counted(ident.value, scan))
+    monkeypatch.setattr(identities, "_right_bol", counted("right_bol", identities._right_bol))
+    for attr in ("_right_product_law", "_pair_law"):
+        monkeypatch.setattr(identities, attr, counted_law(getattr(identities, attr)))
     for module, attr, name in (
         (identities, "_numpy_scan", "numpy_scans"),
         (identities.Products.intp, "fn", "products"),

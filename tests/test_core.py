@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,11 +93,33 @@ def test_malformed_inputs():
     ([[1, 2], 5], "row 2 is 5, expected a sequence of entries"),
     ([None], "row 1 is None, expected a sequence of entries"),
     (None, "expected a table as a sequence of rows, got None"),
+    (np.array(5), r"expected a table as a sequence of rows, got array\(5\)"),
 ])
 def test_non_row_input_is_malformed(raw, message):
     # validate_table is the gate for outside input, so no shape of it may
     # get past as a TypeError
     with pytest.raises(Malformed, match=f"^{message}$"):
+        validate_table(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(np.array(MOUFANG_12_RAW), id="int64-array"),
+    pytest.param(np.array(MOUFANG_12_RAW, dtype=np.uint8), id="uint8-array"),
+    pytest.param([[np.int64(v) for v in row] for row in MOUFANG_12_RAW], id="np.int64-lists"),
+])
+def test_integral_numpy_entries_are_table_entries(raw):
+    L = validate_table(raw)
+    assert L == moufang12()
+    assert {type(v) for row in L.table for v in row} == {int}
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param(np.array([[True, False], [False, True]]), id="bool-array"),
+    pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), id="float-array"),
+])
+def test_bool_and_float_arrays_are_malformed(raw):
+    message = f"row 1 contains {raw[0, 0]!r}, expected an integer in 1..2"
+    with pytest.raises(Malformed, match=f"^{re.escape(message)}$"):
         validate_table(raw)
 
 
@@ -202,11 +226,15 @@ def test_division_total_on_fixtures(t1, t2):
 
 
 def test_rip_loops_have_two_sided_inverses(t1, t2):
-    from loopkit import IdentityId, check_identity
-
-    for L in (t1, t2) + CORPUS5:
+    # every LIP verdict rests on this: the LIP scan reads the left
+    # inverse, which is the two-sided one wherever RIP holds
+    def check(L):
         if check_identity(L, IdentityId.RIP) is None:
             assert L.rinv == L.linv
+
+    for L in (t1, t2) + CORPUS5:
+        check(L)
+    assert enumerate_loops(6, check) == 9408
 
 
 def test_nuclei_of_group_are_everything(z6):

@@ -511,7 +511,8 @@ def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
     monkeypatch.setattr(conditions, "_parity_gaps", forbidden)
     for ident in identities._CHECKS:
         monkeypatch.setitem(identities._CHECKS, ident, forbidden)
-        monkeypatch.setattr(identities, f"_{ident.value}", forbidden)
+    for attr in ("_right_bol", "_right_product_law", "_pair_law"):
+        monkeypatch.setattr(identities, attr, forbidden)
     # fresh tables, so no cache built before the patch can answer
     verdicts = {}
     for L in (bol16(), moufang12(), validate_table(NON_BOL_5_RAW)):

@@ -66,8 +66,9 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     # 56 loops, 6 of them right Bol.  Each loop's one LoopFacts scans
     # right Bol, right Moufang and extra once; each Bol loop builds its
     # triple products once and scans quadruples twice (SRAR and the
-    # all-three-or-one lemma).  The 6 further RIP scans are LIP's choice
-    # of inverse, inside identities.py.  The 6 Moufang loops are groups,
+    # all-three-or-one lemma).  RIP is scanned once per Bol loop, by
+    # bol_implies_ralt_rip: the LIP scan reads the left inverse and starts
+    # no RIP scan.  The 6 Moufang loops are groups,
     # so alt_ring_equiv_moufang decides both ring alternative laws on
     # each, and each law passes the basis stage into the weight-2 stage;
     # its pointwise sides scan left alternativity there (right
@@ -78,7 +79,7 @@ def test_sweep_scans_each_fact_once_per_loop(scan_counts):
     assert scan_counts["numpy_scans"] == 0
     assert scan_counts == {
         "right_bol": 56, "right_moufang": 56, "extra": 56, "associative": 6,
-        "right_alternative": 6, "left_alternative": 6, "rip": 6 + 6, "lip": 6,
+        "right_alternative": 6, "left_alternative": 6, "rip": 6, "lip": 6,
         "commutative": 6,
         "products": 6, "triple_products": 6, "quad_scans": 12, "abc_gaps": 6,
         "ring_basis_scans": 6 * 2, "ring_weight_two_runs": 6 * 2,
