@@ -261,8 +261,10 @@ def _first_fault(raw: Sequence[Sequence[int]], n: int) -> None:
         if len(row) != n:
             raise Malformed(f"row {i + 1} has {len(row)} entries, expected {n}")
         for v in row:
-            if not isinstance(v, Integral) or isinstance(v, bool) or not 1 <= v <= n:
-                raise Malformed(f"row {i + 1} contains {v!r}, expected an integer in 1..{n}")
+            integral = isinstance(v, Integral) and not isinstance(v, bool)
+            if not integral or not 1 <= v <= n:  # np.int64(3) is worded as 3
+                shown = int(v) if integral else v
+                raise Malformed(f"row {i + 1} contains {shown!r}, expected an integer in 1..{n}")
     for i, row in enumerate(raw):
         seen: set[int] = set()
         for v in row:

@@ -10,6 +10,11 @@ violation is build-breaking; the first violating loop's full table is
 captured for reproduction without re-enumeration.  sweep_plan alone
 decides the cells of `loopkit sweep` and its SKIPPED lines.
 
+Each part runs its checks as a one-level tree: a precondition that
+refines another by definition (REQUIRES_FLAGS) sits under its base and is
+never read on a loop where the base is false.  Proved inclusions, such
+as Moufang => right Bol, never prune the tree: checks verify them.
+
 Results are independent of the worker count: parts partition the
 enumeration deterministically, counts add, and first violations merge by
 lexicographic minimum of the table content.
@@ -57,8 +62,12 @@ def _commute_or_lip_moufang(f: LoopFacts) -> TheoremViolation | None:
     return None
 
 
-# the LoopFacts flags a check may require
-REQUIRES_FLAGS = ("right_bol", "moufang", "srar", "ra2", "odd_order")
+# the LoopFacts flags a check may require, each mapped to the flag it refines
+# by definition (None for a base).  No base is itself derived, so the plan's
+# tree is one level deep.
+REQUIRES_FLAGS: dict[str, str | None] = {
+    "right_bol": None, "moufang": None, "srar": "right_bol", "ra2": "moufang", "odd_order": None,
+}
 
 
 @dataclass(frozen=True)
@@ -176,11 +185,12 @@ class SweepCell:
     """One check's counts at one order.
 
     wall_time is the seconds charged to the check.  Per loop the clock is
-    read once after each check that runs and once after each group of
-    checks whose shared precondition is false; the time since the last
-    read goes to the check that ran, or to the skipped group's first
-    check.  So each group's precondition read is charged to its first
-    check.  wall_time is kept out of every report.
+    read once after each check that runs and once after each precondition
+    read that is false; the time since the last read goes to the check
+    that ran, or to the skipped group's first check.  A base with no check
+    of its own charges a false read to its first derived group's first
+    check.  So each step is charged once, and a true read goes to the next
+    check charged.  wall_time is kept out of every report.
     """
 
     order: int
@@ -203,35 +213,49 @@ def _sweep_part(args: tuple[LoopSource, tuple[str, ...]]):
     """One source's loops: returns (scanned, {check: [viol, first, time]})."""
     source, checks = args
     stats: dict[str, list] = {c: [0, None, 0.0] for c in checks}
-    # The plan: the checks grouped by precondition, groups in order of
-    # first appearance, request order inside each.  Built from CHECKS now,
+    # The plan: one node per base flag, in order of first appearance of its
+    # own or a derived group; in a node the base's own checks, then a group
+    # per derived flag, request order inside each.  Built from CHECKS now,
     # not at import, so that a CHECKS entry swapped in later is the one run.
-    groups: dict[str | None, list] = {}
+    nodes: dict[str | None, dict[str | None, list]] = {}
     for name in checks:
         check = CHECKS[name]
-        groups.setdefault(check.requires, []).append((check.fn, stats[name]))
-    # a skipped group's time goes to its first check's stats
-    plan = tuple((flag, group[0][1], group) for flag, group in groups.items())
+        flag = check.requires
+        base = flag and REQUIRES_FLAGS[flag]
+        groups = nodes.setdefault(base or flag, {None: []})
+        groups.setdefault(flag if base else None, []).append((check.fn, stats[name]))
+    # a skipped step's time goes to its first check's stats, and a skipped
+    # node's to its first step's
+    plan = []
+    for flag, groups in nodes.items():
+        steps = tuple((sub, group[0][1], group) for sub, group in groups.items() if group)
+        plan.append((flag, steps[0][1], steps))
     clock = time.perf_counter
 
     def visit(loop: LoopTable) -> None:
         facts = LoopFacts(loop)
         t0 = clock()
-        for flag, first, group in plan:
+        for flag, first, steps in plan:
             if flag is not None and not getattr(facts, flag):
                 t1 = clock()
                 first[2] += t1 - t0
                 t0 = t1
                 continue
-            for fn, st in group:
-                violation = fn(facts)
-                t1 = clock()
-                st[2] += t1 - t0
-                t0 = t1
-                if violation:
-                    st[0] += 1
-                    if st[1] is None:
-                        st[1] = loop.raw_rows()
+            for sub, sub_first, group in steps:
+                if sub is not None and not getattr(facts, sub):
+                    t1 = clock()
+                    sub_first[2] += t1 - t0
+                    t0 = t1
+                    continue
+                for fn, st in group:
+                    violation = fn(facts)
+                    t1 = clock()
+                    st[2] += t1 - t0
+                    t0 = t1
+                    if violation:
+                        st[0] += 1
+                        if st[1] is None:
+                            st[1] = loop.raw_rows()
 
     return source(visit), stats
 

@@ -114,6 +114,16 @@ def test_integral_numpy_entries_are_table_entries(raw):
 
 
 @pytest.mark.parametrize("raw", [
+    pytest.param(np.array([[1, 2], [2, 3]]), id="int64-array"),
+    pytest.param([[1, 2], [2, np.int64(3)]], id="np.int64-list"),
+])
+def test_integral_numpy_entries_are_worded_as_ints(raw):
+    # as the same table of plain ints is, not as np.int64(3)
+    with pytest.raises(Malformed, match=r"^row 2 contains 3, expected an integer in 1\.\.2$"):
+        validate_table(raw)
+
+
+@pytest.mark.parametrize("raw", [
     pytest.param(np.array([[True, False], [False, True]]), id="bool-array"),
     pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), id="float-array"),
 ])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -309,6 +310,72 @@ def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
     assert len(reads) == 56
 
 
+def test_requires_flags_declare_the_definitional_bases():
+    # SRAR is right Bol plus D/E/F coverage and RA2 is Moufang plus A/B/C
+    # and D'/E'/F' coverage.  Proved inclusions (Moufang => right Bol, RA2
+    # => SRAR, extra => Moufang) are not bases: checks verify them.
+    assert REQUIRES_FLAGS == {"right_bol": None, "moufang": None, "srar": "right_bol",
+                              "ra2": "moufang", "odd_order": None}
+    assert all(REQUIRES_FLAGS[base] is None for base in REQUIRES_FLAGS.values() if base)
+
+
+def test_a_derived_flag_implies_its_base():
+    derived = [(flag, base) for flag, base in REQUIRES_FLAGS.items() if base]
+    for L in (*CORPUS5, *_flag_loops()):
+        facts = LoopFacts(L)
+        assert all(getattr(facts, base) for flag, base in derived if getattr(facts, flag))
+
+
+def test_derived_flags_are_read_only_under_their_base(monkeypatch):
+    computed = dict.fromkeys(("right_bol", "moufang", "srar", "ra2"), 0)
+
+    def counted(flag, fn):
+        def wrapper(facts):
+            computed[flag] += 1
+            return fn(facts)
+        return wrapper
+
+    for flag in computed:
+        monkeypatch.setattr(getattr(LoopFacts, flag), "fn", counted(flag, getattr(LoopFacts, flag).fn))
+    # none of these reads srar or ra2 outside its own precondition
+    checks = ("quad_all_three_or_one", "ra2_implies_srar", "lip_equiv", "moufang_implies_bol")
+    res = run_sweep(SweepSpec((4, 5), checks))
+    assert res.total_violations() == 0
+    # 4 + 56 loops; srar and ra2 only on the 4 + 6 right Bol (and Moufang) groups
+    assert computed == {"right_bol": 60, "moufang": 60, "srar": 10, "ra2": 10}
+
+
+@pytest.mark.parametrize("checks", [
+    ("ra2_implies_srar",),
+    ("quad_all_three_or_one", "ra2_implies_srar"),
+])
+def test_a_derived_group_runs_without_its_base_group(monkeypatch, scan_counts, checks):
+    # no requested check has right_bol or moufang as its precondition, so
+    # each base node holds only its derived group
+    calls = dict.fromkeys(checks, 0)
+    for name in checks:
+        def fn(facts, name=name, check=CHECKS[name].fn):
+            calls[name] += 1
+            return check(facts)
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(CHECKS[name], fn=fn))
+    loops = _flag_loops()
+    scanned, stats = _sweep_over(loops, checks)
+    assert scanned == len(loops)
+    assert {name: st[:2] for name, st in stats.items()} == dict.fromkeys(checks, [0, None])
+    # one right Moufang scan per loop, for the moufang node
+    assert scan_counts["right_moufang"] == len(loops)
+    ran = {name: sum(getattr(LoopFacts(L), CHECKS[name].requires) for L in loops) for name in checks}
+    expected = {"ra2_implies_srar": 2, "quad_all_three_or_one": 4}
+    assert calls == ran == {name: expected[name] for name in checks}
+    # a false base read is charged to the first check of its derived group
+    assert all(st[2] > 0 for st in stats.values())
+
+
+def test_a_sweep_with_no_checks_still_counts_its_loops():
+    scanned, stats = _sweep_part((partial(enumerate_loops, 5), ()))
+    assert (scanned, stats) == (56, {})
+
+
 def test_sweep_check_validates_its_precondition():
     with pytest.raises(ValueError, match="unknown precondition 'right_bool'"):
         SweepCheck(lambda facts: None, 7, requires="right_bool")
@@ -380,6 +447,20 @@ def test_wall_time_charges_each_step_once():
     # every precondition holds on the order-5 groups, so every check ran
     assert len(ran) == len(CHECKS)
     assert all(c.wall_time > 0 for c in ran)
+
+
+def test_wall_time_charges_each_step_once_under_the_tree():
+    # right Bol, SRAR, Moufang and RA2 all differ on these loops, so every
+    # kind of step (base false, base true and derived false, both true) is taken
+    loops = _flag_loops()
+    t0 = time.perf_counter()
+    _, stats = _sweep_over(loops, tuple(CHECKS))
+    elapsed = time.perf_counter() - t0
+    ran = [name for name, check in CHECKS.items()
+           if any(check.requires is None or getattr(LoopFacts(L), check.requires) for L in loops)]
+    assert len(ran) == len(CHECKS)
+    assert all(stats[name][2] > 0 for name in ran)
+    assert sum(st[2] for st in stats.values()) <= elapsed
 
 
 def test_render_sweep_formats():
