@@ -13,7 +13,9 @@ decides the cells of `loopkit sweep` and its SKIPPED lines.
 Each part runs its checks as a one-level tree: a precondition that
 refines another by definition (REQUIRES_FLAGS) sits under its base and is
 never read on a loop where the base is false.  Proved inclusions, such
-as Moufang => right Bol, never prune the tree: checks verify them.
+as Moufang => right Bol, never prune the tree: checks verify them.  A
+check's wall time is the time from the previous clock read on the loop
+to the check's return.
 
 Results are independent of the worker count: parts partition the
 enumeration deterministically, counts add, and first violations merge by
@@ -184,13 +186,9 @@ def sweep_plan(orders: Sequence[int], long: bool) -> tuple[tuple[SweepSpec, ...]
 class SweepCell:
     """One check's counts at one order.
 
-    wall_time is the seconds charged to the check.  Per loop the clock is
-    read once after each check that runs and once after each precondition
-    read that is false; the time since the last read goes to the check
-    that ran, or to the skipped group's first check.  A base with no check
-    of its own charges a false read to its first derived group's first
-    check.  So each step is charged once, and a true read goes to the next
-    check charged.  wall_time is kept out of every report.
+    wall_time sums, over the loops the check ran on, the seconds from the
+    previous clock read on that loop (its facts built, or the last check
+    that ran) to the check's return.  It is kept out of every report.
     """
 
     order: int
@@ -224,28 +222,17 @@ def _sweep_part(args: tuple[LoopSource, tuple[str, ...]]):
         base = flag and REQUIRES_FLAGS[flag]
         groups = nodes.setdefault(base or flag, {None: []})
         groups.setdefault(flag if base else None, []).append((check.fn, stats[name]))
-    # a skipped step's time goes to its first check's stats, and a skipped
-    # node's to its first step's
-    plan = []
-    for flag, groups in nodes.items():
-        steps = tuple((sub, group[0][1], group) for sub, group in groups.items() if group)
-        plan.append((flag, steps[0][1], steps))
+    plan = [(flag, tuple(groups.items())) for flag, groups in nodes.items()]
     clock = time.perf_counter
 
     def visit(loop: LoopTable) -> None:
         facts = LoopFacts(loop)
         t0 = clock()
-        for flag, first, steps in plan:
+        for flag, steps in plan:
             if flag is not None and not getattr(facts, flag):
-                t1 = clock()
-                first[2] += t1 - t0
-                t0 = t1
                 continue
-            for sub, sub_first, group in steps:
+            for sub, group in steps:
                 if sub is not None and not getattr(facts, sub):
-                    t1 = clock()
-                    sub_first[2] += t1 - t0
-                    t0 = t1
                     continue
                 for fn, st in group:
                     violation = fn(facts)

@@ -98,6 +98,8 @@ def test_parse_error_cases():
         parse_catalog("loop x\nsize 2\n1 2\n2 1\n")
     with pytest.raises(ParseError, match="not an integer"):
         parse_catalog("loop x\norder two\n1 2\n2 1\n")
+    with pytest.raises(ParseError, match="line 2: order must be positive, got 0"):
+        parse_catalog("loop x\norder 0\n")
     with pytest.raises(ParseError, match="end of file"):
         parse_catalog("loop x\norder 3\n1 2 3\n2 3 1\n")
     with pytest.raises(ParseError, match="blank line"):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from loopkit import cli, parse_catalog, ring_identity_check
+from loopkit import cli, parse_catalog, ring_identity_check, sweeps
 from loopkit.catalog import emit_record
 from loopkit.cli import RING_IDENTITY_FLAGS
 from loopkit.fixtures import cyclic_group
@@ -109,6 +109,7 @@ CATALOG_FAULTS = {
                     "line 3: unexpected end of file, expected a table row of 2 entries"),
     "bad.loops": ("loop b\norder 2\n1 2\n1 2\n", "loop 'b': column 1 repeats entry 1"),
     "dup.loops": ("loop b\norder 1\n1\n\nloop b\norder 1\n1\n", "duplicate loop name 'b'"),
+    "dup_across.loops": ("loop a\norder 1\n1\n", "duplicate loop name 'a' across inputs"),
 }
 
 
@@ -292,6 +293,25 @@ def test_sweep_json_format():
     doc = json.loads(r.stdout)
     assert doc["aggregates"] == {"violations": 0}
     assert {rec["order"] for rec in doc["records"]} == {4}
+
+
+def test_sweep_renders_the_first_violation(monkeypatch, capsys):
+    # a check that fails on every loop, in place of the extra check; the
+    # first violation is the first order-4 table, in text and in JSON
+    monkeypatch.setitem(sweeps.CHECKS, "extra_iff_moufang_squares_nucleus",
+                        sweeps.SweepCheck(lambda f: True))
+    first = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
+    assert cli.main(["sweep", "--order", "4"]) == 2
+    lines = [line for line in capsys.readouterr().out.splitlines() if "first_violation" in line]
+    assert lines == ["order=4 check=extra_iff_moufang_squares_nucleus loops_scanned=4 "
+                     "violations=4 first_violation=[1 2 3 4 / 2 1 4 3 / 3 4 1 2 / 4 3 2 1]"]
+    assert cli.main(["sweep", "--order", "4", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["aggregates"] == {"violations": 4}
+    assert [r for r in doc["records"] if r["first_violation"] is not None] == [
+        {"order": 4, "check": "extra_iff_moufang_squares_nucleus", "loops_scanned": 4,
+         "violations": 4, "first_violation": first}
+    ]
 
 
 def test_enumerate_order2_exact_bytes():

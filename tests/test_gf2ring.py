@@ -220,6 +220,9 @@ def test_caps_enforced(t2):
     z7 = cyclic_group(7)
     with pytest.raises(OrderExceedsCap):
         ring_identity_check(z7, RingIdentityId.RIGHT_BOL)
+    # refused before the 4^15-entry table is allocated
+    with pytest.raises(OrderExceedsCap, match=r"order 15 would need 4\^15 entries"):
+        product_table(cyclic_group(15))
 
 
 def test_oracle_equiv_srar_spot_checks(z5, non_bol5):

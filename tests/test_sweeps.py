@@ -26,6 +26,7 @@ from loopkit import (
     classify_loop,
     enumerate_loops,
     holds,
+    oracle_equiv_ra2,
     render_sweep,
     run_sweep,
     sweep_plan,
@@ -367,7 +368,7 @@ def test_a_derived_group_runs_without_its_base_group(monkeypatch, scan_counts, c
     ran = {name: sum(getattr(LoopFacts(L), CHECKS[name].requires) for L in loops) for name in checks}
     expected = {"ra2_implies_srar": 2, "quad_all_three_or_one": 4}
     assert calls == ran == {name: expected[name] for name in checks}
-    # a false base read is charged to the first check of its derived group
+    # each check runs on some loop, so each is charged time
     assert all(st[2] > 0 for st in stats.values())
 
 
@@ -463,6 +464,21 @@ def test_wall_time_charges_each_step_once_under_the_tree():
     assert sum(st[2] for st in stats.values()) <= elapsed
 
 
+def test_wall_time_goes_only_to_checks_that_ran():
+    # on the non-right-Bol loops of order 5 only the extra check runs: a
+    # false right Bol or Moufang read costs no clock read, and its time
+    # goes to the next check that runs on the loop
+    loops = [L for L in CORPUS5 if L.order == 5 and not LoopFacts(L).right_bol]
+    assert len(loops) == 50
+    idle = ("lip_equiv", "quad_all_three_or_one", "moufang_implies_bol")
+    t0 = time.perf_counter()
+    _, stats = _sweep_over(loops, (*idle, "extra_iff_moufang_squares_nucleus"))
+    elapsed = time.perf_counter() - t0
+    assert [stats[name][2] for name in idle] == [0.0, 0.0, 0.0]
+    assert stats["extra_iff_moufang_squares_nucleus"][2] > 0
+    assert sum(st[2] for st in stats.values()) <= elapsed
+
+
 def test_render_sweep_formats():
     res = run_sweep(SweepSpec((4,), ("lip_equiv", "moufang_implies_bol")))
     as_json = render_sweep(res, "json")
@@ -528,6 +544,16 @@ FALSIFIED = {
         cyclic_group(3), extra=True, moufang=False
     ),
 }
+
+
+def test_the_left_half_of_the_alternative_comparator_can_fire():
+    # FALSIFIED["alt_ring_equiv"] reaches the right half; a preset pointwise
+    # failure of left alternativity, against the ring law that Z4
+    # satisfies, makes the left half disagree while the right half agrees
+    assert oracle_equiv_ra2(cyclic_group(4))
+    left = {IdentityId.LEFT_ALTERNATIVE: ((1, 1), 2, 0)}
+    assert not oracle_equiv_ra2(_facts(cyclic_group(4), left))
+    assert CHECKS["alt_ring_equiv"].fn(_facts(cyclic_group(4), left))
 
 
 # quad_all_three_or_one alone cannot fail (see lemma_allthree)
