@@ -31,14 +31,16 @@ the Cayley table: n^3 arrays for triples, and for quadruples the
 blocks of first elements x that core.x_blocks cuts, one n^3 slab per
 x, so memory stays O(n^3).  Every coverage gap is decided in
 characteristic 2: the four bracketings pair up into D, E or F (A, B or
-C) exactly when their sum in F_2[L] is 0, so _parity_gaps compares
-one-hot masks.  The full D/E/F code (_code) is built only for
+C) exactly when their sum in F_2[L] is 0, which _parity_gaps tests on
+one narrow integer per tuple: the XOR of the four values' codes in a
+Sidon set (_sidon_codes), which is 0 exactly when the values pair up.
+The full D/E/F code (_code) is built only for
 the triple profile, pair coverage, quad_profile and the all-three-or-one
 lemma.  Every scan reports the lexicographically first flagged tuple.
 
 LoopFacts caches a loop's identity scans as plain failure tuples, its
 SRAR and RA2 verdicts, extra flag, and the triple products with their
-D'/E'/F' code counts, mask sum and A/B/C gaps, which coverage, the
+D'/E'/F' code counts, Sidon code sum and A/B/C gaps, which coverage, the
 triple profile and both triple gaps reduce; it builds a Witness only
 when one is read.  is_srar, is_ra2, those triple functions, the lemma_*
 verifiers, thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts
@@ -202,7 +204,7 @@ def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:
 # The evaluation kernels.  Every condition family compares four bracketings
 # a, b, c, d elementwise, where c and d are a and b under one transposition
 # of the scanned elements.  _parity_gaps flags the tuples where
-# e_a + e_b + e_c + e_d != 0 in F_2[L], from one-hot masks g = e_a + e_b.
+# e_a + e_b + e_c + e_d != 0 in F_2[L], from the Sidon codes g = C[a] ^ C[b].
 # _code gives the full set: bit 1 = D (a=b and c=d), bit 2 = E (a=d and
 # b=c), bit 4 = F (a=c and b=d).  Since c=d is a=b transposed and b=c is
 # a=d transposed, four comparisons give all three bits.  Arrays are indexed
@@ -223,16 +225,44 @@ _ABC_AXES = (1, 0, 2)
 _QUAD_AXES = (0, 3, 2, 1)
 
 
+# per field GF(2^m): m, an irreducible modulus of degree m, and the dtype
+# that holds the 2m-bit codes; the first field with 2^m >= n serves order n
+_SIDON_FIELDS = ((4, 0x13, np.uint8), (8, 0x11B, np.uint16), (16, 0x1100B, np.uint32))
+
+
 @functools.cache
-def _one_hot(n: int) -> np.ndarray:
-    """H[v] has only bit v set, in ceil(n/64) uint64 words: row v of the identity, packed."""
-    eye = np.eye(n, 64 * -(-n // 64), dtype=bool)
-    return read_only(np.packbits(eye, axis=1, bitorder="little").view(np.uint64))
+def _sidon_codes(n: int) -> np.ndarray:
+    """C[v] = v | v^3 << m, the cube taken in GF(2^m), for the n values v < n.
+
+    Four codes XOR to 0 exactly when the four values pair up, that is
+    when e_a + e_b + e_c + e_d = 0 in F_2[L].  If they pair up, the codes
+    cancel in pairs.  Conversely, say C[a]^C[b]^C[c]^C[d] = 0.  The low
+    halves give a + b = c + d =: s in GF(2^m).  If s = 0, then a = b and
+    c = d.  Otherwise b = a + s, and in characteristic 2
+    a^3 + (a + s)^3 = s(a^2 + sa + s^2), and likewise for c, d = c + s.
+    The high halves give a^3 + b^3 = c^3 + d^3, so with s != 0,
+    a^2 + sa = c^2 + sc, that is (a + c)(a + c + s) = 0: c = a or c = b,
+    and d = c + s is the other.  (x -> x^3 is APN: Gold 1968, Nyberg 1993.)
+    So the codes form a Sidon set in GF(2)^2m, the smallest m in 4, 8, 16
+    with 2^m >= n: uint8 up to order 16, uint16 up to 256, uint32 above.
+    """
+    m, modulus, dtype = next(f for f in _SIDON_FIELDS if n <= 1 << f[0])
+
+    def times(a, b):  # a * b in GF(2^m): shift and add, reducing each carry past bit m - 1
+        product = np.zeros_like(a)
+        for i in range(m):
+            product ^= np.where(b >> i & 1, a, 0)
+            a = a << 1
+            a ^= np.where(a >> m & 1, modulus, 0)
+        return product
+
+    v = np.arange(n, dtype=np.int64)
+    return read_only((v | times(times(v, v), v) << m).astype(dtype))
 
 
 def _parity_gaps(g: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Cells where g = e_a + e_b differs from its transposition e_c + e_d (mask words last)."""
-    return (g != g.transpose(*axes, -1)).any(axis=-1)
+    """Cells where g = C[a] ^ C[b] differs from its transposition C[c] ^ C[d] (see _sidon_codes)."""
+    return g != g.transpose(axes)
 
 
 def _code(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -268,8 +298,8 @@ def _values_at(*values: np.ndarray):
 def _quad_blocks(p: Products, V: np.ndarray):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
-    They are gathered from V: the table's values, or those with trailing
-    axes such as one-hot masks, in the core.x_blocks of n^3 quadruples per x.
+    They are gathered from V, the table's values or their images under a
+    map such as _sidon_codes, in the core.x_blocks of n^3 quadruples per x.
     """
     T, TT = p.intp, p.xy_z  # (yz)w is TT[y, z, w]
     VV = V[T]
@@ -294,8 +324,8 @@ def _first_quad(p: Products, identity_id: str, V: np.ndarray, flags) -> Witness 
 def first_quad_gap(L: LoopTable, products: Products | None = None) -> Witness | None:
     """First quadruple whose D/E/F set is empty, scan order (x, y, z, w), from products if given."""
     p = Products(L) if products is None else products
-    masks = _one_hot(L.order)[p.intp]
-    return _first_quad(p, "def_coverage", masks, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
+    codes = _sidon_codes(L.order)[p.intp]
+    return _first_quad(p, "def_coverage", codes, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
 
 
 def abc_gaps(L: LoopFacts | LoopTable) -> np.ndarray:
@@ -367,9 +397,9 @@ class LoopFacts(Products):
 
     @memo
     def triple_masks(self) -> np.ndarray:
-        """e_(xy)z + e_x(yz) as one-hot masks (see _one_hot), indexed [x, y, z, word]."""
-        H = _one_hot(self.loop.order)
-        return H[self.triples[0]] ^ H[self.triples[1]]
+        """e_(xy)z + e_x(yz) as C[(xy)z] ^ C[x(yz)] (see _sidon_codes), indexed [x, y, z]."""
+        C = _sidon_codes(self.loop.order)
+        return C[self.triples[0]] ^ C[self.triples[1]]
 
     # abc_gaps, built once: oracle_equiv_ra2 and first_abc_gap both read it
     _abc_gaps = memo(lambda self: read_only(_parity_gaps(self.triple_masks, _ABC_AXES)))

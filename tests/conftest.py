@@ -121,6 +121,32 @@ def bol_extension16():
     return validate_table([[product(i, j) + 1 for j in range(16)] for i in range(16)])
 
 
+def glauberman21():
+    """The Glauberman loop x o y = y^(1/2) x y^(1/2) of Z7 x| Z3 (order 21).
+
+    Element 3a + b is (a, b), with (a, b)(c, d) = (a + 2^b c mod 7,
+    b + d mod 3); the group has exponent 21, so y^(1/2) = y^11.  The loop
+    is right Bol of odd order, and neither associative, Moufang nor SRAR.
+    """
+    def mul(p, q):
+        return (p[0] + 2 ** p[1] * q[0]) % 7, (p[1] + q[1]) % 3
+
+    elements = [(a, b) for a in range(7) for b in range(3)]
+
+    def root(y):  # y^11
+        r = (0, 0)
+        for _ in range(11):
+            r = mul(r, y)
+        return r
+
+    def product(x, y):
+        h = root(y)
+        a, b = mul(mul(h, x), h)
+        return 3 * a + b
+
+    return validate_table([[product(x, y) + 1 for y in elements] for x in elements])
+
+
 # first order-5 loop in enumeration order that is not right Bol
 # (frozen from an independent permutation-based enumeration)
 NON_BOL_5_RAW = (

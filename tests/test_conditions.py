@@ -335,17 +335,17 @@ def test_no_condition_set_has_size_two():
     assert len(cells) == 256 and {int(code[ij]) for ij in cells.values()} == {0, 1, 2, 4, 7}
 
 
-@pytest.mark.parametrize("labels", [(0, 1, 2, 3), (0, 63, 64, 129)])
+@pytest.mark.parametrize("labels", [(0, 1, 2, 3), (0, 255, 256, 300)])
 @pytest.mark.parametrize("axes", [conditions._QUAD_AXES, conditions._ABC_AXES,
                                   conditions._TRIPLE_AXES])
 def test_parity_gaps_flag_exactly_the_empty_condition_sets(axes, labels):
     # every value pattern, on the two axes that `axes` swaps; the second
-    # labelling spreads the four values over three mask words
+    # labelling puts two values past 255, so its codes need uint32
     cells, a, b = _value_patterns(labels)
     kept = tuple(k for k, ax in enumerate(axes) if ax == k)
     a, b = np.expand_dims(a, kept), np.expand_dims(b, kept)
-    H = conditions._one_hot(labels[-1] + 1)
-    gaps = conditions._parity_gaps(H[a] ^ H[b], axes).reshape(24, 24)
+    C = conditions._sidon_codes(labels[-1] + 1)
+    gaps = conditions._parity_gaps(C[a] ^ C[b], axes).reshape(24, 24)
     assert np.array_equal(gaps, (conditions._code(a, b, axes) == 0).reshape(24, 24))
     for pattern, (i, j) in cells.items():
         odd = any(pattern.count(value) % 2 for value in pattern)
@@ -353,6 +353,30 @@ def test_parity_gaps_flag_exactly_the_empty_condition_sets(axes, labels):
     # 256 patterns less the 4 constant ones and the 6 * 6 with two values
     # twice (6 pairs of values, 6 ways to place them)
     assert gaps.sum() == 2 * (256 - 4 - 36)
+
+
+def _gf2_remainder(p: int, q: int) -> int:
+    """p mod q as polynomials over GF(2), bit i the coefficient of x^i."""
+    while p.bit_length() >= q.bit_length():
+        p ^= q << p.bit_length() - q.bit_length()
+    return p
+
+
+def test_sidon_code_table():
+    # the Sidon property, exhaustively for m = 4 and 8: C[a] ^ C[b] is
+    # nonzero and tells the pair {a, b}, so four codes XOR to 0 only
+    # when the four values pair up
+    for n in (16, 256):
+        C = conditions._sidon_codes(n).astype(np.int64)
+        sums = (C[:, None] ^ C)[np.triu_indices(n, 1)]
+        assert sums.all() and len(np.unique(sums)) == len(sums) == n * (n - 1) // 2
+    # each modulus has degree m and no factor of degree 1 to m/2
+    for m, modulus, _ in conditions._SIDON_FIELDS:
+        assert modulus.bit_length() == m + 1
+        assert all(_gf2_remainder(modulus, q) for q in range(2, 1 << m // 2 + 1))
+    # uint8 up to order 16, uint16 up to 256, uint32 above
+    assert [conditions._sidon_codes(n).dtype for n in (1, 16, 17, 256, 257, 300)] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.uint32, np.uint32]
 
 
 def _first_empty_abc(L: LoopTable) -> Witness | None:
@@ -365,15 +389,15 @@ def _first_empty_abc(L: LoopTable) -> Witness | None:
     return None
 
 
-def test_two_word_masks_give_the_first_gaps():
-    # order 80 needs two mask words; Bol 16.7.2.1 relabelled with seed 0
+def test_uint16_codes_give_the_first_gaps():
+    # order 80 needs uint16 codes; Bol 16.7.2.1 relabelled with seed 0
     # has its first gaps near the start, and Z5 keeps them there
     B, Z = relabelled(bol16(), 0), cyclic_group(5)
     L = validate_table([
         [B.table[i // 5][j // 5] * 5 + Z.table[i % 5][j % 5] + 1 for j in range(80)]
         for i in range(80)
     ])
-    assert conditions._one_hot(80).shape == (80, 2)
+    assert conditions._sidon_codes(80).dtype == np.uint16
     assert first_quad_gap(L) == _first_empty_quad(L) is not None
     assert first_abc_gap(L) == _first_empty_abc(L) is not None
 

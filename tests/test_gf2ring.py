@@ -512,6 +512,7 @@ def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
 
     monkeypatch.setattr(conditions, "_code", forbidden)
     monkeypatch.setattr(conditions, "_parity_gaps", forbidden)
+    monkeypatch.setattr(conditions, "_sidon_codes", forbidden)
     for ident in identities._CHECKS:
         monkeypatch.setitem(identities._CHECKS, ident, forbidden)
     for attr in ("_right_bol", "_right_product_law", "_pair_law"):

@@ -14,6 +14,7 @@ from conftest import (
     NON_BOL_5_RAW,
     bol_extension16,
     chein_a4,
+    glauberman21,
     octonion_units,
     relabelled,
 )
@@ -285,9 +286,9 @@ def test_every_check_is_clean_on_the_nonassociative_loops():
     # the real checks, where their hypotheses hold on nonassociative loops:
     # a check scoped by the wrong flag, or a ring comparator that asks for
     # the wrong ring law (ring right Moufang in oracle_equiv_srar), reports
-    # a violation here.  odd_order_associative still sees only the non-Bol
-    # order-5 loop, so it stays vacuous until a corpus brings Glauberman
-    # loops of odd order.
+    # a violation here.  Of these loops odd_order_associative sees only
+    # the non-Bol order-5 one; the odd-order Glauberman loop, which tells
+    # its srar hypothesis from right_bol, has a test of its own below.
     loops = _flag_loops()
     assert tuple(hashlib.sha256(bytes(v for row in L.table for v in row)).hexdigest()
                  for L in loops) == FLAG_LOOP_DIGESTS
@@ -297,6 +298,20 @@ def test_every_check_is_clean_on_the_nonassociative_loops():
     scanned, stats = _sweep_over(loops, tuple(CHECKS))
     assert len(stats) == len(CHECKS) == 14
     assert (scanned, {violations for violations, _, _ in stats.values()}) == (len(loops), {0})
+
+
+def test_odd_order_associative_reads_srar_not_right_bol():
+    # the order-21 Glauberman loop is right Bol and not associative, and
+    # not SRAR: the real check is clean, and the same check reading
+    # right_bol in place of srar fires
+    L = glauberman21()
+    facts = LoopFacts(L)
+    assert (facts.odd_order, facts.right_bol, facts.associative, facts.moufang,
+            facts.srar) == (True, True, False, False, False)
+    scanned, stats = _sweep_over((L,), ("odd_order_associative",))
+    assert (scanned, stats["odd_order_associative"][0]) == (1, 0)
+    widened = _facts(L, srar=facts.right_bol)
+    assert CHECKS["odd_order_associative"].fn(widened)
 
 
 def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
@@ -544,6 +559,20 @@ FALSIFIED = {
         cyclic_group(3), extra=True, moufang=False
     ),
 }
+
+
+# per disjunct of pair_coverage_ra2, a coverage where only that pair
+# holds: with ra2=False each must make the check fire on its own
+PAIR_COVERAGE_FALSIFIED = {
+    pair: TripleCoverage(False, *(p == pair for p in ("de", "df", "ef")))
+    for pair in ("de", "df", "ef")
+}
+
+
+@pytest.mark.parametrize("pair", PAIR_COVERAGE_FALSIFIED)
+def test_each_pair_coverage_disjunct_can_fire(pair):
+    facts = _facts(cyclic_group(3), coverage=PAIR_COVERAGE_FALSIFIED[pair], ra2=False)
+    assert facts.right_bol and CHECKS["pair_coverage_ra2"].fn(facts)
 
 
 def test_the_left_half_of_the_alternative_comparator_can_fire():
