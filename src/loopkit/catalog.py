@@ -25,6 +25,7 @@ benchmark's survey-relabelled pass (600 records) went from 0.388 to
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -102,9 +103,10 @@ class SurveyReport:
 
 
 def _as_lines(source: str | IO[str] | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, str):
-        return source.splitlines()
-    return source
+    # a str splits into lines as open() splits a file: on \n, \r and \r\n,
+    # not on the \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029 that
+    # str.splitlines() also splits on
+    return io.StringIO(source, newline=None) if isinstance(source, str) else source
 
 
 # an order or table token; int() alone would also take a sign, "_" and

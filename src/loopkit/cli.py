@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     add_jobs(sp)
     sp.add_argument("--witnesses", action="store_true",
-                    help="append counterexample lines for failing records (text format)")
+                    help="append counterexample lines for failing records (text format only)")
     sp.add_argument("files", nargs="+")
 
     sp = sub.add_parser("ring-check", help="decide a GF(2) ring identity per record")
@@ -164,6 +164,9 @@ def _witness_lines(records: Sequence[CatalogRecord]) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
+    if args.witnesses and args.format != "text":
+        print(f"error: --witnesses needs --format text, got {args.format}", file=sys.stderr)
+        return 3
     records = _load_records(args.files)
     rows = classify_records(records, jobs=args.jobs)
     if args.format == "csv":

@@ -429,11 +429,12 @@ class LoopFacts(Products):
     srar = memo(lambda self: self.right_bol and self._quad_gap is None)
     ra2 = memo(lambda self: self.moufang and self._coverage_gap is None)
     extra = memo(lambda self: self._failure(_EXTRA) is None)
+    lip = memo(lambda self: self._failure(IdentityId.LIP) is None)
     coverage = memo(lambda self: triple_coverage(self))
-
-    @property
-    def odd_order(self) -> bool:
-        return self.loop.order % 2 == 1
+    odd_order = property(lambda self: self.loop.order % 2 == 1)
+    # D'E', D'F' or E'F' coverage of every triple: a thm_main_verify hypothesis
+    pair_coverage = memo(lambda self: (self.coverage.de_everywhere or self.coverage.df_everywhere
+                                       or self.coverage.ef_everywhere))
 
 
 def is_srar(L: LoopFacts | LoopTable) -> tuple[bool, Witness | None]:

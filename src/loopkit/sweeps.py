@@ -3,19 +3,18 @@
 A sweep runs a battery of checks on each loop of a loop source, a
 callable that feeds its loops to a visitor and returns their count;
 run_sweep sources each part of an order from enumerate_loops.  Each
-check is one CHECKS entry: a function that returns the loop's violation
-of a proved statement, or a falsy value where the loop satisfies it,
-and the LoopFacts flag that is the statement's hypothesis.  Any
+check is one CHECKS entry: the LoopFacts flags that are a proved
+statement's hypothesis, and a function that returns the loop's violation
+of its conclusion, or a falsy value where the loop satisfies it.  Any
 violation is build-breaking; the first violating loop's full table is
 captured for reproduction without re-enumeration.  sweep_plan alone
 decides the cells of `loopkit sweep` and its SKIPPED lines.
 
-Each part runs its checks as a one-level tree: a precondition that
-refines another by definition (REQUIRES_FLAGS) sits under its base and is
-never read on a loop where the base is false.  Proved inclusions, such
-as Moufang => right Bol, never prune the tree: checks verify them.  A
-check's wall time is the time from the previous clock read on the loop
-to the check's return.
+Each part runs its checks as a one-level tree: a node per first flag,
+and under it a group per second flag, read only where the first holds.
+Proved inclusions, such as Moufang => right Bol, never prune the tree:
+checks verify them.  A check's wall time is the time from the previous
+clock read on the loop to the check's return.
 
 Results are independent of the worker count: parts partition the
 enumeration deterministically, counts add, and first violations merge by
@@ -64,12 +63,8 @@ def _commute_or_lip_moufang(f: LoopFacts) -> TheoremViolation | None:
     return None
 
 
-# the LoopFacts flags a check may require, each mapped to the flag it refines
-# by definition (None for a base).  No base is itself derived, so the plan's
-# tree is one level deep.
-REQUIRES_FLAGS: dict[str, str | None] = {
-    "right_bol": None, "moufang": None, "srar": "right_bol", "ra2": "moufang", "odd_order": None,
-}
+# the LoopFacts flags a check may require
+PRECONDITIONS = {"right_bol", "moufang", "srar", "ra2", "odd_order", "lip", "pair_coverage"}
 
 
 @dataclass(frozen=True)
@@ -78,14 +73,20 @@ class SweepCheck:
     # the largest order fn runs at.  Only a check capped below
     # ENUMERATION_CAP states one; SweepSpec rejects orders past that cap.
     max_order: int = ENUMERATION_CAP
-    # a LoopFacts flag (one of REQUIRES_FLAGS) that must hold for fn to
-    # run: the check's hypothesis, so fn tests only the conclusion.  The
-    # check holds vacuously elsewhere.
-    requires: str | None = None
+    # the check's hypothesis: at most two PRECONDITIONS, read left to
+    # right, the second only where the first holds.  fn runs only where
+    # all hold and tests only the conclusion; the check holds vacuously
+    # elsewhere.
+    requires: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.requires is not None and self.requires not in REQUIRES_FLAGS:
-            raise ValueError(f"unknown precondition {self.requires!r}")
+        if isinstance(self.requires, str):
+            raise TypeError(f"requires is a tuple of flags, not the string {self.requires!r}")
+        for flag in self.requires:
+            if flag not in PRECONDITIONS:
+                raise ValueError(f"unknown precondition {flag!r}")
+        if len(self.requires) > 2:
+            raise ValueError(f"at most two preconditions, got {self.requires}")
 
 
 # Each verifier is looked up in this module's globals when a check runs
@@ -100,37 +101,28 @@ CHECKS: dict[str, SweepCheck] = {
     # bench/workloads.py pins this check's SKIPPED line; raising it
     # changes the benchmark with it.
     "alt_ring_equiv": SweepCheck(lambda f: not oracle_equiv_ra2(f), max_order=5),
-    "alt_ring_equiv_moufang": SweepCheck(lambda f: not oracle_equiv_ra2(f), requires="moufang"),
+    "alt_ring_equiv_moufang": SweepCheck(lambda f: not oracle_equiv_ra2(f), requires=("moufang",)),
     # cannot fail: any two of D/E/F force the third and SRAR rules out
     # the empty set (see lemma_allthree).  The triple (x, y, z) is the
     # quadruple (x, y, z, e), so this also covers the triple form.
-    "quad_all_three_or_one": SweepCheck(lambda f: lemma_allthree(f), requires="srar"),
-    "lip_equiv": SweepCheck(lambda f: lemma_lip_equiv(f), requires="right_bol"),
-    "commute_or_lip_moufang": SweepCheck(_commute_or_lip_moufang, requires="right_bol"),
+    "quad_all_three_or_one": SweepCheck(lambda f: lemma_allthree(f),
+                                        requires=("right_bol", "srar")),
+    "lip_equiv": SweepCheck(lambda f: lemma_lip_equiv(f), requires=("right_bol",)),
+    "commute_or_lip_moufang": SweepCheck(_commute_or_lip_moufang, requires=("right_bol",)),
     "pair_coverage_implications": SweepCheck(
-        lambda f: not thm_main_verify(f).all_ok(), requires="right_bol"
+        lambda f: not thm_main_verify(f).all_ok(), requires=("right_bol",)
     ),
-    # coverage first: ra2 builds a Witness for a coverage gap
-    "pair_coverage_ra2": SweepCheck(
-        lambda f: (f.coverage.de_everywhere or f.coverage.df_everywhere
-                   or f.coverage.ef_everywhere) and not f.ra2,
-        requires="right_bol",
-    ),
-    # cor_odd_verify on the cached facts: odd order is the precondition,
-    # and associativity is read only on SRAR loops, much as cor_odd_verify
-    # scans it only on right Bol loops
-    "odd_order_associative": SweepCheck(
-        lambda f: f.srar and not f.associative, requires="odd_order"
-    ),
-    "ra2_implies_srar": SweepCheck(lambda f: not f.srar, requires="ra2"),
-    "moufang_implies_bol": SweepCheck(lambda f: not f.right_bol, requires="moufang"),
+    "pair_coverage_ra2": SweepCheck(lambda f: not f.ra2, requires=("right_bol", "pair_coverage")),
+    # cor_odd_verify on the cached facts
+    "odd_order_associative": SweepCheck(lambda f: not f.associative,
+                                        requires=("odd_order", "srar")),
+    "ra2_implies_srar": SweepCheck(lambda f: not f.srar, requires=("moufang", "ra2")),
+    "moufang_implies_bol": SweepCheck(lambda f: not f.right_bol, requires=("moufang",)),
     "bol_implies_ralt_rip": SweepCheck(
         lambda f: f.witness(IdentityId.RIGHT_ALTERNATIVE) or f.witness(IdentityId.RIP),
-        requires="right_bol",
+        requires=("right_bol",),
     ),
-    "bol_lip_implies_moufang": SweepCheck(
-        lambda f: f.holds(IdentityId.LIP) and not f.moufang, requires="right_bol"
-    ),
+    "bol_lip_implies_moufang": SweepCheck(lambda f: not f.moufang, requires=("right_bol", "lip")),
     "extra_iff_moufang_squares_nucleus": SweepCheck(
         lambda f: f.extra != (f.moufang and squares_in_nucleus(f.loop))
     ),
@@ -211,17 +203,17 @@ def _sweep_part(args: tuple[LoopSource, tuple[str, ...]]):
     """One source's loops: returns (scanned, {check: [viol, first, time]})."""
     source, checks = args
     stats: dict[str, list] = {c: [0, None, 0.0] for c in checks}
-    # The plan: one node per base flag, in order of first appearance of its
-    # own or a derived group; in a node the base's own checks, then a group
-    # per derived flag, request order inside each.  Built from CHECKS now,
-    # not at import, so that a CHECKS entry swapped in later is the one run.
+    # The plan: one node per first flag of a requires (None where it is
+    # empty), in order of first appearance; in a node the checks with no
+    # second flag, then a group per second flag, request order inside
+    # each.  Built from CHECKS now, not at import, so that a CHECKS entry
+    # swapped in later is the one run.
     nodes: dict[str | None, dict[str | None, list]] = {}
     for name in checks:
         check = CHECKS[name]
-        flag = check.requires
-        base = flag and REQUIRES_FLAGS[flag]
-        groups = nodes.setdefault(base or flag, {None: []})
-        groups.setdefault(flag if base else None, []).append((check.fn, stats[name]))
+        flag, sub = (*check.requires, None, None)[:2]
+        groups = nodes.setdefault(flag, {None: []})
+        groups.setdefault(sub, []).append((check.fn, stats[name]))
     plan = [(flag, tuple(groups.items())) for flag, groups in nodes.items()]
     clock = time.perf_counter
 

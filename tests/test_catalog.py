@@ -108,6 +108,32 @@ def test_parse_error_cases():
         parse_catalog("loop x\norder 2\n1 a\n2 1\n")
 
 
+def _parse_outcome(source):
+    """parse_catalog's tables of source, or its ParseError's line and message."""
+    try:
+        return [r.loop.table for r in parse_catalog(source)]
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+@pytest.mark.parametrize("sep", [
+    "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n", "\r",
+])
+def test_text_and_files_split_lines_alike(tmp_path, sep):
+    # a str is split into lines as a file opened as the CLI opens it is:
+    # on \n, \r and \r\n, and on no other character str.splitlines() takes
+    text = f"loop a\norder 2{sep}1 2\n2 1\n"
+    path = tmp_path / "sep.loops"
+    path.write_text(text, encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as fh:
+        from_file = _parse_outcome(fh)
+    assert _parse_outcome(text) == from_file
+    if sep in ("\r\n", "\r"):
+        assert from_file == [((0, 1), (1, 0))]
+    else:
+        assert from_file == (2, f"line 2: expected 'order <n>', got {f'order 2{sep}1 2'!r}")
+
+
 @pytest.mark.parametrize(
     "token", ["+2", "\u0662", "2_0", pytest.param("1" * 5000, id="5000-digits")]
 )

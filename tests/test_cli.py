@@ -148,6 +148,15 @@ def test_classify_witness_lines_match_presentation():
     assert "16.7.2.1: D/E/F empty at (2,2,3,9): S=11 T=9 U=13 V=16" in r.stdout
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_witnesses_need_the_text_format(fmt):
+    # json and csv have no place for witness lines: a usage error, not a
+    # report that drops them
+    r = run_cli("classify", "--witnesses", "--format", fmt, FIXTURES)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == f"error: --witnesses needs --format text, got {fmt}\n"
+
+
 def test_classify_csv_and_json():
     r = run_cli("classify", "--format", "csv", FIXTURES)
     lines = r.stdout.splitlines()

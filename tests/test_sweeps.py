@@ -35,7 +35,8 @@ from loopkit import (
     validate_table,
 )
 from loopkit.fixtures import bol16, cyclic_group, moufang12
-from loopkit.sweeps import REQUIRES_FLAGS, LoopFacts, SweepCheck, SweepResult, _sweep_part
+from loopkit.conditions import NotSrar
+from loopkit.sweeps import PRECONDITIONS, LoopFacts, SweepCheck, SweepResult, _sweep_part
 
 
 def cells_key(result):
@@ -185,43 +186,62 @@ def test_violation_capture_first_loop(monkeypatch):
 def test_requires_gates_the_check(monkeypatch):
     # a failing check scoped to odd orders holds vacuously at order 4
     monkeypatch.setitem(
-        CHECKS, "odd_fails", SweepCheck(lambda facts: "synthetic", 7, requires="odd_order")
+        CHECKS, "odd_fails", SweepCheck(lambda facts: "synthetic", 7, requires=("odd_order",))
     )
     res = run_sweep(SweepSpec((4, 5), ("odd_fails",)))
     assert [(c.order, c.violations) for c in res.cells] == [(4, 0), (5, 56)]
 
 
-def _loops_where(flag, orders):
-    """How many loops of the given orders have the LoopFacts flag (all, for None)."""
-    loops = [L for L in CORPUS5 if L.order in orders]
-    return sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
+def _admits(requires, L):
+    """Whether every flag of requires holds on L (always, for ())."""
+    facts = LoopFacts(L)
+    return all(getattr(facts, flag) for flag in requires)
+
+
+def _loops_where(requires, orders):
+    """How many loops of the given orders requires admits."""
+    return sum(_admits(requires, L) for L in CORPUS5 if L.order in orders)
+
+
+# no flag, each flag alone, and each two-flag hypothesis of CHECKS
+REQUIRES = ((), *((flag,) for flag in sorted(PRECONDITIONS)),
+            *sorted({c.requires for c in CHECKS.values() if len(c.requires) == 2}))
+
+
+def _counting_checks(monkeypatch):
+    """A check per REQUIRES entry, named counts_<flags>, that counts its calls."""
+    calls = dict.fromkeys(REQUIRES, 0)
+
+    def counting(requires):
+        def fn(facts):
+            calls[requires] += 1
+        return fn
+
+    names = {}
+    for requires in REQUIRES:
+        names[requires] = "counts_" + "+".join(requires)
+        monkeypatch.setitem(CHECKS, names[requires],
+                            SweepCheck(counting(requires), 7, requires=requires))
+    return calls, names
 
 
 def test_plan_runs_each_check_exactly_where_its_precondition_holds(monkeypatch):
-    # one counting check per precondition and a failing one scoped to RA2,
+    # one counting check per hypothesis and a failing one scoped to RA2,
     # requested out of group order so that the plan has to regroup them
-    flags = (None, *REQUIRES_FLAGS)
-    calls = dict.fromkeys(flags, 0)
-
-    def counting(flag):
-        def fn(facts):
-            calls[flag] += 1
-        return fn
-
-    for flag in flags:
-        monkeypatch.setitem(CHECKS, f"counts_{flag}", SweepCheck(counting(flag), 7, requires=flag))
+    calls, names = _counting_checks(monkeypatch)
     monkeypatch.setitem(
-        CHECKS, "ra2_fails", SweepCheck(lambda facts: "synthetic", 7, requires="ra2")
+        CHECKS, "ra2_fails", SweepCheck(lambda facts: "synthetic", 7, requires=("moufang", "ra2"))
     )
-    checks = ("counts_right_bol", "ra2_fails", "counts_None", "counts_moufang",
-              "counts_srar", "counts_ra2", "counts_odd_order")
+    checks = (names[("right_bol",)], "ra2_fails", *(names[r] for r in reversed(REQUIRES)))
+    checks = tuple(dict.fromkeys(checks))
     res = run_sweep(SweepSpec((4, 5), checks))
-    expected = {flag: _loops_where(flag, (4, 5)) for flag in flags}
-    # 4 + 56 loops; the 4 + 6 right Bol ones are all groups
-    assert expected == {None: 60, "right_bol": 10, "moufang": 10, "srar": 10,
-                        "ra2": 10, "odd_order": 56}
+    expected = {requires: _loops_where(requires, (4, 5)) for requires in REQUIRES}
+    # 4 + 56 loops; the 4 + 6 right Bol ones are all groups, and of the
+    # others none has LIP or pair coverage
+    assert expected == {**dict.fromkeys(REQUIRES, 10),
+                        (): 60, ("odd_order",): 56, ("odd_order", "srar"): 6}
     assert calls == expected
-    assert sum(c.violations for c in res.cells if c.check == "ra2_fails") == expected["ra2"]
+    assert sum(c.violations for c in res.cells if c.check == "ra2_fails") == 10
     # the report keeps request order
     assert [c.check for c in res.cells] == list(checks) * 2
 
@@ -265,21 +285,15 @@ def _sweep_over(loops, checks):
 
 def test_plan_tells_the_bol_moufang_srar_and_ra2_flags_apart(monkeypatch):
     loops = _flag_loops()
-    flags = (None, *REQUIRES_FLAGS)
-    calls = dict.fromkeys(flags, 0)
-
-    def counting(flag):
-        def fn(facts):
-            calls[flag] += 1
-        return fn
-
-    for flag in flags:
-        monkeypatch.setitem(CHECKS, f"counts_{flag}", SweepCheck(counting(flag), 7, requires=flag))
-    scanned, _ = _sweep_over(loops, tuple(f"counts_{flag}" for flag in reversed(flags)))
+    calls, names = _counting_checks(monkeypatch)
+    scanned, _ = _sweep_over(loops, tuple(names[r] for r in reversed(REQUIRES)))
     assert scanned == len(loops)
-    assert calls == {flag: sum(flag is None or getattr(LoopFacts(L), flag) for L in loops)
-                     for flag in flags}
-    assert calls == {None: 7, "right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
+    assert calls == {r: sum(_admits(r, L) for L in loops) for r in REQUIRES}
+    assert calls == {
+        (): 7, ("right_bol",): 6, ("moufang",): 3, ("srar",): 4, ("ra2",): 2, ("odd_order",): 1,
+        ("lip",): 3, ("pair_coverage",): 1, ("right_bol", "srar"): 4, ("moufang", "ra2"): 2,
+        ("right_bol", "lip"): 3, ("right_bol", "pair_coverage"): 1, ("odd_order", "srar"): 0,
+    }
 
 
 def test_every_check_is_clean_on_the_nonassociative_loops():
@@ -293,25 +307,30 @@ def test_every_check_is_clean_on_the_nonassociative_loops():
     assert tuple(hashlib.sha256(bytes(v for row in L.table for v in row)).hexdigest()
                  for L in loops) == FLAG_LOOP_DIGESTS
     assert not any(holds(L, IdentityId.ASSOCIATIVE) for L in loops)
-    admitted = {flag: sum(getattr(LoopFacts(L), flag) for L in loops) for flag in REQUIRES_FLAGS}
-    assert admitted == {"right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1}
+    admitted = {flag: sum(getattr(LoopFacts(L), flag) for L in loops) for flag in PRECONDITIONS}
+    assert admitted == {"right_bol": 6, "moufang": 3, "srar": 4, "ra2": 2, "odd_order": 1,
+                        "lip": 3, "pair_coverage": 1}
     scanned, stats = _sweep_over(loops, tuple(CHECKS))
     assert len(stats) == len(CHECKS) == 14
     assert (scanned, {violations for violations, _, _ in stats.values()}) == (len(loops), {0})
 
 
-def test_odd_order_associative_reads_srar_not_right_bol():
+def test_odd_order_associative_reads_srar_not_right_bol(monkeypatch):
     # the order-21 Glauberman loop is right Bol and not associative, and
-    # not SRAR: the real check is clean, and the same check reading
+    # not SRAR: the real check is clean, and the same check requiring
     # right_bol in place of srar fires
     L = glauberman21()
     facts = LoopFacts(L)
     assert (facts.odd_order, facts.right_bol, facts.associative, facts.moufang,
             facts.srar) == (True, True, False, False, False)
-    scanned, stats = _sweep_over((L,), ("odd_order_associative",))
-    assert (scanned, stats["odd_order_associative"][0]) == (1, 0)
-    widened = _facts(L, srar=facts.right_bol)
-    assert CHECKS["odd_order_associative"].fn(widened)
+    name = "odd_order_associative"
+    scanned, stats = _sweep_over((L,), (name,))
+    assert (scanned, stats[name][0]) == (1, 0)
+    assert CHECKS[name].requires == ("odd_order", "srar")
+    monkeypatch.setitem(CHECKS, name,
+                        dataclasses.replace(CHECKS[name], requires=("odd_order", "right_bol")))
+    scanned, stats = _sweep_over((L,), (name,))
+    assert (scanned, stats[name][0]) == (1, 1)
 
 
 def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
@@ -320,30 +339,44 @@ def test_plan_reads_each_precondition_once_per_loop(monkeypatch):
         LoopFacts, "odd_order", property(lambda f: reads.append(1) or f.loop.order % 2 == 1)
     )
     for name in ("odd_a", "odd_b"):
-        monkeypatch.setitem(CHECKS, name, SweepCheck(lambda facts: None, 7, requires="odd_order"))
+        monkeypatch.setitem(CHECKS, name,
+                            SweepCheck(lambda facts: None, 7, requires=("odd_order",)))
     run_sweep(SweepSpec((5,), ("odd_a", "moufang_implies_bol", "odd_b")))
     # one read per order-5 loop for the group of both checks
     assert len(reads) == 56
 
 
-def test_requires_flags_declare_the_definitional_bases():
+def test_checks_declare_their_whole_hypotheses():
     # SRAR is right Bol plus D/E/F coverage and RA2 is Moufang plus A/B/C
-    # and D'/E'/F' coverage.  Proved inclusions (Moufang => right Bol, RA2
-    # => SRAR, extra => Moufang) are not bases: checks verify them.
-    assert REQUIRES_FLAGS == {"right_bol": None, "moufang": None, "srar": "right_bol",
-                              "ra2": "moufang", "odd_order": None}
-    assert all(REQUIRES_FLAGS[base] is None for base in REQUIRES_FLAGS.values() if base)
+    # and D'/E'/F' coverage, so the SRAR and RA2 checks name their base
+    # first.  Proved inclusions (Moufang => right Bol, RA2 => SRAR, extra
+    # => Moufang) are never added to a hypothesis: checks verify them.
+    assert {name: c.requires for name, c in CHECKS.items() if c.requires} == {
+        "alt_ring_equiv_moufang": ("moufang",),
+        "quad_all_three_or_one": ("right_bol", "srar"),
+        "lip_equiv": ("right_bol",),
+        "commute_or_lip_moufang": ("right_bol",),
+        "pair_coverage_implications": ("right_bol",),
+        "pair_coverage_ra2": ("right_bol", "pair_coverage"),
+        "odd_order_associative": ("odd_order", "srar"),
+        "ra2_implies_srar": ("moufang", "ra2"),
+        "moufang_implies_bol": ("moufang",),
+        "bol_implies_ralt_rip": ("right_bol",),
+        "bol_lip_implies_moufang": ("right_bol", "lip"),
+    }
+    # every allowed flag is some check's hypothesis
+    assert PRECONDITIONS == {flag for c in CHECKS.values() for flag in c.requires}
 
 
 def test_a_derived_flag_implies_its_base():
-    derived = [(flag, base) for flag, base in REQUIRES_FLAGS.items() if base]
     for L in (*CORPUS5, *_flag_loops()):
         facts = LoopFacts(L)
-        assert all(getattr(facts, base) for flag, base in derived if getattr(facts, flag))
+        assert not facts.srar or facts.right_bol
+        assert not facts.ra2 or facts.moufang
 
 
 def test_derived_flags_are_read_only_under_their_base(monkeypatch):
-    computed = dict.fromkeys(("right_bol", "moufang", "srar", "ra2"), 0)
+    computed = dict.fromkeys(("right_bol", "moufang", "srar", "ra2", "lip", "pair_coverage"), 0)
 
     def counted(flag, fn):
         def wrapper(facts):
@@ -353,12 +386,14 @@ def test_derived_flags_are_read_only_under_their_base(monkeypatch):
 
     for flag in computed:
         monkeypatch.setattr(getattr(LoopFacts, flag), "fn", counted(flag, getattr(LoopFacts, flag).fn))
-    # none of these reads srar or ra2 outside its own precondition
-    checks = ("quad_all_three_or_one", "ra2_implies_srar", "lip_equiv", "moufang_implies_bol")
+    # none of these reads a second flag where its first is false
+    checks = ("quad_all_three_or_one", "ra2_implies_srar", "lip_equiv", "moufang_implies_bol",
+              "bol_lip_implies_moufang", "pair_coverage_ra2")
     res = run_sweep(SweepSpec((4, 5), checks))
     assert res.total_violations() == 0
-    # 4 + 56 loops; srar and ra2 only on the 4 + 6 right Bol (and Moufang) groups
-    assert computed == {"right_bol": 60, "moufang": 60, "srar": 10, "ra2": 10}
+    # 4 + 56 loops; the second flags only on the 4 + 6 right Bol (and Moufang) groups
+    assert computed == {"right_bol": 60, "moufang": 60, "srar": 10, "ra2": 10,
+                        "lip": 10, "pair_coverage": 10}
 
 
 @pytest.mark.parametrize("checks", [
@@ -366,8 +401,8 @@ def test_derived_flags_are_read_only_under_their_base(monkeypatch):
     ("quad_all_three_or_one", "ra2_implies_srar"),
 ])
 def test_a_derived_group_runs_without_its_base_group(monkeypatch, scan_counts, checks):
-    # no requested check has right_bol or moufang as its precondition, so
-    # each base node holds only its derived group
+    # no requested check requires one flag alone, so each node holds only
+    # the group of its second flag
     calls = dict.fromkeys(checks, 0)
     for name in checks:
         def fn(facts, name=name, check=CHECKS[name].fn):
@@ -380,7 +415,7 @@ def test_a_derived_group_runs_without_its_base_group(monkeypatch, scan_counts, c
     assert {name: st[:2] for name, st in stats.items()} == dict.fromkeys(checks, [0, None])
     # one right Moufang scan per loop, for the moufang node
     assert scan_counts["right_moufang"] == len(loops)
-    ran = {name: sum(getattr(LoopFacts(L), CHECKS[name].requires) for L in loops) for name in checks}
+    ran = {name: sum(_admits(CHECKS[name].requires, L) for L in loops) for name in checks}
     expected = {"ra2_implies_srar": 2, "quad_all_three_or_one": 4}
     assert calls == ran == {name: expected[name] for name in checks}
     # each check runs on some loop, so each is charged time
@@ -394,14 +429,22 @@ def test_a_sweep_with_no_checks_still_counts_its_loops():
 
 def test_sweep_check_validates_its_precondition():
     with pytest.raises(ValueError, match="unknown precondition 'right_bool'"):
-        SweepCheck(lambda facts: None, 7, requires="right_bool")
-    assert all(c.requires in (None, *REQUIRES_FLAGS) for c in CHECKS.values())
+        SweepCheck(lambda facts: None, 7, requires=("right_bool",))
+    with pytest.raises(ValueError, match="unknown precondition 'lip_equiv'"):
+        SweepCheck(lambda facts: None, 7, requires=("right_bol", "lip_equiv"))
+    # a bare string would be read as a tuple of one-letter flags
+    with pytest.raises(TypeError, match="requires is a tuple of flags, not the string 'srar'"):
+        SweepCheck(lambda facts: None, 7, requires="srar")
+    with pytest.raises(ValueError, match=r"at most two preconditions, got \('right_bol', 'srar', "
+                                         r"'lip'\)"):
+        SweepCheck(lambda facts: None, 7, requires=("right_bol", "srar", "lip"))
+    assert all(len(c.requires) <= 2 and set(c.requires) <= PRECONDITIONS for c in CHECKS.values())
     # every flag is a LoopFacts attribute, and swapping fn (as a tracer
     # does with dataclasses.replace) keeps a valid precondition
     facts = LoopFacts(CORPUS5[0])
-    assert all(isinstance(getattr(facts, flag), bool) for flag in REQUIRES_FLAGS)
+    assert all(isinstance(getattr(facts, flag), bool) for flag in PRECONDITIONS)
     check = dataclasses.replace(CHECKS["lip_equiv"], fn=lambda facts: None)
-    assert check.requires == "right_bol"
+    assert check.requires == ("right_bol",)
 
 
 # SHA-256 of render_sweep on the default `loopkit sweep`: orders 2-6,
@@ -467,13 +510,13 @@ def test_wall_time_charges_each_step_once():
 
 def test_wall_time_charges_each_step_once_under_the_tree():
     # right Bol, SRAR, Moufang and RA2 all differ on these loops, so every
-    # kind of step (base false, base true and derived false, both true) is taken
-    loops = _flag_loops()
+    # kind of step (first flag false, first true and second false, both
+    # true) is taken; Z3 is the one odd-order SRAR loop among them
+    loops = (*_flag_loops(), cyclic_group(3))
     t0 = time.perf_counter()
     _, stats = _sweep_over(loops, tuple(CHECKS))
     elapsed = time.perf_counter() - t0
-    ran = [name for name, check in CHECKS.items()
-           if any(check.requires is None or getattr(LoopFacts(L), check.requires) for L in loops)]
+    ran = [name for name, check in CHECKS.items() if any(_admits(check.requires, L) for L in loops)]
     assert len(ran) == len(CHECKS)
     assert all(stats[name][2] > 0 for name in ran)
     assert sum(st[2] for st in stats.values()) <= elapsed
@@ -561,8 +604,8 @@ FALSIFIED = {
 }
 
 
-# per disjunct of pair_coverage_ra2, a coverage where only that pair
-# holds: with ra2=False each must make the check fire on its own
+# per disjunct of LoopFacts.pair_coverage, a coverage where only that
+# pair holds: with ra2=False each must make pair_coverage_ra2 fire on its own
 PAIR_COVERAGE_FALSIFIED = {
     pair: TripleCoverage(False, *(p == pair for p in ("de", "df", "ef")))
     for pair in ("de", "df", "ef")
@@ -572,7 +615,12 @@ PAIR_COVERAGE_FALSIFIED = {
 @pytest.mark.parametrize("pair", PAIR_COVERAGE_FALSIFIED)
 def test_each_pair_coverage_disjunct_can_fire(pair):
     facts = _facts(cyclic_group(3), coverage=PAIR_COVERAGE_FALSIFIED[pair], ra2=False)
-    assert facts.right_bol and CHECKS["pair_coverage_ra2"].fn(facts)
+    check = CHECKS["pair_coverage_ra2"]
+    assert check.requires == ("right_bol", "pair_coverage")
+    assert facts.right_bol and facts.pair_coverage and check.fn(facts)
+    # and without any of the three pairs the hypothesis is false
+    no_pair = TripleCoverage(True, False, False, False)
+    assert not _facts(cyclic_group(3), coverage=no_pair).pair_coverage
 
 
 def test_the_left_half_of_the_alternative_comparator_can_fire():
@@ -590,8 +638,36 @@ def test_the_left_half_of_the_alternative_comparator_can_fire():
 def test_every_check_can_fire(name):
     facts = FALSIFIED[name]()
     check = CHECKS[name]
-    assert check.requires is None or getattr(facts, check.requires)
+    assert all(getattr(facts, flag) for flag in check.requires)
     assert check.fn(facts)
+
+
+# per two-flag check, what the check does with its second flag dropped on
+# the _flag_loops and the Glauberman loop: its verifier's error outside
+# the hypothesis, or its violation count
+WITHOUT_SECOND_FLAG = {
+    "quad_all_three_or_one": NotSrar,
+    "pair_coverage_ra2": 5,
+    "odd_order_associative": 2,
+    "ra2_implies_srar": 1,
+    "bol_lip_implies_moufang": 4,
+}
+
+
+@pytest.mark.parametrize("name", [n for n, c in CHECKS.items() if len(c.requires) == 2])
+def test_each_second_flag_is_needed(monkeypatch, name):
+    # the real check is clean on these loops, and the check fires or
+    # raises once its second flag is dropped, so no second flag is idle
+    loops = (*_flag_loops(), glauberman21())
+    assert _sweep_over(loops, (name,))[1][name][:2] == [0, None]
+    check = CHECKS[name]
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(check, requires=check.requires[:1]))
+    expected = WITHOUT_SECOND_FLAG[name]
+    if isinstance(expected, int):
+        assert _sweep_over(loops, (name,))[1][name][0] == expected
+    else:
+        with pytest.raises(expected):
+            _sweep_over(loops, (name,))
 
 
 # the verifiers bench/tracing.py counts by rebinding them on loopkit.sweeps
