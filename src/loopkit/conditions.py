@@ -419,15 +419,15 @@ class LoopFacts(Products):
         """The first failure of right Moufang, then A/B/C, then D'/E'/F' coverage."""
         return self.witness(IdentityId.RIGHT_MOUFANG) or self._coverage_gap
 
-    # The flags are memos too, and call _failure, not holds: the sweep
-    # reads them on every loop, and as plain properties they made a sweep
+    # The flags are memos too, and call _failure, not holds or each other:
+    # the sweep reads them on every loop; as plain properties they made a sweep
     # of the non-ring checks over orders 2-6 about 12% slower (median of
     # 7 alternating runs, 332-343 against 374-384 ms on a 2-CPU Xeon).
     right_bol = memo(lambda self: self._failure(_RIGHT_BOL) is None)
     moufang = memo(lambda self: self._failure(_MOUFANG) is None)
     associative = memo(lambda self: self._failure(_ASSOCIATIVE) is None)
-    srar = memo(lambda self: self.right_bol and self._quad_gap is None)
-    ra2 = memo(lambda self: self.moufang and self._coverage_gap is None)
+    srar = memo(lambda self: self._failure(_RIGHT_BOL) is None and self._quad_gap is None)
+    ra2 = memo(lambda self: self._failure(_MOUFANG) is None and self._coverage_gap is None)
     extra = memo(lambda self: self._failure(_EXTRA) is None)
     lip = memo(lambda self: self._failure(IdentityId.LIP) is None)
     coverage = memo(lambda self: triple_coverage(self))

@@ -59,6 +59,12 @@ class RingIdentityId(Enum):
     RIGHT_MOUFANG = "ring_right_moufang"
 
 
+# bound once, as identities._RIGHT_BOL is: the ring tier reads them per loop (see README)
+_RING_BOL, _RING_MOUFANG = RingIdentityId.RIGHT_BOL, RingIdentityId.RIGHT_MOUFANG
+_RING_LEFT_ALT, _RING_RIGHT_ALT = RingIdentityId.LEFT_ALTERNATIVE, RingIdentityId.RIGHT_ALTERNATIVE
+_LEFT_ALT, _RIGHT_ALT = IdentityId.LEFT_ALTERNATIVE, IdentityId.RIGHT_ALTERNATIVE
+
+
 @dataclass(frozen=True)
 class Gf2Elem:
     """A loop-algebra element over GF(2): a bit mask of basis loop elements."""
@@ -306,7 +312,7 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
     """Stage 1: masks of the first failing basis tuple, then of both sides."""
     t, domains = L.table, scan_domains(L.order, L.identity, _BASIS_SKIPS_E[ident])
     if len(domains) == 2:
-        (xs, ys), left = domains, ident is RingIdentityId.LEFT_ALTERNATIVE
+        (xs, ys), left = domains, ident is _RING_LEFT_ALT
         for x in xs:
             tx = t[x]
             for y in ys:
@@ -316,7 +322,7 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
                     return 1 << x, 1 << y, 1 << lhs, 1 << rhs
         return None
     xs, ys, zs = domains
-    moufang = ident is RingIdentityId.RIGHT_MOUFANG
+    moufang = ident is _RING_MOUFANG
     for x in xs:
         tx = t[x]
         for y in ys:
@@ -384,8 +390,8 @@ def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:
     Both sides are computed independently; a False return means a proved
     equivalence failed and should be treated as an implementation bug.
     """
-    f = LoopFacts.of(L)
-    ring_side = _low_weight_failure(f.loop, RingIdentityId.RIGHT_BOL) is None
+    f = L if isinstance(L, LoopFacts) else LoopFacts(L)  # LoopFacts.of's frame: 56 ns a loop
+    ring_side = _low_weight_failure(f.loop, _RING_BOL) is None
     return ring_side == f.srar
 
 
@@ -413,9 +419,9 @@ def oracle_equiv_ra2(L: LoopFacts | LoopTable) -> bool:
     is the mirror image: terms with x = y give (xx)z = x(xz), pairs
     x != y give A, B or C at (x, y, z), and C holds trivially at x = y.
     """
-    f = LoopFacts.of(L)
-    left_ring = _low_weight_failure(f.loop, RingIdentityId.LEFT_ALTERNATIVE) is None
-    if left_ring != (f.holds(IdentityId.LEFT_ALTERNATIVE) and not abc_gaps(f).any()):
+    f = L if isinstance(L, LoopFacts) else LoopFacts(L)  # as in oracle_equiv_srar
+    left_ring = _low_weight_failure(f.loop, _RING_LEFT_ALT) is None
+    if left_ring != (f.holds(_LEFT_ALT) and not abc_gaps(f).any()):
         return False
-    right_ring = _low_weight_failure(f.loop, RingIdentityId.RIGHT_ALTERNATIVE) is None
-    return right_ring == (f.holds(IdentityId.RIGHT_ALTERNATIVE) and f.coverage.def_everywhere)
+    right_ring = _low_weight_failure(f.loop, _RING_RIGHT_ALT) is None
+    return right_ring == (f.holds(_RIGHT_ALT) and f.coverage.def_everywhere)

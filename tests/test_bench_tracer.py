@@ -58,3 +58,20 @@ def test_default_plan_matches_the_benchmark(monkeypatch):
     )
     assert [(o, c) for spec in specs for o in spec.orders for c in spec.checks] == cells
     assert list(skipped) == bench_skipped
+
+
+def test_tiny_workloads_pass_their_checkers(monkeypatch, tmp_path):
+    # each workload checks every pass's output; a report change that breaks
+    # a checker fails here rather than first in a benchmark run
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        w = workload(1, str(tmp_path), tiny=True)
+        try:
+            result = w.run_pass()
+        finally:
+            w.close()
+        assert (name, result.failed, result.problems) == (name, 0, [])
+        assert result.attempted > 0, name

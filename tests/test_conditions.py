@@ -649,6 +649,29 @@ def test_extra_flag_and_witness_share_one_scan(scan_counts):
     assert scan_counts["extra"] == 3
 
 
+def test_condition_flags_read_first_share_the_identity_scans(scan_counts):
+    # srar and ra2 read their identity half off the cached scan, so reading
+    # them before the base flag and the witnesses still scans right Bol and
+    # right Moufang once per loop, and gives the flags of a base-first read
+    loops = [moufang12(), bol16()]
+    enumerate_loops(5, loops.append)
+    base_first = []
+    for L in loops:
+        f = LoopFacts(L)
+        base_first.append((f.right_bol, f.srar, f.moufang, f.ra2))
+    scan_counts.clear()
+    for L, (right_bol, srar, moufang, ra2) in zip(loops, base_first):
+        f = LoopFacts(L)
+        assert f.srar is srar and f.right_bol is right_bol
+        assert (f.witness(IdentityId.RIGHT_BOL) is None) is right_bol
+        assert (f.srar_witness is None) is srar
+        assert f.ra2 is ra2 and f.moufang is moufang
+        assert (f.ra2_witness is None) is ra2
+    assert scan_counts["right_bol"] == scan_counts["right_moufang"] == len(loops)
+    # M(S3,2) is RA2; Bol 16.7.2.1 is right Bol with a quadruple gap
+    assert base_first[:2] == [(True, True, True, True), (True, False, False, False)]
+
+
 def test_ra2_oracle_and_verdict_share_one_abc_gap_build(scan_counts):
     # on a Moufang loop oracle_equiv_ra2 reads the A/B/C parity gaps and
     # is_ra2 reads them again for its coverage gap, RA2 or not (M(A4, 2)

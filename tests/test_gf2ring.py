@@ -266,6 +266,25 @@ def test_comparators_ask_for_their_ring_laws(monkeypatch, t2):
     assert asked == [RingIdentityId.LEFT_ALTERNATIVE, RingIdentityId.RIGHT_ALTERNATIVE]
 
 
+def test_comparators_read_no_enum_member_per_call(monkeypatch, t1, t2):
+    # the ring tier binds its laws once at import; with both enums swapped
+    # for stand-ins whose every attribute read raises, the comparators
+    # still decide each loop.  A group per order first fills
+    # _low_weight_plan for every law whose weight-2 stage can run.
+    loops = (*CORPUS5, t1, t2)
+    for n in sorted({L.order for L in loops}):
+        assert oracle_equiv_srar(cyclic_group(n)) and oracle_equiv_ra2(cyclic_group(n))
+    want = [(oracle_equiv_srar(L), oracle_equiv_ra2(L)) for L in loops]
+
+    class NoMembers:
+        def __getattr__(self, name):
+            raise AssertionError(f"member {name} read per call")
+
+    monkeypatch.setattr(gf2ring, "RingIdentityId", NoMembers())
+    monkeypatch.setattr(gf2ring, "IdentityId", NoMembers())
+    assert [(oracle_equiv_srar(L), oracle_equiv_ra2(L)) for L in loops] == want
+
+
 def test_oracles_decide_orders_past_the_brute_cap(t1, t2):
     # the comparators use the low-weight oracle, which has no 2^n table
     # and so no brute-force cap: orders 7, 9, 12 and 16 are decided
