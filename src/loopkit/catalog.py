@@ -9,18 +9,19 @@ Canonical catalog format (UTF-8 text, LF newlines):
     (row i, column j holds the product of elements i and j, 1-indexed);
     numbers are plain ASCII digits, at most 18 of them, with no sign.
 
-Rows are read through a per-order map from the tokens "1".."n" to the
-values 0..n-1 (see _iter_raw_records), and the 0-indexed rows go
-straight to core._latin_loop, the Latin and identity check behind
-validate_table, without validate_table's type gate, which the parser's
-own rows cannot fail.
+A record's rows are read as one block, through a per-order map from the
+tokens "1".."n" to the values 0..n-1 (see _iter_raw_records), and the
+0-indexed rows go straight to core._latin_loop, the Latin and identity
+check behind validate_table, without validate_table's type gate, which
+the parser's own rows cannot fail.
 
 Reports are deterministic byte-for-byte: fixed key order in JSON, fixed
 column order in CSV, and no timestamps.  JSON is the text of
 json.dumps(doc, indent=2), laid out by _write_json with strings from the
-C encoder.  With both paths and the triple counts of LoopFacts, the
-benchmark's survey-relabelled pass (600 records) went from 0.388 to
-0.337 s (medians of 10 paired runs, 2-CPU Xeon).
+C encoder.  With the block reads, and the triple counts and shared code
+arrays of LoopFacts, the benchmark's survey-relabelled pass (600
+records) went from 0.246 to 0.212 s (medians of 10 paired runs at seed
+11, 2-CPU Xeon).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -124,18 +126,23 @@ def _iter_raw_records(
 ) -> Iterator[tuple[str, int, tuple[tuple[int, ...], ...]]]:
     """Yield (name, header line number, table of 0-indexed rows) per record.
 
-    A row's tokens become values through a {"1": 0, ..., "n": n-1} map,
-    built per order the first time a row of n tokens passes the length
-    check and kept for this parse only; a token the map lacks goes
-    through _ROW and int, which reject it or read it ("01", "0", n+1).
+    A record's n rows are read as one block of the next n lines, each
+    split and then mapped through a {"1": 0, ..., "n": n-1} map, which is
+    built per order once a block passes the length check and kept for
+    this parse only.  A block that is not n rows of n mapped tokens (one
+    with a comment, a blank line, a row of another length, the end of
+    the file or a token the map lacks) is read again line by line, which
+    skips the comments, words the first fault with its line number, and
+    reads each row through _ROW and int ("01" is 1; "0" and n+1 go on
+    to the Latin check).
     """
     it = iter(enumerate(lines, start=1))
     lineno = 0  # the last line read, by either loop
     token_maps: dict[int, dict[str, int]] = {}
 
-    def next_content(expect: str) -> tuple[int, str]:
+    def next_content(source: Iterator[tuple[int, str]], expect: str) -> tuple[int, str]:
         nonlocal lineno
-        for lineno, line in it:
+        for lineno, line in source:
             s = line.strip()
             if s.startswith("#"):
                 continue
@@ -143,6 +150,31 @@ def _iter_raw_records(
                 raise ParseError(lineno, f"unexpected blank line inside record, expected {expect}")
             return lineno, s
         raise ParseError(lineno, f"unexpected end of file, expected {expect}")
+
+    def block_rows(block: list[tuple[int, str]], n: int) -> tuple[tuple[int, ...], ...] | None:
+        cells = list(map(str.split, [line for _, line in block]))
+        if len(cells) != n or set(map(len, cells)) != {n}:
+            return None
+        tokens = token_maps.get(n)
+        if tokens is None:
+            tokens = token_maps[n] = {str(v + 1): v for v in range(n)}
+        values = map(tokens.__getitem__, chain.from_iterable(cells))
+        try:
+            return tuple(zip(*[values] * n))  # n values at a time: the rows
+        except KeyError:
+            return None
+
+    def line_rows(source: Iterator[tuple[int, str]], n: int) -> tuple[tuple[int, ...], ...]:
+        rows: list[tuple[int, ...]] = []
+        for _ in range(n):
+            rline_no, rline = next_content(source, f"a table row of {n} entries")
+            cells = rline.split()
+            if len(cells) != n:
+                raise ParseError(rline_no, f"expected {n} entries, got {len(cells)}")
+            if not _ROW.fullmatch(rline):
+                raise ParseError(rline_no, f"non-integer table entry in {rline!r}")
+            rows.append(tuple([int(c) - 1 for c in cells]))
+        return tuple(rows)
 
     for lineno, line in it:
         s = line.strip()
@@ -155,7 +187,7 @@ def _iter_raw_records(
             raise ParseError(lineno, "empty loop name")
         header_line = lineno
 
-        oline_no, oline = next_content("'order <n>'")
+        oline_no, oline = next_content(it, "'order <n>'")
         parts = oline.split()
         if len(parts) != 2 or parts[0] != "order":
             raise ParseError(oline_no, f"expected 'order <n>', got {oline!r}")
@@ -165,22 +197,15 @@ def _iter_raw_records(
         if n < 1:
             raise ParseError(oline_no, f"order must be positive, got {n}")
 
-        rows: list[tuple[int, ...]] = []
-        for _ in range(n):
-            rline_no, rline = next_content(f"a table row of {n} entries")
-            cells = rline.split()
-            if len(cells) != n:
-                raise ParseError(rline_no, f"expected {n} entries, got {len(cells)}")
-            tokens = token_maps.get(n)
-            if tokens is None:
-                tokens = token_maps[n] = {str(v + 1): v for v in range(n)}
-            try:
-                rows.append(tuple(map(tokens.__getitem__, cells)))
-            except KeyError:
-                if not _ROW.fullmatch(rline):
-                    raise ParseError(rline_no, f"non-integer table entry in {rline!r}") from None
-                rows.append(tuple([int(c) - 1 for c in cells]))
-        yield name, header_line, tuple(rows)
+        # the rows as one block, read past the first line only when it has
+        # n tokens, so that a wrong order reads one line ahead, not n
+        block = list(islice(it, 1))
+        if block and len(block[0][1].split()) == n:
+            block += islice(it, n - 1)
+        table = block_rows(block, n)
+        if table is None:  # the line reader uses up the block: each line is a row or a comment
+            table = line_rows(chain(block, it), n)
+        yield name, header_line, table
 
 
 def parse_catalog(source: str | IO[str] | Iterable[str]) -> list[CatalogRecord]:

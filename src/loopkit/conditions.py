@@ -34,25 +34,28 @@ characteristic 2: the four bracketings pair up into D, E or F (A, B or
 C) exactly when their sum in F_2[L] is 0, which _parity_gaps tests on
 one narrow integer per tuple: the XOR of the four values' codes in a
 Sidon set (_sidon_codes), which is 0 exactly when the values pair up.
-The full D/E/F code (_code) is built only for
-the triple profile, pair coverage, quad_profile and the all-three-or-one
-lemma.  Every scan reports the lexicographically first flagged tuple.
+The triple counts read each triple's D'/E'/F' code off the same parity
+(_triple_code_counts): off a gap, a = b and a = c tell the code.  The full
+D/E/F code (_code) is built only for quad_profile and the
+all-three-or-one lemma.  Every scan reports the lexicographically first
+flagged tuple.
 
 LoopFacts caches a loop's identity scans as plain failure tuples, its
 SRAR and RA2 verdicts, extra flag, and the triple products with their
-D'/E'/F' code counts, Sidon code sum and A/B/C gaps, which coverage, the
-triple profile and both triple gaps reduce; it builds a Witness only
-when one is read.  is_srar, is_ra2, those triple functions, the lemma_*
-verifiers, thm_main_verify and gf2ring's oracle_equiv_* take a LoopFacts
-or a LoopTable, so a sweep or a classification passes its one LoopFacts
-through.  The kernel scans (the identities._CHECKS entries,
-first_quad_gap, quad_profile) take the bare table.  LoopFacts is the
-Products of its loop and hands itself to the first two, so its identity
-scans, triples and quadruple blocks read one intp table, one (xy)z and
-one x(yz); a call on a bare table builds its own.  cor_odd_verify takes
-the bare table too and decides through identities.holds; the
-benchmark's order7-slice calls it once per loop, while the order-7
-sweep decides odd_order_associative through LoopFacts.
+Sidon code sum, D'/E'/F' and A/B/C gaps and D'/E'/F' code counts, which
+coverage, the triple profile and both triple gaps reduce; it builds a
+Witness only when one is read.  is_srar, is_ra2, those triple functions,
+the lemma_* verifiers, thm_main_verify and gf2ring's oracle_equiv_* take
+a LoopFacts or a LoopTable, so a sweep or a classification passes its
+one LoopFacts through.  The kernel scans (the identities._CHECKS
+entries, first_quad_gap, quad_profile) take the bare table.  LoopFacts
+is the Products of its loop and hands itself to the first two, so its
+identity scans, triples and quadruple blocks read one intp table, one
+(xy)z, x(yz) and ((xy)z)y, and one code image C[xy] and C[(xy)z]; a
+call on a bare table builds its own.  cor_odd_verify takes the bare
+table too and decides through identities.holds; the benchmark's
+order7-slice calls it once per loop, while the order-7 sweep decides
+odd_order_associative through LoopFacts.
 """
 
 from __future__ import annotations
@@ -207,9 +210,10 @@ def _first_diff(vals: tuple[int, int, int, int]) -> tuple[int, int]:
 # e_a + e_b + e_c + e_d != 0 in F_2[L], from the Sidon codes g = C[a] ^ C[b].
 # _code gives the full set: bit 1 = D (a=b and c=d), bit 2 = E (a=d and
 # b=c), bit 4 = F (a=c and b=d).  Since c=d is a=b transposed and b=c is
-# a=d transposed, four comparisons give all three bits.  Arrays are indexed
-# by the scanned elements in scan order, so the first flagged entry in C
-# order is the lexicographically first tuple.
+# a=d transposed, four comparisons give all three bits.  _triple_code_counts
+# counts the same sets from the gaps and two comparisons.  Arrays are
+# indexed by the scanned elements in scan order, so the first flagged
+# entry in C order is the lexicographically first tuple.
 
 _D, _E, _F = 1, 2, 4
 _PAIRS = (_D | _E, _D | _F, _E | _F)
@@ -275,6 +279,27 @@ def _code(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return has_d | has_e << 1 | has_f << 2
 
 
+def _triple_code_counts(
+    g: np.ndarray, gaps: np.ndarray, a: np.ndarray, axes: tuple[int, ...]
+) -> tuple[int, ...]:
+    """How many cells have each D/E/F code 0..7, from g = C[a] ^ C[b] and its gaps.
+
+    gaps is _parity_gaps(g, axes); a may hold the values or their codes,
+    and c, d are a, b transposed.  Off a gap the four values pair up (see
+    _sidon_codes).  Then if a = b, also c = d, so D holds, and E and F
+    hold too iff a = c; if a != b, D fails and exactly one of E (a = d,
+    b = c) and F (a = c, b = d) holds, F iff a = c.  So four counts give
+    all eight: the pairing cells, those with a = b, those with a = c, and
+    those with both (D, E and F).
+    """
+    pairs = ~gaps
+    d = (g == 0) & pairs
+    f = (a == a.transpose(axes)) & pairs
+    n_pairs, n_d, n_f, n_def = (int(np.count_nonzero(x)) for x in (pairs, d, f, d & f))
+    e = n_pairs - n_d - n_f + n_def
+    return g.size - n_pairs, n_d - n_def, e, 0, n_f - n_def, 0, 0, n_def
+
+
 def _first_flagged(
     identity_id: str, flagged: np.ndarray, values_at, x0: int = 0
 ) -> Witness | None:
@@ -295,14 +320,15 @@ def _values_at(*values: np.ndarray):
     return lambda at: tuple(int(v[at]) for v in values)
 
 
-def _quad_blocks(p: Products, V: np.ndarray):
+def _quad_blocks(p: Products, V: np.ndarray, VV: np.ndarray | None = None):
     """Yield x0 and the products S, T for x in [x0, x0 + size), indexed [x - x0, y, z, w].
 
     They are gathered from V, the table's values or their images under a
     map such as _sidon_codes, in the core.x_blocks of n^3 quadruples per x.
+    VV is V at (xy)z, indexed [x, y, z], built here unless given.
     """
     T, TT = p.intp, p.xy_z  # (yz)w is TT[y, z, w]
-    VV = V[T]
+    VV = V.take(T, axis=0) if VV is None else VV
     n = p.loop.order
     for xs in x_blocks(n, n**3):
         yield xs.start, VV[T[xs]], V[xs].take(TT, axis=1)
@@ -311,21 +337,23 @@ def _quad_blocks(p: Products, V: np.ndarray):
 _QUAD_FIELDS = attrgetter("s", "t", "u", "v")  # a plain tuple of QuadValues' fields
 
 
-def _first_quad(p: Products, identity_id: str, V: np.ndarray, flags) -> Witness | None:
-    """First quadruple where flags(S, T) is set, S and T from V (see _quad_blocks)."""
+def _first_quad(
+    p: Products, identity_id: str, V: np.ndarray, flags, VV: np.ndarray | None = None
+) -> Witness | None:
+    """First quadruple where flags(S, T) is set, S and T from V and VV (see _quad_blocks)."""
     values_at = lambda q: _QUAD_FIELDS(quad_values(p.loop, *q))  # noqa: E731
-    for x0, s, t in _quad_blocks(p, V):
+    for x0, s, t in _quad_blocks(p, V, VV):
         w = _first_flagged(identity_id, flags(s, t), values_at, x0)
         if w is not None:
             return w
     return None
 
 
-def first_quad_gap(L: LoopTable, products: Products | None = None) -> Witness | None:
-    """First quadruple whose D/E/F set is empty, scan order (x, y, z, w), from products if given."""
-    p = Products(L) if products is None else products
-    codes = _sidon_codes(L.order)[p.intp]
-    return _first_quad(p, "def_coverage", codes, lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES))
+def first_quad_gap(L: LoopTable, facts: LoopFacts | None = None) -> Witness | None:
+    """First quadruple whose D/E/F set is empty, scan order (x, y, z, w), from facts if given."""
+    f = LoopFacts(L) if facts is None else facts
+    flags = lambda s, t: _parity_gaps(s ^ t, _QUAD_AXES)  # noqa: E731
+    return _first_quad(f, "def_coverage", f.code_xy, flags, f.code_xy_z)
 
 
 def abc_gaps(L: LoopFacts | LoopTable) -> np.ndarray:
@@ -337,9 +365,8 @@ def first_triple_gap(L: LoopFacts | LoopTable) -> Witness | None:
     """First triple whose D'/E'/F' set is empty, scan order (x, y, z)."""
     f = LoopFacts.of(L)
     a, b = f.triples
-    gaps = _parity_gaps(f.triple_masks, _TRIPLE_AXES)
     values_at = _values_at(a, b, a.transpose(_TRIPLE_AXES), b.transpose(_TRIPLE_AXES))
-    return _first_flagged("def_prime_coverage", gaps, values_at)
+    return _first_flagged("def_prime_coverage", f._triple_gaps, values_at)
 
 
 def first_abc_gap(L: LoopFacts | LoopTable) -> Witness | None:
@@ -386,23 +413,28 @@ class LoopFacts(Products):
         found = self._failure(ident)
         return None if found is None else Witness(ident.value, *found)
 
-    # (xy)z and x(yz), and how many triples have each D'/E'/F' code
-    # 0..7, which coverage and the profile both read
+    # (xy)z and x(yz), the witnesses' values
     triples = memo(lambda self: (self.xy_z, self.x_yz))
 
-    @memo
-    def triple_counts(self) -> tuple[int, ...]:
-        code = _code(*self.triples, _TRIPLE_AXES)
-        return tuple(np.bincount(code.ravel(), minlength=8).tolist())
+    # C[xy] and C[(xy)z], the Sidon codes of the products (see _sidon_codes):
+    # the quadruple scan's V and VV (see _quad_blocks) and the triple masks
+    # read them, so one classification builds each once
+    code_xy = memo(lambda self: _sidon_codes(self.loop.order)[self.intp])
+    code_xy_z = memo(lambda self: self.code_xy.take(self.intp, axis=0))
 
     @memo
     def triple_masks(self) -> np.ndarray:
         """e_(xy)z + e_x(yz) as C[(xy)z] ^ C[x(yz)] (see _sidon_codes), indexed [x, y, z]."""
-        C = _sidon_codes(self.loop.order)
-        return C[self.triples[0]] ^ C[self.triples[1]]
+        return self.code_xy_z ^ self.code_xy.take(self.intp, axis=1)
 
-    # abc_gaps, built once: oracle_equiv_ra2 and first_abc_gap both read it
+    # the D'/E'/F' and A/B/C gaps, each built once: the triple counts and
+    # first_triple_gap read the first, oracle_equiv_ra2 and first_abc_gap the second
+    _triple_gaps = memo(lambda self: _parity_gaps(self.triple_masks, _TRIPLE_AXES))
     _abc_gaps = memo(lambda self: read_only(_parity_gaps(self.triple_masks, _ABC_AXES)))
+
+    # how many triples have each D'/E'/F' code 0..7: coverage and the profile read it
+    triple_counts = memo(lambda self: _triple_code_counts(
+        self.triple_masks, self._triple_gaps, self.code_xy_z, _TRIPLE_AXES))
 
     # The condition halves of SRAR and RA2, read only where the identity
     # half holds, so that the flags and the witnesses share one scan.

@@ -236,8 +236,8 @@ def _latin_loop(table: tuple[tuple[int, ...], ...]) -> LoopTable:
     n = len(table)
     labels = set(range(n))
     if not (
-        all(set(row) == labels for row in table)
-        and all(set(col) == labels for col in zip(*table))
+        all(map(labels.__eq__, map(set, table)))
+        and all(map(labels.__eq__, map(set, zip(*table))))
     ):
         _first_fault([[v + 1 for v in row] for row in table], n)
     try:  # a Latin square has at most one identity row

@@ -92,6 +92,8 @@ class Products:
     intp = memo(lambda self: self.loop.array.astype(np.intp))
     xy_z = memo(lambda self: self.intp[self.intp])
     x_yz = memo(lambda self: self.intp.take(self.intp, axis=1))
+    # ((xy)z)y, the left side of right Bol and of right Moufang (see _SIDES)
+    xy_z_y = memo(lambda self: _mul(self, self.xy_z, np.arange(self.loop.order)[:, None]))
 
 
 Scan = Callable[[LoopTable, Products | None], Failure | None]
@@ -171,13 +173,14 @@ def _x_y_zx(p: Products, xs: slice, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # (lhs, rhs) of each three-variable identity over the x rows xs of a
 # Products p, indexed [x, y, z] with x = arange(n)[xs, None, None] and y =
 # arange(n)[:, None]; x times an [y, z] array w is intp[xs].take(w, axis=1).
-# Right Bol and right Moufang share ((xy)z)y.  The unrolled scans below
-# evaluate the same equations.
+# Right Bol and right Moufang share ((xy)z)y, which a Products builds
+# over all x at once, so a loop that runs both tails builds it once.  The
+# unrolled scans below evaluate the same equations.
 _SIDES = {
     IdentityId.RIGHT_BOL: lambda p, xs, x, y: (
-        _mul(p, p.xy_z[xs], y), p.intp[xs].take(_mul(p, p.intp, y), axis=1)),
+        p.xy_z_y[xs], p.intp[xs].take(_mul(p, p.intp, y), axis=1)),
     IdentityId.RIGHT_MOUFANG: lambda p, xs, x, y: (
-        _mul(p, p.xy_z[xs], y), p.intp[xs].take(_mul(p, y, p.intp.T), axis=1)),
+        p.xy_z_y[xs], p.intp[xs].take(_mul(p, y, p.intp.T), axis=1)),
     IdentityId.EXTRA: lambda p, xs, x, y: (_mul(p, p.xy_z[xs], x), _x_y_zx(p, xs, x, y)),
     IdentityId.ASSOCIATIVE: lambda p, xs, x, y: (p.xy_z[xs], p.x_yz[xs]),
 }

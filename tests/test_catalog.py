@@ -202,6 +202,58 @@ def test_a_huge_order_allocates_nothing_of_its_size():
     assert peak < 1 << 20
 
 
+# Record b's rows, each sending its block of three lines to the line
+# reader; every outcome is pinned from the parser that read each line on
+# its own: the records as (name, 1-indexed rows, header line), or the
+# error's type, message and line
+_A3 = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+_RECORDS = [("a", _A3, 2), ("b", _A3, 8), ("c", ((1, 2), (2, 1)), 15)]
+_LINE_READER_CASES = {
+    "comment between rows": ("1 2 3\n# note\n2 3 1\n3 1 2\n", _RECORDS),
+    "comment after the block": ("1 2 3\n2 3 1\n  # note\n3 1 2\n", _RECORDS),
+    "01 token": ("1 2 3\n2 3 01\n3 1 2\n", [*_RECORDS[:2], ("c", _RECORDS[2][1], 14)]),
+    "short row": ("1 2 3\n2 3\n3 1 2\n",
+                  ("ParseError", "line 11: expected 3 entries, got 2", 11)),
+    "long row": ("1 2 3\n2 3 1 1\n3 1 2\n",
+                 ("ParseError", "line 11: expected 3 entries, got 4", 11)),
+    "blank line inside the rows": ("1 2 3\n\n2 3 1\n3 1 2\n", (
+        "ParseError",
+        "line 11: unexpected blank line inside record, expected a table row of 3 entries", 11)),
+    "0 entry": ("1 2 3\n2 0 1\n3 1 2\n", (
+        "ValidationError", "loop 'b': row 2 contains 0, expected an integer in 1..3", None)),
+    "non-integer entry": ("1 2 3\n2 x 1\n3 1 2\n",
+                          ("ParseError", "line 11: non-integer table entry in '2 x 1'", 11)),
+    "end of file": ("1 2 3\n2 3 1\n", (
+        "ParseError", "line 11: unexpected end of file, expected a table row of 3 entries", 11)),
+}
+
+
+@pytest.mark.parametrize("case", _LINE_READER_CASES)
+def test_blocks_the_line_reader_takes_parse_as_before(case):
+    rows, expected = _LINE_READER_CASES[case]
+    tail = "" if case == "end of file" else "\nloop c\norder 2\n1 2\n2 1\n"
+    text = "# catalog\nloop a\norder 3\n1 2 3\n2 3 1\n3 1 2\n\nloop b\norder 3\n" + rows + tail
+    try:
+        got = [(r.name, r.loop.raw_rows(), r.source_line) for r in parse_catalog(text)]
+    except CatalogError as exc:
+        got = type(exc).__name__, str(exc), getattr(exc, "line", None)
+    assert got == expected
+
+
+def test_a_huge_order_reads_no_row_past_its_first():
+    # the block of n rows is read only after a first row of n tokens
+    read = []
+
+    def lines():
+        yield from ("loop x\n", "order 999999999999\n")
+        for k in range(1000):
+            read.append(k)
+            yield "1 2\n"
+    with pytest.raises(ParseError, match="line 3: expected 999999999999 entries, got 2"):
+        parse_catalog(lines())
+    assert read == [0]
+
+
 # one grid per fault, each found by a different step of the check
 _FAULTY_GRIDS = {
     "entry above n": [[1, 2], [2, 3]],

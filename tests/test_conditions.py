@@ -48,7 +48,7 @@ from loopkit.core import Witness
 from loopkit.fixtures import bol16, cyclic_group, moufang12
 from loopkit.identities import Products
 
-from conftest import CORPUS5, chein_a4, octonion_units, relabelled
+from conftest import CORPUS5, chein_a4, direct_product, octonion_units, relabelled
 
 # machine-verified ground truth for the order-12 Moufang fixture: the
 # printed table yields products (11,12,11,12) at (2,5,9), the F' pattern
@@ -256,10 +256,9 @@ def _ref_witness(identity_id, elements, values):
 
 def _reference_scans(L: LoopTable) -> dict:
     """Every kernel consumer's result, from the per-tuple functions alone."""
-    n, e, m = L.order, L.identity, L.mul
-    quad_gap = allthree_gap = triple_gap = abc_gap = None
-    quad_counts, triple_counts = Counter(), Counter()
-    for q in product(range(n), repeat=4):
+    quad_gap = allthree_gap = None
+    quad_counts = Counter()
+    for q in product(range(L.order), repeat=4):
         conds = quad_conditions(L, *q)
         quad_counts[subset_key(conds)] += 1
         v = quad_values(L, *q)
@@ -267,6 +266,19 @@ def _reference_scans(L: LoopTable) -> dict:
             quad_gap = _ref_witness("def_coverage", q, (v.s, v.t, v.u, v.v))
         if len(conds) in (0, 2) and allthree_gap is None:
             allthree_gap = _ref_witness("quad_all_three_or_one", q, (v.s, v.t, v.u, v.v))
+    return {
+        "first_quad_gap": quad_gap,
+        "lemma_allthree": allthree_gap,
+        "quad_profile": {k: quad_counts[k] for k in PROFILE_KEYS},
+        **_reference_triple_scans(L),
+    }
+
+
+def _reference_triple_scans(L: LoopTable) -> dict:
+    """The triple half of _reference_scans: every triple consumer's result."""
+    n, e, m = L.order, L.identity, L.mul
+    triple_gap = abc_gap = None
+    triple_counts = Counter()
     triple_sets = {}
     for x, y, z in product(range(n), repeat=3):
         conds = triple_sets[x, y, z] = triple_conditions(L, x, y, z)
@@ -279,16 +291,13 @@ def _reference_scans(L: LoopTable) -> dict:
             abc_gap = _ref_witness("abc_coverage", (x, y, z), p)
     sets = triple_sets.values()
     return {
-        "first_quad_gap": quad_gap,
         "first_triple_gap": triple_gap,
         "first_abc_gap": abc_gap,
-        "lemma_allthree": allthree_gap,
         "triple_coverage": conditions.TripleCoverage(
             all(sets), all(c & {"D", "E"} for c in sets),
             all(c & {"D", "F"} for c in sets), all(c & {"E", "F"} for c in sets),
         ),
         "triple_profile": {k: triple_counts[k] for k in PROFILE_KEYS},
-        "quad_profile": {k: quad_counts[k] for k in PROFILE_KEYS},
     }
 
 
@@ -333,6 +342,27 @@ def test_no_condition_set_has_size_two():
         want = (s == t and u == v) | (s == v and t == u) << 1 | (s == u and t == v) << 2
         assert code[i, j] == want, (s, t, u, v)
     assert len(cells) == 256 and {int(code[ij]) for ij in cells.values()} == {0, 1, 2, 4, 7}
+
+
+@pytest.mark.parametrize("labels, dtype",
+                         [((0, 1, 2, 3), np.uint8), ((0, 255, 256, 300), np.uint32)])
+def test_triple_counts_read_the_condition_code_off_the_parity(labels, dtype):
+    # each value pattern alone, at the mirrored cells of a 2 x 2 array
+    # whose diagonal holds one value (code DEF), from the values and from
+    # their Sidon codes: it counts twice under its definitional code
+    C = conditions._sidon_codes(labels[-1] + 1)
+    cells, a, b = _value_patterns(labels)
+    for (s, t, u, v), (i, j) in cells.items():
+        a2, b2 = (x[np.ix_((i, j), (i, j))] for x in (a, b))
+        g = C[a2] ^ C[b2]
+        gaps = conditions._parity_gaps(g, (1, 0))
+        want = (s == t and u == v) | (s == v and t == u) << 1 | (s == u and t == v) << 2
+        expected = [0] * 8
+        expected[want] += 2
+        expected[7] += 2
+        for values in (a2, C[a2]):
+            assert conditions._triple_code_counts(g, gaps, values, (1, 0)) == tuple(expected)
+    assert C.dtype == dtype and len(cells) == 256
 
 
 @pytest.mark.parametrize("labels", [(0, 1, 2, 3), (0, 255, 256, 300)])
@@ -406,7 +436,8 @@ def test_gaps_are_decided_without_the_condition_code(monkeypatch):
     expected = {}
     for L in (bol16(), moufang12()):
         f = LoopFacts(L)
-        expected[L.order] = (first_quad_gap(L), abc_gaps(L), f.srar, f.ra2)
+        expected[L.order] = (first_quad_gap(L), abc_gaps(L), f.srar, f.ra2, f.coverage,
+                             triple_profile(L))
 
     def forbidden(*args):
         raise AssertionError("a coverage gap read the D/E/F code")
@@ -415,10 +446,24 @@ def test_gaps_are_decided_without_the_condition_code(monkeypatch):
     # fresh tables and facts, so that no cache built before the patch answers
     for L in (bol16(), moufang12()):
         f = LoopFacts(L)
-        quad, abc, srar, ra2 = expected[L.order]
+        quad, abc, srar, ra2, coverage, profile = expected[L.order]
         assert first_quad_gap(L) == quad and np.array_equal(abc_gaps(L), abc)
         assert (f.srar, f.ra2) == (srar, ra2)
-    assert {n: e[2:] for n, e in expected.items()} == {16: (False, False), 12: (True, True)}
+        assert f.coverage == coverage and triple_profile(f) == profile
+    assert {n: e[2:4] for n, e in expected.items()} == {16: (False, False), 12: (True, True)}
+
+
+# S3 x Z3, a group, and M(A4, 2), Moufang but not RA2, need uint16 codes
+@pytest.mark.parametrize("build", [lambda: direct_product(_symmetric3(), cyclic_group(3)),
+                                   chein_a4], ids=["s3xz3", "chein_a4"])
+def test_uint16_codes_give_the_triple_counts(build):
+    L = relabelled(build(), 5)
+    ref = _reference_triple_scans(L)
+    assert 17 <= L.order <= 24 and conditions._sidon_codes(L.order).dtype == np.uint16
+    assert triple_profile(L).counts == ref["triple_profile"]
+    assert LoopFacts(L).coverage == triple_coverage(L) == ref["triple_coverage"]
+    assert first_triple_gap(L) == ref["first_triple_gap"]
+    assert first_abc_gap(L) == ref["first_abc_gap"]
 
 
 # order5-6 is the first order-5 loop that is not right Bol
@@ -670,6 +715,28 @@ def test_condition_flags_read_first_share_the_identity_scans(scan_counts):
     assert scan_counts["right_bol"] == scan_counts["right_moufang"] == len(loops)
     # M(S3,2) is RA2; Bol 16.7.2.1 is right Bol with a quadruple gap
     assert base_first[:2] == [(True, True, True, True), (True, False, False, False)]
+
+
+def test_shared_product_arrays_are_built_once_per_loop(scan_counts, monkeypatch):
+    # on M(S3,2) both right Bol and right Moufang hold, so both numpy tails
+    # run to their end and read ((xy)z)y; srar, ra2 and the triple profile
+    # all read C[(xy)z], the quadruple scan's S side and the triple masks'
+    # first term
+    builds = Counter()
+    for owner, attr in ((Products, "xy_z_y"), (LoopFacts, "code_xy_z")):
+        cached = getattr(owner, attr)
+
+        def counted(p, build=cached.fn, attr=attr):
+            builds[attr] += 1
+            return build(p)
+        monkeypatch.setattr(cached, "fn", counted)
+    f = LoopFacts(moufang12())
+    assert f.right_bol and f.moufang
+    assert scan_counts["numpy_scans"] == 2 and builds == {"xy_z_y": 1}
+    builds.clear()
+    f = LoopFacts(moufang12())
+    assert f.srar and f.ra2 and sum(triple_profile(f).counts.values()) == 12**3
+    assert builds == {"xy_z_y": 1, "code_xy_z": 1}
 
 
 def test_ra2_oracle_and_verdict_share_one_abc_gap_build(scan_counts):
