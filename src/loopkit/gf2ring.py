@@ -13,9 +13,10 @@ they cross-check.
 
 - low_weight_ring_check scans the basis tuples the unit law leaves open
   early-exit on the Cayley table, then the weight-2 tuples in numpy
-  blocks; the degree and unit lemmas in its docstring show this is
-  enough.  With no product table it runs up to order 64; `loopkit
-  ring-check`, oracle_equiv_srar and oracle_equiv_ra2 use it.
+  blocks, each side the XOR of four basis values (polarization); the
+  degree and unit lemmas in its docstring show this is enough.  With no
+  product table it runs up to order 64; `loopkit ring-check`,
+  oracle_equiv_srar and oracle_equiv_ra2 use it.
 - ring_identity_check enumerates every tuple of ring elements (masks
   scan in ascending integer order) over the 2^n x 2^n product table.
   All four identities share one loop over x: each supplies the lhs and
@@ -29,7 +30,6 @@ they cross-check.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -213,16 +213,27 @@ def ring_identity_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | No
     return None
 
 
-# Each ring identity's (lhs, rhs), written once over the product m.  The
-# squared variable, y (x in left alternative), occurs twice on each side,
-# every other variable once.
-_SIDES = {
-    RingIdentityId.RIGHT_ALTERNATIVE: lambda m, x, y: (m(m(x, y), y), m(x, m(y, y))),
-    RingIdentityId.LEFT_ALTERNATIVE: lambda m, x, y: (m(m(x, x), y), m(x, m(x, y))),
-    RingIdentityId.RIGHT_BOL:
-        lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(m(y, z), y))),
-    RingIdentityId.RIGHT_MOUFANG:
-        lambda m, x, y, z: (m(m(m(x, y), z), y), m(x, m(y, m(z, y)))),
+# Each ring law's (lhs, rhs) on basis elements, the two occurrences of its
+# squared variable as independent axes i and j, for the block xs of its
+# first variable: [x, i, z, j] for right Bol and right Moufang, the
+# associator pair ((xi)j, x(ij)) as [x, i, j] for right alternative, and
+# the same pair whole as [i, j, y] for left alternative, whose blocks are
+# of pairs.  Then the XOR of the four terms at y = e_a + e_b (x for left
+# alternative) in scan order, from _low_weight_plan's index rows i and j.
+_TERMS_XZ = lambda H, i, j, xs: np.bitwise_xor.reduce(H[:, i, :, j], axis=0).transpose(1, 0, 2)
+_POLARIZED = {
+    RingIdentityId.RIGHT_ALTERNATIVE: (
+        lambda T, xs: (T.take(T[xs], axis=0), T[xs].take(T, axis=1)),
+        lambda H, i, j, xs: np.bitwise_xor.reduce(H[:, i, j], axis=1)),  # [x, pair]
+    RingIdentityId.LEFT_ALTERNATIVE: (
+        lambda T, xs: (T.take(T, axis=0), T.take(T, axis=1)),
+        lambda H, i, j, xs: np.bitwise_xor.reduce(H[i[:, xs], j[:, xs]], axis=0)),  # [pair, y]
+    RingIdentityId.RIGHT_BOL: (  # [x, pair, z], as right Moufang
+        lambda T, xs: (T.take(T.take(T[xs], axis=0), axis=0), T[xs].take(T.take(T, axis=0), axis=1)),
+        _TERMS_XZ),
+    RingIdentityId.RIGHT_MOUFANG: (
+        lambda T, xs: (T.take(T.take(T[xs], axis=0), axis=0), T[xs].take(T.take(T, axis=1), axis=1)),
+        _TERMS_XZ),
 }
 
 # Per variable of each ring law, so its length is the law's arity: True
@@ -264,11 +275,14 @@ def low_weight_ring_check(L: LoopTable, ident: RingIdentityId) -> RingWitness | 
 
     That is n^2 * n(n+1)/2 tuples for the three-variable laws, against
     2^(3n).  At weight 1 the identity is the loop identity on basis
-    elements; at weight 2, given weight 1, only the cross terms remain,
-    which for right Bol at y = e_a + e_b are the four D/E/F products of
-    the quadruple (x, a, z, b).  This function still evaluates only ring
-    products: a product of basis elements is one Cayley table entry, and
-    one with a weight-2 element XORs the one-hot uint64 masks of entries.
+    elements.  At weight 2, polarization: a side is linear in each
+    occurrence of y, so at y = e_a + e_b it is the XOR of its four basis
+    values, those occurrences at (a, a), (a, b), (b, a) and (b, b), each
+    one Cayley table entry.  The law fails there iff the one-hot uint64
+    masks of the four lhs and four rhs entries XOR to nonzero.  The
+    (a, a) and (b, b) terms are weight-1 sides, which cancel where those
+    hold and leave, for right Bol, the D/E/F products of the quadruple
+    (x, a, z, b); stage 2 keeps them, so it evaluates only ring products.
 
     Unit lemma.  The loop's identity element e, as a basis element, is
     the unit of the ring, so a law is a tautology at a tuple where it
@@ -337,51 +351,35 @@ def _basis_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | Non
 
 
 def _weight_two_failure(L: LoopTable, ident: RingIdentityId) -> tuple[int, ...] | None:
-    """Stage 2: the same with the squared variable at weight 2, in core.x_blocks.
-
-    A ring element is one index array whose axis 0 runs over its terms, so
-    a product is one gather over all pairs of terms and a side one XOR.
-    """
+    """Stage 2: the same with the squared variable at weight 2, in core.x_blocks:
+    the first tuple whose four _POLARIZED terms of one[lhs] ^ one[rhs] XOR
+    to nonzero (polarization, in low_weight_ring_check's docstring)."""
     if L.order < 2:  # no element of weight 2
         return None
-    T = L.array.astype(np.intp)  # its entries index T and the masks again
-
-    def m(u, v):
-        uv = T[u[:, None], v[None, :]]
-        return uv.reshape(-1, *uv.shape[2:])
-
-    one, cands, (gx, *grid) = _low_weight_plan(L.order, ident)
-    for xs in x_blocks(cands[0].shape[1], math.prod(c.shape[1] for c in cands[1:])):
-        sides = _SIDES[ident](m, gx[:, xs], *grid)
-        lhs, rhs = (np.bitwise_xor.reduce(one[side], axis=0) for side in sides)
-        at = first_set(lhs != rhs)
+    n, T = L.order, L.array.astype(np.intp)  # T's entries index T and the masks again
+    (one, pairs, i, j), (sides, terms) = _low_weight_plan(n), _POLARIZED[ident]
+    squared = 0 if ident is _RING_LEFT_ALT else 1
+    first = (len(pairs), n)[squared]  # the first variable's candidates
+    for xs in x_blocks(first, len(pairs) * n ** (len(_BASIS_SKIPS_E[ident]) - 1) // first):
+        lhs, rhs = sides(T, xs)
+        at = first_set(terms(one[lhs] ^ one[rhs], i, j, xs) != 0)
         if at is not None:
             pos = (xs.start + at[0], *at[1:])
-            masks_at = (sum(1 << int(t) for t in c[:, p]) for c, p in zip(cands, pos))
-            return *masks_at, int(lhs[at]), int(rhs[at])
+            masks_at = (int(pairs[p]) if v == squared else 1 << p for v, p in enumerate(pos))
+            return *masks_at, *(int(terms(one[side], i, j, xs)[at]) for side in (lhs, rhs))
     return None
 
 
 @functools.cache
-def _low_weight_plan(n: int, ident: RingIdentityId):
-    """The one-hot masks, and the stage-2 test set, as (one, cands, grid).
-
-    cands[j] holds variable j's candidates in scan order as one index
-    array, [term, candidate]; grid[j] is the same array shaped [term,
-    ...] with the candidate on axis 1 + j, so each variable's terms stay
-    on axis 0.  Every array is read-only, since the cache shares it.
-    Below order 2 the weight-2 candidates are empty.
-    """
+def _low_weight_plan(n: int):
+    """The one-hot masks and stage 2's pairs, as (one, pairs, i, j): the
+    masks e_a + e_b, a < b, ascending (the scan order), and the index rows
+    (a, a), (a, b), (b, a), (b, b) of their four terms, [term, pair].  All
+    read-only, since the cache shares them; below order 2 there are no pairs."""
     one = read_only(np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64)))
-    k = len(_BASIS_SKIPS_E[ident])
-    weight_two = np.stack(np.tril_indices(n, -1))  # (b, a) with a < b, ascending mask order
-    squared = 0 if ident is RingIdentityId.LEFT_ALTERNATIVE else 1
-    cands = tuple(read_only(weight_two if j == squared else np.arange(n)[None]) for j in range(k))
-    grid = tuple(
-        read_only(c.reshape(len(c), *[-1 if i == j else 1 for i in range(k)]))
-        for j, c in enumerate(cands)
-    )
-    return one, cands, grid
+    b, a = np.tril_indices(n, -1)  # ascending mask order
+    i, j = np.stack((a, a, b, b)), np.stack((a, b, a, b))
+    return one, read_only(one[a] | one[b]), read_only(i), read_only(j)
 
 
 def oracle_equiv_srar(L: LoopFacts | LoopTable) -> bool:

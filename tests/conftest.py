@@ -80,12 +80,27 @@ def octonion_units():
     return validate_table(raw)
 
 
-def chein_a4():
-    """M(A4, 2), Chein's doubling of A4 (order 24): Moufang, but not SRAR.
+def chein_double(G):
+    """Chein's doubling M(G, 2) of a group G (order 2|G|): Moufang, and
+    nonassociative when G is not abelian.
 
-    Elements g and gu for g in A4, with gh, g(hu) = (hg)u,
-    (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g.
+    Element g of G keeps its label and gu is g + |G|, with gh,
+    g(hu) = (hg)u, (gu)h = (gh^-1)u and (gu)(hu) = h^-1 g.
     """
+    t, inv, m = G.table, G.rinv, G.order
+
+    def product(i, j):
+        g, h = i % m, j % m
+        if i < m:
+            return t[g][h] if j < m else m + t[h][g]
+        return m + t[g][inv[h]] if j < m else t[inv[h]][g]
+
+    return validate_table([[product(i, j) + 1 for j in range(2 * m)] for i in range(2 * m)])
+
+
+def chein_a4():
+    """M(A4, 2), Chein's doubling of A4 (order 24): Moufang, but neither
+    SRAR nor RA2."""
     def mul(p, q):
         return tuple(p[q[i]] for i in range(4))
 
@@ -95,16 +110,7 @@ def chein_a4():
             if mul(g, h) not in group:
                 group.append(mul(g, h))
     index = {g: i for i, g in enumerate(group)}
-    inv = {g: next(h for h in group if mul(g, h) == group[0]) for g in group}
-    m = len(group)
-
-    def product(i, j):
-        g, h = group[i % m], group[j % m]
-        if i < m:
-            return index[mul(g, h)] if j < m else m + index[mul(h, g)]
-        return m + index[mul(g, inv[h])] if j < m else index[mul(inv[h], g)]
-
-    return validate_table([[product(i, j) + 1 for j in range(2 * m)] for i in range(2 * m)])
+    return chein_double(validate_table([[index[mul(g, h)] + 1 for h in group] for g in group]))
 
 
 def bol_extension16():

@@ -1,6 +1,7 @@
 """gf2-loop-ring: mask algebra, product table, and both ring-identity oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from loopkit import core, gf2ring, identities
 from loopkit.conditions import LoopFacts, abc_gaps, first_quad_gap
 from loopkit.core import x_blocks
 from loopkit.fixtures import bol16, cyclic_group, moufang12
+from loopkit.gf2ring import LOW_WEIGHT_CAP
 from loopkit.identities import IdentityId, check_identity
 
-from conftest import CORPUS5, NON_BOL_5_RAW, direct_product, relabelled
+from conftest import CORPUS5, NON_BOL_5_RAW, chein_a4, direct_product, relabelled
 
 THREE_VARIABLE = (
     IdentityId.RIGHT_BOL, IdentityId.RIGHT_MOUFANG, IdentityId.EXTRA, IdentityId.ASSOCIATIVE,
@@ -239,9 +241,9 @@ def test_oracle_equiv_ra2_spot_checks(z4, non_bol5):
 
 def test_ring_oracles_on_the_order_1_loop():
     one = validate_table([[1]])
+    _, pairs, i, j = gf2ring._low_weight_plan(1)
+    assert len(pairs) == 0 and i.shape == j.shape == (4, 0)  # no element of weight 2
     for ident in RingIdentityId:
-        _, cands, _ = gf2ring._low_weight_plan(1, ident)
-        assert min(c.shape[1] for c in cands) == 0  # no element of weight 2
         assert low_weight_ring_check(one, ident) is None
         assert ring_identity_check(one, ident) is None
     assert oracle_equiv_srar(one)
@@ -389,6 +391,19 @@ def test_low_weight_witnesses_at_weight_two(ident):
 
 
 @pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
+def test_low_weight_witnesses_at_weight_two_on_chein_a4(ident):
+    # M(A4,2) is Moufang, so every law holds on basis elements, and it is
+    # neither SRAR nor RA2, so every ring law first fails at weight 2: the
+    # one fixture on which stage 2 decides right Moufang
+    L = chein_a4()
+    w = low_weight_ring_check(L, ident)
+    assert w is not None
+    assert [bin(e.bits).count("1") for e in w.elements][_SQUARED_VARIABLE[ident]] == 2
+    assert (w.elements, w.lhs, w.rhs) == _first_low_weight_failure(L, ident)
+    assert oracle_equiv_srar(L) and oracle_equiv_ra2(L)
+
+
+@pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
 def test_low_weight_witnesses_on_relabelled_loops(ident):
     # enumerated loops all have identity 0; relabelled, the basis scan must
     # skip the identity element, not element 0, where the unit law decides
@@ -454,10 +469,12 @@ def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
     # every numpy scan cuts its first variable by core.x_blocks.  The
     # benchmark's orders scan in one block: the three-variable tails at
     # orders 8-16 and ring stage 2 at orders 2-8 (relabelled groups, on
-    # which every scan runs to its end)
-    layouts = []
+    # which every scan runs to its end).  Stage 2 cuts x by its y[, z]
+    # tuples, and left alternative, which squares x, its pairs by y
+    layouts, sizes = [], []
 
     def recorded(n, per_x):
+        sizes.append((n, per_x))
         layouts.append(list(x_blocks(n, per_x)))
         return iter(layouts[-1])
 
@@ -472,6 +489,16 @@ def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
             assert low_weight_ring_check(relabelled(cyclic_group(n), n), ident) is None
     assert len(layouts) == 9 * 4 + 7 * 4
     assert all(len(blocks) == 1 for blocks in layouts)
+    pairs = {n: n * (n - 1) // 2 for n in range(2, 9)}
+    assert sizes[9 * 4:] == [
+        {
+            RingIdentityId.RIGHT_ALTERNATIVE: (n, pairs[n]),
+            RingIdentityId.LEFT_ALTERNATIVE: (pairs[n], n),
+            RingIdentityId.RIGHT_BOL: (n, pairs[n] * n),
+            RingIdentityId.RIGHT_MOUFANG: (n, pairs[n] * n),
+        }[ident]
+        for n in range(2, 9) for ident in RingIdentityId
+    ]
     monkeypatch.undo()
 
     # one x per block: the block offsets must give back the witnesses of
@@ -498,26 +525,45 @@ def test_low_weight_witness_does_not_depend_on_the_slab_size(monkeypatch):
 @pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
 def test_low_weight_plan_scans_weight_two_in_ascending_mask_order(ident):
     # the weight-2 stage must visit its pairs by ascending mask, the order
-    # the brute-force scan would meet them in; no fixture pins this alone
+    # the brute-force scan would meet them in; no fixture pins this alone.
+    # Each law's term XOR, fed the parity bit u * n + v at the occurrences
+    # (u, v) of its squared variable, must give pair p's four bits at p
+    _, terms = gf2ring._POLARIZED[ident]
     for n in (2, 3, 5, 8):
-        _, cands, _ = gf2ring._low_weight_plan(n, ident)
-        pairs = [c for c in cands if len(c) == 2]
-        assert len(pairs) == 1  # the squared variable; every other is basis
-        for b, a in pairs:
-            masks = [(1 << int(u)) | (1 << int(v)) for u, v in zip(b, a)]
-            assert all(bin(m).count("1") == 2 for m in masks)
-            assert len(masks) == n * (n - 1) // 2
-            assert masks == sorted(set(masks))
+        _, pairs, i, j = gf2ring._low_weight_plan(n)
+        masks = [int(m) for m in pairs]
+        assert all(bin(m).count("1") == 2 for m in masks)
+        assert len(masks) == n * (n - 1) // 2
+        assert masks == sorted(set(masks))
+        bits = np.left_shift(np.uint64(1), np.arange(n * n, dtype=np.uint64)).reshape(n, n)
+        if ident is RingIdentityId.LEFT_ALTERNATIVE:  # [pair, y] from [i, j, y]
+            got = terms(bits[:, :, None], i, j, slice(0, len(masks)))[:, 0]
+        elif ident is RingIdentityId.RIGHT_ALTERNATIVE:  # [x, pair] from [x, i, j]
+            got = terms(bits[None], i, j, slice(0, 1))[0]
+        else:  # [x, pair, z] from [x, i, z, j]
+            got = terms(bits[None, :, None], i, j, slice(0, 1))[0, :, 0]
+        want = []
+        for m in masks:
+            a, b = (k for k in range(n) if m >> k & 1)
+            want.append(sum(1 << u * n + v for u in (a, b) for v in (a, b)))
+        assert [int(g) for g in got] == want
 
 
 @pytest.mark.parametrize("ident", list(RingIdentityId), ids=lambda i: i.value)
-def test_low_weight_plan_arrays_are_read_only(ident):
+def test_low_weight_plan_arrays_are_read_only(monkeypatch, ident):
     # the plan is cached per order: a caller writing into it would
-    # corrupt every later oracle call at that order
-    one, cands, grid = gf2ring._low_weight_plan(5, ident)
-    arrays = [one, *cands, *grid]
-    assert len(arrays) > 1
-    for a in arrays:
+    # corrupt every later oracle call at that order.  Record what each
+    # law's stage 2 reads, on a group, where it runs to its end
+    read, real = [], gf2ring._low_weight_plan
+
+    def spy(n):
+        read.append(real(n))
+        return read[-1]
+
+    monkeypatch.setattr(gf2ring, "_low_weight_plan", spy)
+    assert low_weight_ring_check(relabelled(cyclic_group(5), 2), ident) is None
+    assert len(read) == 1 and read[0] is real(5)
+    for a in read[0]:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 1
 
@@ -529,6 +575,10 @@ def test_low_weight_oracle_is_independent_of_the_pointwise_scans(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the ring oracle called a pointwise scan")
 
+    # nor may it borrow the pointwise side's product arrays
+    for attr in ("intp", "xy_z", "x_yz", "xy_z_y"):
+        monkeypatch.setattr(getattr(identities.Products, attr), "fn", forbidden)
+    monkeypatch.setattr(conditions.LoopFacts, "__init__", forbidden)
     monkeypatch.setattr(conditions, "_code", forbidden)
     monkeypatch.setattr(conditions, "_parity_gaps", forbidden)
     monkeypatch.setattr(conditions, "_sidon_codes", forbidden)
@@ -565,6 +615,20 @@ def test_low_weight_oracle_order_cap():
     with pytest.raises(OrderExceedsCap, match="64-bit masks"):
         low_weight_ring_check(cyclic_group(65), RingIdentityId.RIGHT_ALTERNATIVE)
     assert low_weight_ring_check(cyclic_group(64), RingIdentityId.RIGHT_ALTERNATIVE) is None
+
+
+def test_low_weight_stage_two_stays_blocked_at_the_cap():
+    # right Bol on a relabelled Z64, the largest order the oracle takes,
+    # runs both stages to their end within 24 MB of numpy arrays
+    L = relabelled(cyclic_group(LOW_WEIGHT_CAP), 64)
+    L.array  # the table's own cached array, built before tracing
+    tracemalloc.start()
+    try:
+        assert low_weight_ring_check(L, RingIdentityId.RIGHT_BOL) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10**6
 
 
 def test_alternative_ring_comparator_is_exact_up_to_order_6():
